@@ -10,6 +10,16 @@ are far too large to verify directly at desk scale, and summaries say so.
 The deterministic clustering inequalities, by contrast, must hold on every
 non-degenerate trial; a single violation aborts the run.
 
+et-clustering and discrete-example run one stage at a time over a
+contiguous range of trials (one range per worker): sample, pade, the
+coefficient-mass check and the end-coefficient bounds for every (trial, m)
+unit, then a single find_roots_batch over all surviving numerators, then the
+clustering checks, writing records in (trial, m) order.  The batch returns
+each polynomial's roots bitwise as find_roots would, so neither the range
+split nor the batch composition reaches trials.csv.  zero-radius and
+pole-clustering find one series' roots per trial, with retries, and stay
+trial at a time.
+
 Per-trial wall times are deliberately not written to trials.csv (they would
 break byte-level reproducibility); the summary carries the aggregate.
 """
@@ -46,7 +56,7 @@ from .errors import (
     NonConvergence,
 )
 from .pade import et_bound_chain, et_ratio, pade
-from .poly import Polynomial, find_roots
+from .poly import Polynomial, find_roots, find_roots_batch
 from .sampler import DISCRETE, GAUSSIAN, LOGCONCAVE, DistributionSpec, distribution, sample
 from .toeplitz import assoc_matrix, build_triple, log_abs_det
 
@@ -94,6 +104,14 @@ class ExperimentConfig:
     family_size: int = 16
     workers: int = 1
     precision: str = "double"
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.precision not in ("double", "extended"):
+            raise ValueError(f"precision must be 'double' or 'extended', got {self.precision!r}")
 
     def to_dict(self) -> Dict:
         d = {
@@ -278,49 +296,66 @@ ET_COLUMNS = (
 )
 
 
-def _et_style_trial(config: ExperimentConfig, m_values: Tuple[int, ...], n: int,
-                    trial: int, check_roots: bool) -> List[TrialRecord]:
-    coeffs = sample(config.spec, config.N, config.seed, trial).coeffs
+def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: int,
+                      trials: range) -> List[TrialRecord]:
+    """Trial units (trial, m) for a contiguous trial range, one stage at a
+    time: sample, pade, mass check and end-coefficient bounds for every unit,
+    then one find_roots_batch over the surviving numerators, then the
+    clustering checks.  Records come back in (trial, m) order."""
     records: List[TrialRecord] = []
-    for m in m_values:
-        values: Dict[str, object] = {"m": m, "n": n}
-        window = coeffs[: m + n + 2]
-        try:
-            pair = pade(window, m, n, precision=config.precision)
-        except DegenerateSystem:
-            records.append(TrialRecord(trial, True, False, "degenerate_system", values))
-            continue
-        _check_mass_inequality(window, pair, f"trial {trial}, m={m}, n={n}")
-        values["order_residual"] = pair.diagnostics["order_residual"]
-        values["condition"] = pair.diagnostics["condition"]
-        try:
-            ratio = et_ratio(pair.p)
-            chain = et_bound_chain(window, build_triple(window, m, n), pair)
-        except EndCoefficientZero:
-            records.append(TrialRecord(trial, False, True, "end_coefficient_zero", values))
-            continue
-        except DegenerateSystem:
-            records.append(TrialRecord(trial, False, True, "singular_window", values))
-            continue
-        values["et_log"] = ratio.log_value
-        values["et_log_over_m"] = ratio.log_value / m
-        values["log_l1_bound"] = chain.log_l1
-        values["log_cauchy_binet_bound"] = chain.log_cauchy_binet
-        values["log_amgm_bound"] = chain.log_amgm
-        if check_roots:
+    pending: List[Tuple[int, Polynomial]] = []  # (record slot, numerator)
+    for trial in trials:
+        coeffs = sample(config.spec, config.N, config.seed, trial).coeffs
+        for m in m_values:
+            values: Dict[str, object] = {"m": m, "n": n}
+            window = coeffs[: m + n + 2]
             try:
-                roots = find_roots(pair.p)
-            except NonConvergence:
-                records.append(TrialRecord(trial, False, True, "nonconvergence", values))
+                pair = pade(window, m, n, precision=config.precision)
+            except DegenerateSystem:
+                records.append(TrialRecord(trial, True, False, "degenerate_system", values))
                 continue
-            rep = _check_clustering(pair.p, EmpiricalMeasure(roots), config,
-                                    f"trial {trial}, m={m}, n={n}")
-            values["sector_discrepancy"] = rep.max_sector_discrepancy
-            values["bl_upper"] = rep.bl_upper
-            values["bl_lower"] = rep.bl_lower_estimate
-            values["max_radial_defect"] = max(rep.radial_defect.values())
-        records.append(TrialRecord(trial, False, False, "", values))
+            _check_mass_inequality(window, pair, f"trial {trial}, m={m}, n={n}")
+            values["order_residual"] = pair.diagnostics["order_residual"]
+            values["condition"] = pair.diagnostics["condition"]
+            try:
+                ratio = et_ratio(pair.p)
+                chain = et_bound_chain(window, build_triple(window, m, n), pair)
+            except EndCoefficientZero:
+                records.append(TrialRecord(trial, False, True, "end_coefficient_zero", values))
+                continue
+            except DegenerateSystem:
+                records.append(TrialRecord(trial, False, True, "singular_window", values))
+                continue
+            values["et_log"] = ratio.log_value
+            values["et_log_over_m"] = ratio.log_value / m
+            values["log_l1_bound"] = chain.log_l1
+            values["log_cauchy_binet_bound"] = chain.log_cauchy_binet
+            values["log_amgm_bound"] = chain.log_amgm
+            pending.append((len(records), pair.p))
+            records.append(TrialRecord(trial, False, False, "", values))
+    found = find_roots_batch([p for _, p in pending])
+    for (slot, p), roots in zip(pending, found):
+        rec = records[slot]
+        if isinstance(roots, NonConvergence):
+            records[slot] = replace(rec, excluded=True, reason="nonconvergence")
+            continue
+        rep = _check_clustering(p, EmpiricalMeasure(roots), config,
+                                f"trial {rec.trial_index}, m={rec.values['m']}, n={n}")
+        rec.values["sector_discrepancy"] = rep.max_sector_discrepancy
+        rec.values["bl_upper"] = rep.bl_upper
+        rec.values["bl_lower"] = rep.bl_lower_estimate
+        rec.values["max_radial_defect"] = max(rep.radial_defect.values())
     return records
+
+
+def _run_et_style(config: ExperimentConfig, m_values: Tuple[int, ...],
+                  n: int) -> List[TrialRecord]:
+    """All trial units, the trials split into one contiguous range per worker."""
+    parts = min(config.workers, config.trials)
+    bounds = [config.trials * k // parts for k in range(parts + 1)]
+    ranges = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    fn = lambda trials: _et_style_records(config, m_values, n, trials)
+    return [rec for part in _map_units(ranges, fn, config.workers) for rec in part]
 
 
 def _summarize_et(config: ExperimentConfig, records: List[TrialRecord]) -> Dict:
@@ -363,9 +398,7 @@ def run_et_clustering(config: ExperimentConfig):
         config = replace(config, N=max(m_values) + n + 1)
     if config.N < max(m_values) + n + 1:
         raise ValueError("N must be at least max(m) + n + 1")
-    fn = lambda t: _et_style_trial(config, m_values, n, t, check_roots=True)
-    batches = _map_units(range(config.trials), fn, config.workers)
-    records = [rec for batch in batches for rec in batch]
+    records = _run_et_style(config, m_values, n)
     return ET_COLUMNS, records, _summarize_et(config, records)
 
 
@@ -386,9 +419,7 @@ def run_discrete_example(config: ExperimentConfig):
         config = replace(config, N=max(m_values) + n + 1)
     if config.N < max(m_values) + n + 1:
         raise ValueError("N must be at least max(m) + n + 1")
-    fn = lambda t: _et_style_trial(config, m_values, n, t, check_roots=True)
-    batches = _map_units(range(config.trials), fn, config.workers)
-    records = [rec for batch in batches for rec in batch]
+    records = _run_et_style(config, m_values, n)
     summary = _summarize_et(config, records)
     xs, ys = [], []
     M = config.spec.M

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateInput, DegenerateSystem, EndCoefficientZero, InsufficientCoefficients
-from .poly import Polynomial, _as_poly, truncated_product
+from .poly import Polynomial, _as_poly, coeff_vector, truncated_product
 from .toeplitz import (
     COND_CAP_DOUBLE,
     COND_CAP_EXTENDED,
@@ -83,13 +83,6 @@ class EtBoundChain:
         return self._exp(self.log_amgm)
 
 
-def _coerce(coeffs) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(coeffs))
-    if arr.dtype.kind not in "fc":
-        arr = arr.astype(float)
-    return arr
-
-
 def pade(coeffs, m: int, n: int, precision: str = "double",
          cond_cap: Optional[float] = None) -> PadePair:
     """Compute the [m, n] pair of the series with the given coefficients.
@@ -101,7 +94,7 @@ def pade(coeffs, m: int, n: int, precision: str = "double",
     windows (backward-stable solve), so callers that only need the order
     condition can raise the cap.
     """
-    arr = _coerce(coeffs)
+    arr = coeff_vector(coeffs)
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
     if len(arr) < m + n + 1:
@@ -148,7 +141,7 @@ def validate_order(coeffs, pair: PadePair) -> float:
     """Scale-free residual of the defining order condition: the largest
     coefficient of f*q - p through index m+n, divided by
     (1 + max|a_j|) * ||q||_1."""
-    arr = _coerce(coeffs)
+    arr = coeff_vector(coeffs)
     if len(arr) < pair.m + pair.n + 1:
         raise InsufficientCoefficients(
             f"need at least m+n+1 = {pair.m + pair.n + 1} coefficients, got {len(arr)}"
@@ -181,7 +174,7 @@ def et_bound_chain(coeffs, triple: ToeplitzTriple, pair: PadePair) -> EtBoundCha
     DegenerateSystem when either is singular, EndCoefficientZero when the
     numerator's coefficient at index m vanishes.
     """
-    arr = _coerce(coeffs)
+    arr = coeff_vector(coeffs)
     m, n = triple.m, triple.n
     a0 = abs(complex(arr[0]))
     p_m = abs(complex(pair.p.coeffs[m])) if len(pair.p.coeffs) > m else 0.0

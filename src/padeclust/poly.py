@@ -9,16 +9,18 @@ Conventions used throughout the package:
 * root sets are multisets sorted by (modulus, argument).
 
 The root finder is the Aberth-Ehrlich simultaneous iteration with initial
-guesses on the Cauchy-bound circle at golden-angle phases.  For |z| > 1 the
+guesses on Newton-polygon radii at golden-angle phases.  For |z| > 1 the
 Newton ratio p/p' is evaluated through the reversed polynomial at w = 1/z,
 which keeps Horner finite at any start radius and any degree.
+find_roots_batch iterates a (B, d) stack of same-degree polynomials at once,
+sharing the Python-level Horner loop; find_roots is its B = 1 call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +36,24 @@ _GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
 _STEP_REL = 1e-14  # per-root stopping threshold on the Aberth step
 
 
+def coeff_vector(coeffs) -> np.ndarray:
+    """Coefficients as a finite 1-D float or complex array (low-to-high).
+
+    Raises DegenerateInput naming the problem for a non-1-D input or a NaN or
+    infinite entry; such input would otherwise surface later as a misleading
+    degree error or as a NaN statistic.
+    """
+    arr = np.atleast_1d(np.asarray(coeffs))
+    if arr.ndim != 1:
+        raise DegenerateInput(f"coefficients must form a 1-D vector, got shape {arr.shape}")
+    if arr.dtype.kind not in "fc":
+        arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise DegenerateInput(f"coefficient {bad} is not finite ({arr[bad]})")
+    return arr
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Dense polynomial; ``coeffs[k]`` is the coefficient of z**k."""
@@ -41,11 +61,9 @@ class Polynomial:
     coeffs: np.ndarray
 
     def __init__(self, coeffs: Union[Sequence, np.ndarray]):
-        arr = np.atleast_1d(np.asarray(coeffs))
+        arr = coeff_vector(coeffs)
         if arr.size == 0:
             raise DegenerateInput("empty coefficient vector")
-        if arr.dtype.kind not in "fc":
-            arr = arr.astype(float)
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -133,53 +151,62 @@ def truncated_product(f, g, order: int) -> Polynomial:
 # stable evaluation helpers
 
 
-def _horner_pair(c: np.ndarray, z: np.ndarray):
-    """p(z) and p'(z) for coefficient array c (low-to-high)."""
+def _horner_pair(c: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None):
+    """p(z) and p'(z) for coefficient array c (low-to-high).
+
+    With ``rows``, c is a (d+1, B) stack whose columns are B polynomials and
+    z[i] is evaluated on column rows[i]; each element sees the same sequence
+    of floating-point operations as a one-polynomial call would.  The
+    products stay out of place: numpy's in-place complex multiply rounds a
+    one-element array differently from a longer one.
+    """
     p = np.zeros_like(z)
     dp = np.zeros_like(z)
     for ck in c[::-1]:
         dp = dp * z + p
-        p = p * z + ck
+        p = p * z + (ck if rows is None else ck[rows])
     return p, dp
 
 
-def _newton_ratio(c: np.ndarray, cr: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _newton_ratio(c: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
     """p(z)/p'(z), switching to the reversed polynomial for |z| > 1.
 
     With w = 1/z:  p(z) = z^d p_rev(w)  and
     p/p' = z * p_rev(w) / (d * p_rev(w) - w * p_rev'(w)).
+    ``c`` and ``rows`` are as in _horner_pair.
     """
     d = len(c) - 1
     out = np.empty_like(z)
     inner = np.abs(z) <= 1.0
     if inner.any():
         zi = z[inner]
-        p, dp = _horner_pair(c, zi)
+        p, dp = _horner_pair(c, zi, None if rows is None else rows[inner])
         with np.errstate(divide="ignore", invalid="ignore"):
             out[inner] = p / dp
     outer = ~inner
     if outer.any():
         zo = z[outer]
         w = 1.0 / zo
-        pr, dpr = _horner_pair(cr, w)
+        pr, dpr = _horner_pair(c[::-1], w, None if rows is None else rows[outer])
         with np.errstate(divide="ignore", invalid="ignore"):
             out[outer] = zo * pr / (d * pr - w * dpr)
     return out
 
 
-def _log_abs_eval(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """log|p(z)| through the direct or reversed polynomial, overflow-free."""
+def _log_abs_eval(c: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """log|p(z)| through the direct or reversed polynomial, overflow-free.
+    ``c`` and ``rows`` are as in _horner_pair."""
     d = len(c) - 1
     out = np.empty(z.shape, dtype=float)
     inner = np.abs(z) <= 1.0
     if inner.any():
-        p, _ = _horner_pair(c, z[inner])
+        p, _ = _horner_pair(c, z[inner], None if rows is None else rows[inner])
         with np.errstate(divide="ignore"):
             out[inner] = np.log(np.abs(p))
     outer = ~inner
     if outer.any():
         zo = z[outer]
-        pr, _ = _horner_pair(c[::-1].copy(), 1.0 / zo)
+        pr, _ = _horner_pair(c[::-1], 1.0 / zo, None if rows is None else rows[outer])
         with np.errstate(divide="ignore"):
             out[outer] = d * np.log(np.abs(zo)) + np.log(np.abs(pr))
     return out
@@ -204,13 +231,14 @@ def _repulsion(z: np.ndarray, idx: np.ndarray, chunk: int = 256) -> np.ndarray:
     return S
 
 
-def _scaled_residual_log(c: np.ndarray, roots: np.ndarray) -> float:
-    """log of max |P(root)| / (1+|root|)**degree, computed in log space."""
-    if len(roots) == 0:
-        return -math.inf
-    d = len(c) - 1
-    vals = _log_abs_eval(c, roots) - d * np.log1p(np.abs(roots))
-    return float(np.max(vals))
+def _scaled_residual_log(C: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Per row, log of max |P(root)| / (1+|root|)**degree in log space, for
+    a (B, d+1) coefficient stack C and the (B, d) stack R of its roots."""
+    d = C.shape[1] - 1
+    rows = None if len(C) == 1 else np.repeat(np.arange(len(C)), d)
+    coef = C[0] if rows is None else C.T
+    vals = _log_abs_eval(coef, R.ravel(), rows) - d * np.log1p(np.abs(R.ravel()))
+    return vals.reshape(R.shape).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +258,10 @@ def _start_points(c: np.ndarray, offset: float) -> np.ndarray:
     d = len(c) - 1
     mags = np.abs(c)
     with np.errstate(divide="ignore"):
-        logm = np.log(mags)
+        logm = np.log(mags).tolist()
     hull = [0]
     for j in range(1, d + 1):
-        if np.isneginf(logm[j]) and j < d:
+        if logm[j] == -math.inf and j < d:
             continue
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
@@ -253,34 +281,51 @@ def _start_points(c: np.ndarray, offset: float) -> np.ndarray:
     return radii * np.exp(1j * (offset + _GOLDEN_ANGLE * k))
 
 
-def _aberth_double(c: np.ndarray, max_iter: int, offset: float):
-    d = len(c) - 1
-    cr = c[::-1].copy()
-    radius = 1.0 + float(np.max(np.abs(c[:-1])) / np.abs(c[-1]))
-    z = _start_points(c, offset)
-    active = np.ones(d, dtype=bool)
+def _aberth(C: np.ndarray, max_iter: int, offset: float):
+    """Aberth-Ehrlich iteration on the rows of C, a (B, d+1) stack of
+    degree-d coefficient vectors with nonzero end coefficients.
+
+    Every row keeps its own start points, Cauchy radius, per-root active
+    flags and collision kicks, and its repulsion sums run over its own
+    iterates only, so each row's iterates are bitwise those of a B = 1 call:
+    batching shares the Python-level Horner loop, not the arithmetic.
+    Returns the (B, d) iterates and a per-row flag telling whether every
+    root of that row settled within max_iter sweeps.
+    """
+    B, d = C.shape[0], C.shape[1] - 1
+    # coefficient columns; a single polynomial keeps scalar coefficients
+    coef = C[0] if B == 1 else C.T
+    radius = 1.0 + np.max(np.abs(C[:, :-1]), axis=1) / np.abs(C[:, -1])
+    Z = np.stack([_start_points(c, offset) for c in C])
+    active = np.ones((B, d), dtype=bool)
     for it in range(max_iter):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
+        rows, cols = np.nonzero(active)
+        if rows.size == 0:
             break
-        s = _newton_ratio(c, cr, z[idx])
-        S = _repulsion(z, idx)
+        z = Z[rows, cols]
+        s = _newton_ratio(coef, z, None if B == 1 else rows)
+        S = np.empty_like(z)
+        bounds = np.searchsorted(rows, np.arange(B + 1))
+        for b in np.flatnonzero(bounds[1:] > bounds[:-1]):
+            lo, hi = bounds[b], bounds[b + 1]
+            S[lo:hi] = _repulsion(Z[b], cols[lo:hi])
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = s / (1.0 - s * S)
         bad = ~np.isfinite(corr)
         if bad.any():
             # derivative hit a saddle or two iterates collided: kick those
             # points deterministically and keep going
-            kick = 1e-3 * radius * np.exp(1j * _GOLDEN_ANGLE * (it + idx[bad]))
+            kick = 1e-3 * radius[rows[bad]] * np.exp(1j * _GOLDEN_ANGLE * (it + cols[bad]))
             corr[bad] = -kick
-        z[idx] -= corr
+        z -= corr
+        Z[rows, cols] = z
         # settled means both the Aberth step and the Newton ratio are tiny;
         # the ratio check keeps collided pairs (tiny step, large ratio) alive
-        done = (np.abs(corr) <= _STEP_REL * (1.0 + np.abs(z[idx]))) & (
-            np.abs(s) <= 1e-12 * (1.0 + np.abs(z[idx]))
+        done = (np.abs(corr) <= _STEP_REL * (1.0 + np.abs(z))) & (
+            np.abs(s) <= 1e-12 * (1.0 + np.abs(z))
         )
-        active[idx[done]] = False
-    return z, not active.any()
+        active[rows[done], cols[done]] = False
+    return Z, ~active.any(axis=1)
 
 
 def _aberth_extended(c: np.ndarray, max_iter: int, offset: float, dps: int):
@@ -347,6 +392,93 @@ def _sorted_roots(roots: np.ndarray) -> np.ndarray:
     return roots[order]
 
 
+# Cap on B*d, the number of iterates one batched Aberth run holds: it bounds
+# the Horner temporaries, while repulsion stays per polynomial.
+_BATCH_ELEMS = 4096
+
+
+def find_roots_batch(
+    polys: Sequence,
+    tol: float = 1e-10,
+    max_iter: int = 150,
+    precision: str = "double",
+    dps: int = 30,
+    start_offset: float = 0.0,
+) -> List[Union[RootSet, NonConvergence]]:
+    """find_roots for each polynomial of ``polys``, in input order.
+
+    Polynomials of equal reduced degree (numerical degree minus the zeros at
+    the origin) are iterated together in (B, d) stacks of at most
+    _BATCH_ELEMS iterates, and each result is bitwise the one find_roots
+    gives.  A polynomial that does not converge yields its NonConvergence
+    (carrying the partial RootSet) in place of a RootSet rather than raising.
+    Degree < 1 or malformed coefficients raise DegenerateInput for the call.
+    """
+    if precision not in ("double", "extended"):
+        raise ValueError("precision must be 'double' or 'extended'")
+    full: List[np.ndarray] = []
+    roots: List[np.ndarray] = []
+    by_degree: Dict[int, List[int]] = {}
+    for i, p in enumerate(polys):
+        p = _as_poly(p)
+        deg = p.degree
+        if deg < 1:
+            raise DegenerateInput("root finding needs degree >= 1")
+        c = np.asarray(p.coeffs[: deg + 1], dtype=complex)
+        thresh = p.zero_threshold
+        k0 = 0
+        while k0 < deg and abs(c[k0]) <= thresh:
+            k0 += 1
+        full.append(c)
+        roots.append(np.zeros(k0, dtype=complex))
+        if deg - k0 == 1:
+            roots[i] = np.concatenate([roots[i], [-c[k0] / c[k0 + 1]]])
+        elif deg - k0 > 1:
+            by_degree.setdefault(deg - k0, []).append(i)
+    settled = [True] * len(full)
+    for d, members in by_degree.items():
+        for chunk in _chunks(members, d):
+            C = np.stack([full[i][-d - 1:] for i in chunk])
+            if precision == "double":
+                Z, row_ok = _aberth(C, max_iter, start_offset)
+            else:
+                Z, row_ok = zip(*(_aberth_extended(c, max_iter, start_offset, dps) for c in C))
+            for i, z, ok in zip(chunk, Z, row_ok):
+                roots[i] = np.concatenate([roots[i], z])
+                settled[i] = bool(ok)
+    roots = [_sorted_roots(r) for r in roots]
+    # residuals of the full polynomials, origin zeros included
+    log_res = [0.0] * len(full)
+    by_length: Dict[int, List[int]] = {}
+    for i, c in enumerate(full):
+        by_length.setdefault(len(c) - 1, []).append(i)
+    for d, members in by_length.items():
+        for chunk in _chunks(members, d):
+            vals = _scaled_residual_log(np.stack([full[i] for i in chunk]),
+                                        np.stack([roots[i] for i in chunk]))
+            for i, v in zip(chunk, vals):
+                log_res[i] = float(v)
+    out: List[Union[RootSet, NonConvergence]] = []
+    for r, lr, done in zip(roots, log_res, settled):
+        residual = float(np.exp(min(lr, 700.0))) if np.isfinite(lr) else 0.0
+        rs = RootSet(roots=r, residual=residual, converged=done and residual <= tol)
+        if rs.converged:
+            out.append(rs)
+        else:
+            why = "residual above tol" if done else "iteration did not settle"
+            out.append(NonConvergence(
+                f"{why} after {max_iter} iterations (residual {residual:.3e}, tol {tol:.3e})",
+                partial=rs,
+            ))
+    return out
+
+
+def _chunks(members: List[int], d: int):
+    """Consecutive slices of members holding at most _BATCH_ELEMS // d each."""
+    step = max(1, _BATCH_ELEMS // d)
+    return (members[s0:s0 + step] for s0 in range(0, len(members), step))
+
+
 def find_roots(
     p,
     tol: float = 1e-10,
@@ -361,44 +493,9 @@ def find_roots(
     budget runs out with the residual above tol; the caller may retry with a
     different ``start_offset`` or with precision="extended".
     """
-    p = _as_poly(p)
-    deg = p.degree
-    if deg < 1:
-        raise DegenerateInput("root finding needs degree >= 1")
-    c = np.asarray(p.coeffs[: deg + 1], dtype=complex)
-    thresh = p.zero_threshold
-    k0 = 0
-    while k0 < deg and abs(c[k0]) <= thresh:
-        k0 += 1
-    origin = np.zeros(k0, dtype=complex)
-    c = c[k0:]
-    d = len(c) - 1
-    settled = True
-    if d == 0:
-        roots = origin
-    elif d == 1:
-        roots = np.concatenate([origin, [-c[0] / c[1]]])
-    else:
-        if precision == "extended":
-            inner, settled = _aberth_extended(c, max_iter, start_offset, dps)
-        elif precision == "double":
-            inner, settled = _aberth_double(c, max_iter, start_offset)
-        else:
-            raise ValueError("precision must be 'double' or 'extended'")
-        roots = np.concatenate([origin, inner])
-    roots = _sorted_roots(roots)
-    # residual of the full polynomial, including origin zeros
-    full = np.asarray(p.coeffs[: deg + 1], dtype=complex)
-    log_res = _scaled_residual_log(full, roots)
-    residual = float(np.exp(min(log_res, 700.0))) if np.isfinite(log_res) else 0.0
-    converged = settled and residual <= tol
-    rs = RootSet(roots=roots, residual=residual, converged=converged)
-    if not converged:
-        why = "residual above tol" if settled else "iteration did not settle"
-        raise NonConvergence(
-            f"{why} after {max_iter} iterations (residual {residual:.3e}, tol {tol:.3e})",
-            partial=rs,
-        )
+    (rs,) = find_roots_batch([p], tol, max_iter, precision, dps, start_offset)
+    if isinstance(rs, NonConvergence):
+        raise rs
     return rs
 
 

@@ -76,6 +76,12 @@ def test_cluster_report_flags(capsys):
     assert payload["sector"]["max_discrepancy"] <= payload["sector"]["bound"]
 
 
+def test_cluster_report_non_finite_coeffs_exit_2(capsys):
+    code, out, err = run_cli(capsys, "cluster-report", "--coeffs", "1,nan,1")
+    assert code == 2
+    assert "not finite" in err
+
+
 def test_experiment_run_round_trip(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "m": [8, 16], "n": 1, "trials": 20}))

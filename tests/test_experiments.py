@@ -35,6 +35,20 @@ def test_config_from_dict_rejects_bad_input():
         ex.ExperimentConfig.from_dict({"name": ex.ET_CLUSTERING, "schema_version": 99})
 
 
+@pytest.mark.parametrize("override, field", [
+    (dict(trials=0), "trials"),
+    (dict(trials=-3), "trials"),
+    (dict(workers=0), "workers"),
+    (dict(workers=-1), "workers"),
+    (dict(precision="foo"), "precision"),
+])
+def test_config_rejects_out_of_range_fields(override, field):
+    with pytest.raises(ValueError, match=field):
+        ex.default_config(ex.DET_GROWTH, **override)
+    with pytest.raises(ValueError, match=field):
+        ex.ExperimentConfig.from_dict({**ex.default_config(ex.DET_GROWTH).to_dict(), **override})
+
+
 def test_et_clustering_structure_and_decay():
     cfg = ex.default_config(ex.ET_CLUSTERING, m=(10, 40), n=1, trials=30)
     cols, recs, summ = ex.run_et_clustering(cfg)
@@ -192,6 +206,27 @@ def test_trials_csv_is_byte_identical_across_workers_and_reruns(tmp_path):
     ex.execute(cfg1, dirs[2])
     blobs = [(d / "trials.csv").read_bytes() for d in dirs]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("name, overrides", [
+    (ex.ET_CLUSTERING, dict(m=(8, 16), n=1, trials=8)),
+    # M=2 mixes degenerate_system and end_coefficient_zero rows into the batch
+    (ex.DISCRETE_EXAMPLE, dict(spec=distribution(DISCRETE, M=2), m=(8, 16), n=2, trials=12)),
+])
+def test_trials_csv_is_byte_identical_across_batch_caps(name, overrides, tmp_path, monkeypatch):
+    from padeclust import poly
+
+    cfg = ex.default_config(name, **overrides)
+    blobs = []
+    # an element cap of 1 runs every numerator alone; 7*16 gives B=14 at
+    # m=8 and B=7 at m=16 with a short last chunk; 10**9 is one batch per m
+    for cap in (1, 7 * 16, 10**9):
+        monkeypatch.setattr(poly, "_BATCH_ELEMS", cap)
+        ex.execute(cfg, tmp_path / str(cap))
+        blobs.append((tmp_path / str(cap) / "trials.csv").read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+    reasons = {line.split(",")[3] for line in blobs[0].decode().splitlines()[1:]}
+    assert "" in reasons
 
 
 def test_trials_csv_round_trips_through_float_parse(tmp_path):

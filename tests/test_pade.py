@@ -191,6 +191,27 @@ def test_et_ratio_rejects_vanishing_end_coefficients():
         et_ratio(Polynomial([3.0]))
 
 
+@pytest.mark.parametrize("bad, problem", [
+    ([1.0, math.nan, 1.0], "not finite"),
+    ([1.0, -math.inf, 1.0], "not finite"),
+    (np.ones((3, 3)), "1-D"),
+])
+def test_et_ratio_rejects_malformed_coefficients(bad, problem):
+    # a NaN ratio would read as an invariant breach downstream
+    with pytest.raises(DegenerateInput, match=problem):
+        et_ratio(bad)
+
+
+@pytest.mark.parametrize("bad, problem", [
+    (np.ones((3, 3)), "1-D"),
+    ([1.0, 0.5, math.nan, 0.125], "not finite"),
+    ([1.0, 0.5, 0.25, math.inf], "not finite"),
+])
+def test_pade_rejects_malformed_coefficients(bad, problem):
+    with pytest.raises(DegenerateInput, match=problem):
+        pade(bad, 1, 1)
+
+
 def test_et_ratio_of_taylor_section_closed_form():
     rng = np.random.default_rng(23)
     coeffs = rng.standard_normal(6)

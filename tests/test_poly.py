@@ -17,9 +17,12 @@ from padeclust import (
     circle_log_average,
     evaluate,
     find_roots,
+    find_roots_batch,
     jensen_rhs,
     truncated_product,
 )
+from padeclust.poly import ZERO_REL
+from padeclust.sampler import DISCRETE, distribution, sample
 
 
 def companion_roots(coeffs):
@@ -179,6 +182,61 @@ def test_find_roots_degenerate_input():
         find_roots(Polynomial([2.0]))
     with pytest.raises(DegenerateInput):
         find_roots(Polynomial([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad, problem", [
+    ([1.0, math.nan, 1.0], "not finite"),
+    ([1.0, math.inf, 1.0], "not finite"),
+    (np.ones((3, 3)), "1-D"),
+])
+def test_find_roots_rejects_malformed_coefficients(bad, problem):
+    with pytest.raises(DegenerateInput, match=problem):
+        find_roots(bad)
+    with pytest.raises(DegenerateInput, match=problem):
+        find_roots_batch([[1.0, 2.0, 3.0], bad])
+
+
+def _mixed_polys():
+    """Degrees 2-400 with repeats, complex coefficients, origin zeros, a
+    linear and a pure-origin polynomial, and integer coefficients whose top
+    entries fall below the zero threshold (numerical degree < length - 1)."""
+    rng = np.random.default_rng(2024)
+    polys = [rng.standard_normal(d + 1) for d in (2, 3, 7, 7, 7, 50, 50, 50, 120, 400)]
+    polys.append(rng.standard_normal(31) + 1j * rng.standard_normal(31))
+    polys.append(np.concatenate([np.zeros(3), rng.standard_normal(8)]))
+    polys.append(np.array([0.5, -2.0]))
+    polys.append(np.array([0.0, 0.0, 1.0]))
+    spec = distribution(DISCRETE, M=2)
+    short = next(c for c in (sample(spec, 12, 0, t).coeffs for t in range(50))
+                 if c[0] != 0 and abs(c[-1]) <= ZERO_REL * np.abs(c).max())
+    assert Polynomial(short).degree < len(short) - 1
+    polys.append(short)
+    return polys
+
+
+@pytest.mark.parametrize("max_iter, precision", [(150, "double"), (8, "double"),
+                                                 (150, "extended")])
+def test_find_roots_batch_matches_find_roots_bitwise(max_iter, precision):
+    polys = _mixed_polys()
+    if precision == "extended":
+        # the mpmath path is slow: keep the low degrees, repeats included
+        polys = [p for p in polys if len(p) <= 13]
+    batch = find_roots_batch(polys, max_iter=max_iter, precision=precision)
+    assert len(batch) == len(polys)
+    unsettled = 0
+    for p, got in zip(polys, batch):
+        try:
+            want = find_roots(p, max_iter=max_iter, precision=precision)
+        except NonConvergence as exc:
+            assert isinstance(got, NonConvergence) and str(got) == str(exc)
+            want, got = exc.partial, got.partial
+            unsettled += "did not settle" in str(exc)
+        assert got.roots.tobytes() == want.roots.tobytes()
+        assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+        assert got.converged == want.converged
+    # the short budget must leave some rows unsettled, so partial iterates
+    # are compared too
+    assert (unsettled > 0) == (max_iter == 8)
 
 
 def test_find_roots_extended_precision_matches_double():
