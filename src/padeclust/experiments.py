@@ -55,7 +55,7 @@ from .errors import (
     InvariantViolation,
     NonConvergence,
 )
-from .pade import et_bound_chain, et_ratio, pade
+from .pade import EtRatio, et_bound_chain, et_ratio, pade
 from .poly import Polynomial, find_roots, find_roots_batch
 from .sampler import DISCRETE, GAUSSIAN, LOGCONCAVE, DistributionSpec, distribution, sample
 from .toeplitz import assoc_matrix, build_triple, log_abs_det
@@ -214,9 +214,10 @@ def _median(values: Sequence[float]) -> float:
     return float(np.median(np.sort(np.asarray(values, dtype=float))))
 
 
-def _check_clustering(poly: Polynomial, mu: EmpiricalMeasure, config: ExperimentConfig,
+def _check_clustering(et: EtRatio, mu: EmpiricalMeasure, config: ExperimentConfig,
                       context: str):
-    """Evaluate the deterministic clustering inequalities; raise on breach.
+    """Evaluate the deterministic clustering inequalities for the roots mu of
+    a polynomial whose end-coefficient ratio is et; raise on breach.
 
     Enforced forms are theorems for every polynomial with nonzero end
     coefficients, so a single failure means a bug, not bad luck.  The radial
@@ -225,7 +226,6 @@ def _check_clustering(poly: Polynomial, mu: EmpiricalMeasure, config: Experiment
     polynomials such as Pade denominators whose roots all sit well inside
     the unit disc (see radial_two_sided_check).
     """
-    et = et_ratio(poly)
     rep = clustering_report(mu, et, rhos=config.rhos, grid_size=config.grid_size,
                             family_size=config.family_size)
     failed = [k for k, ok in rep.inequality_flags.items()
@@ -303,7 +303,7 @@ def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: in
     then one find_roots_batch over the surviving numerators, then the
     clustering checks.  Records come back in (trial, m) order."""
     records: List[TrialRecord] = []
-    pending: List[Tuple[int, Polynomial]] = []  # (record slot, numerator)
+    pending: List[Tuple[int, Polynomial, EtRatio]] = []  # (record slot, numerator, ratio)
     for trial in trials:
         coeffs = sample(config.spec, config.N, config.seed, trial).coeffs
         for m in m_values:
@@ -331,15 +331,15 @@ def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: in
             values["log_l1_bound"] = chain.log_l1
             values["log_cauchy_binet_bound"] = chain.log_cauchy_binet
             values["log_amgm_bound"] = chain.log_amgm
-            pending.append((len(records), pair.p))
+            pending.append((len(records), pair.p, ratio))
             records.append(TrialRecord(trial, False, False, "", values))
-    found = find_roots_batch([p for _, p in pending])
-    for (slot, p), roots in zip(pending, found):
+    found = find_roots_batch([p for _, p, _ in pending])
+    for (slot, _, ratio), roots in zip(pending, found):
         rec = records[slot]
         if isinstance(roots, NonConvergence):
             records[slot] = replace(rec, excluded=True, reason="nonconvergence")
             continue
-        rep = _check_clustering(p, EmpiricalMeasure(roots), config,
+        rep = _check_clustering(ratio, EmpiricalMeasure(roots), config,
                                 f"trial {rec.trial_index}, m={rec.values['m']}, n={n}")
         rec.values["sector_discrepancy"] = rep.max_sector_discrepancy
         rec.values["bl_upper"] = rep.bl_upper
@@ -603,7 +603,7 @@ def _zero_radius_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
     values["roots_in_unit_disc"] = int(np.sum(moduli < 1.0))
     values["min_modulus"] = float(moduli[0])
     try:
-        rep = _check_clustering(poly, EmpiricalMeasure(roots), config, f"trial {trial}")
+        rep = _check_clustering(et_ratio(poly), EmpiricalMeasure(roots), config, f"trial {trial}")
     except EndCoefficientZero:
         return TrialRecord(trial, False, True, "end_coefficient_zero", values)
     values["et_log"] = rep.et_log
@@ -685,7 +685,8 @@ def _pole_trial(config: ExperimentConfig, n_values: Tuple[int, ...], m: int,
     except NonConvergence:
         return [TrialRecord(trial, False, True, "nonconvergence", {"n": n}) for n in n_values]
     try:
-        _check_clustering(poly, EmpiricalMeasure(roots_f), config, f"trial {trial} (series)")
+        _check_clustering(et_ratio(poly), EmpiricalMeasure(roots_f), config,
+                          f"trial {trial} (series)")
     except EndCoefficientZero:
         return [TrialRecord(trial, False, True, "end_coefficient_zero", {"n": n})
                 for n in n_values]
@@ -707,7 +708,7 @@ def _pole_trial(config: ExperimentConfig, n_values: Tuple[int, ...], m: int,
         values["median_abs_dev"] = _median(list(np.abs(q_roots.moduli - r_m)))
         try:
             q_et = et_ratio(pair.q)
-            _check_clustering(pair.q, mu_q, config, f"trial {trial}, n={n} (denominator)")
+            _check_clustering(q_et, mu_q, config, f"trial {trial}, n={n} (denominator)")
             values["q_et_log"] = q_et.log_value
         except (EndCoefficientZero, DegenerateInput):
             pass

@@ -11,7 +11,10 @@ Conventions used throughout the package:
 The root finder is the Aberth-Ehrlich simultaneous iteration with initial
 guesses on Newton-polygon radii at golden-angle phases.  For |z| > 1 the
 Newton ratio p/p' is evaluated through the reversed polynomial at w = 1/z,
-which keeps Horner finite at any start radius and any degree.
+which keeps Horner finite at any start radius and any degree.  Horner runs
+once per sweep over every active iterate: a (d+1, 2B) table holds the B
+forward coefficient columns next to the B reversed ones, and each iterate
+reads the forward column at z or the reversed column at 1/z.
 find_roots_batch iterates a (B, d) stack of same-degree polynomials at once,
 sharing the Python-level Horner loop; find_roots is its B = 1 call.
 """
@@ -151,83 +154,96 @@ def truncated_product(f, g, order: int) -> Polynomial:
 # stable evaluation helpers
 
 
-def _horner_pair(c: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None):
-    """p(z) and p'(z) for coefficient array c (low-to-high).
+def _horner_table(C: np.ndarray) -> np.ndarray:
+    """(d+1, 2B) Horner table of a (B, d+1) coefficient stack: column b holds
+    polynomial b and column B + b its reversal, both low-to-high."""
+    return np.concatenate([C.T, C.T[::-1]], axis=1)
 
-    With ``rows``, c is a (d+1, B) stack whose columns are B polynomials and
-    z[i] is evaluated on column rows[i]; each element sees the same sequence
-    of floating-point operations as a one-polynomial call would.  The
-    products stay out of place: numpy's in-place complex multiply rounds a
-    one-element array differently from a longer one.
+
+def _fold(table: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray]):
+    """Point, table column and outer mask for one Horner pass over z.
+
+    Points with |z| > 1 are evaluated at w = 1/z on the reversed column, the
+    rest at z on the forward one.  ``rows`` gives each point's polynomial;
+    None means polynomial 0 for every point.
     """
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for ck in c[::-1]:
-        dp = dp * z + p
-        p = p * z + (ck if rows is None else ck[rows])
+    B = table.shape[1] // 2
+    outer = np.abs(z) > 1.0
+    x = z.copy()
+    x[outer] = 1.0 / z[outer]
+    cols = B * outer if rows is None else rows + B * outer
+    return x, cols, outer
+
+
+def _horner_pair(table: np.ndarray, x: np.ndarray, cols: np.ndarray):
+    """p(x) and p'(x), point x[i] evaluated on table column cols[i].
+
+    Each element sees the same sequence of floating-point operations however
+    many points share the call.  The products stay out of place: numpy's
+    in-place complex multiply rounds a one-element array differently from a
+    longer one.
+    """
+    p = np.zeros_like(x)
+    dp = np.zeros_like(x)
+    for ck in table[::-1]:
+        dp = dp * x + p
+        p = p * x + ck[cols]
     return p, dp
 
 
-def _newton_ratio(c: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-    """p(z)/p'(z), switching to the reversed polynomial for |z| > 1.
+def _newton_ratio(table: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """p(z)/p'(z), through the reversed polynomial for |z| > 1.
 
     With w = 1/z:  p(z) = z^d p_rev(w)  and
     p/p' = z * p_rev(w) / (d * p_rev(w) - w * p_rev'(w)).
-    ``c`` and ``rows`` are as in _horner_pair.
+    ``table`` and ``rows`` are as in _horner_table and _fold.
     """
-    d = len(c) - 1
-    out = np.empty_like(z)
-    inner = np.abs(z) <= 1.0
-    if inner.any():
-        zi = z[inner]
-        p, dp = _horner_pair(c, zi, None if rows is None else rows[inner])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[inner] = p / dp
-    outer = ~inner
-    if outer.any():
-        zo = z[outer]
-        w = 1.0 / zo
-        pr, dpr = _horner_pair(c[::-1], w, None if rows is None else rows[outer])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[outer] = zo * pr / (d * pr - w * dpr)
-    return out
+    d = len(table) - 1
+    x, cols, outer = _fold(table, z, rows)
+    p, dp = _horner_pair(table, x, cols)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(outer, z * p / (d * p - x * dp), p / dp)
 
 
-def _log_abs_eval(c: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+def _log_abs_eval(table: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
     """log|p(z)| through the direct or reversed polynomial, overflow-free.
-    ``c`` and ``rows`` are as in _horner_pair."""
-    d = len(c) - 1
-    out = np.empty(z.shape, dtype=float)
-    inner = np.abs(z) <= 1.0
-    if inner.any():
-        p, _ = _horner_pair(c, z[inner], None if rows is None else rows[inner])
-        with np.errstate(divide="ignore"):
-            out[inner] = np.log(np.abs(p))
-    outer = ~inner
-    if outer.any():
-        zo = z[outer]
-        pr, _ = _horner_pair(c[::-1], 1.0 / zo, None if rows is None else rows[outer])
-        with np.errstate(divide="ignore"):
-            out[outer] = d * np.log(np.abs(zo)) + np.log(np.abs(pr))
-    return out
+    ``table`` and ``rows`` are as in _horner_table and _fold."""
+    d = len(table) - 1
+    x, cols, outer = _fold(table, z, rows)
+    p, _ = _horner_pair(table, x, cols)
+    with np.errstate(divide="ignore"):
+        log_p = np.log(np.abs(p))
+        return np.where(outer, d * np.log(np.abs(z)) + log_p, log_p)
 
 
-def _repulsion(z: np.ndarray, idx: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """S_i = sum_{j != i} 1/(z_i - z_j) for i in idx, via conj/|.|^2.
+# Entries per repulsion block: a block holds _REPULSION_ELEMS // n rows
+# (4 at n = 2048, 163 at n = 50), so each complex temporary is 128 KB at
+# any degree.
+_REPULSION_ELEMS = 8192
 
-    The conj trick avoids numpy's branchy complex division; rows are chunked
-    to bound the temporary at chunk*len(z) entries.
+
+def _repulsion(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """S_i = sum_{j != i} 1/(z_i - z_j) for i in idx, as conj(z_i - z_j)/|.|^2.
+
+    The conjugated differences are taken from conj(z) directly, and each is
+    multiplied by the real reciprocal 1/|.|^2.  Numpy divides by a complex
+    with zero imaginary part by Smith's formula, which reduces to that same
+    product, so the multiply gives the bits of a complex division by |.|^2,
+    NaN on a collision included, without its per-entry cost.  A diagonal
+    entry has |.|^2 = inf and adds zero.
     """
-    n = len(z)
+    zc = np.conjugate(z)
+    step = max(1, _REPULSION_ELEMS // len(z))
     S = np.empty(len(idx), dtype=complex)
-    for s0 in range(0, len(idx), chunk):
-        rows = idx[s0:s0 + chunk]
-        d = z[rows, None] - z[None, :]
-        mag = d.real * d.real + d.imag * d.imag
-        mag[np.arange(len(rows)), rows] = np.inf
-        np.conjugate(d, out=d)
-        d /= mag
-        S[s0:s0 + len(rows)] = d.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s0 in range(0, len(idx), step):
+            rows = idx[s0:s0 + step]
+            d = zc[rows, None] - zc[None, :]
+            mag = d.real * d.real + d.imag * d.imag
+            mag[np.arange(len(rows)), rows] = np.inf
+            np.divide(1.0, mag, out=mag)
+            d *= mag
+            S[s0:s0 + len(rows)] = d.sum(axis=1)
     return S
 
 
@@ -235,9 +251,8 @@ def _scaled_residual_log(C: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Per row, log of max |P(root)| / (1+|root|)**degree in log space, for
     a (B, d+1) coefficient stack C and the (B, d) stack R of its roots."""
     d = C.shape[1] - 1
-    rows = None if len(C) == 1 else np.repeat(np.arange(len(C)), d)
-    coef = C[0] if rows is None else C.T
-    vals = _log_abs_eval(coef, R.ravel(), rows) - d * np.log1p(np.abs(R.ravel()))
+    rows = np.repeat(np.arange(len(C)), d)
+    vals = _log_abs_eval(_horner_table(C), R.ravel(), rows) - d * np.log1p(np.abs(R.ravel()))
     return vals.reshape(R.shape).max(axis=1)
 
 
@@ -288,13 +303,13 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
     Every row keeps its own start points, Cauchy radius, per-root active
     flags and collision kicks, and its repulsion sums run over its own
     iterates only, so each row's iterates are bitwise those of a B = 1 call:
-    batching shares the Python-level Horner loop, not the arithmetic.
+    batching shares the Python-level Horner loop, not the arithmetic.  The
+    Horner table is built once for the whole stack.
     Returns the (B, d) iterates and a per-row flag telling whether every
     root of that row settled within max_iter sweeps.
     """
     B, d = C.shape[0], C.shape[1] - 1
-    # coefficient columns; a single polynomial keeps scalar coefficients
-    coef = C[0] if B == 1 else C.T
+    table = _horner_table(C)
     radius = 1.0 + np.max(np.abs(C[:, :-1]), axis=1) / np.abs(C[:, -1])
     Z = np.stack([_start_points(c, offset) for c in C])
     active = np.ones((B, d), dtype=bool)
@@ -303,7 +318,7 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
         if rows.size == 0:
             break
         z = Z[rows, cols]
-        s = _newton_ratio(coef, z, None if B == 1 else rows)
+        s = _newton_ratio(table, z, rows)
         S = np.empty_like(z)
         bounds = np.searchsorted(rows, np.arange(B + 1))
         for b in np.flatnonzero(bounds[1:] > bounds[:-1]):
@@ -521,13 +536,13 @@ def circle_log_average(p, r: float, quad_points: Optional[int] = None) -> float:
         quad_points = min_q
     if quad_points < min_q:
         raise ValueError(f"quad_points must be >= 2*degree+16 = {min_q}")
-    c = np.asarray(p.coeffs[: deg + 1], dtype=complex)
+    table = _horner_table(np.asarray(p.coeffs[: deg + 1], dtype=complex)[None, :])
     theta = np.linspace(0.0, 2.0 * math.pi, quad_points, endpoint=False)
-    vals = _log_abs_eval(c, r * np.exp(1j * theta))
+    vals = _log_abs_eval(table, r * np.exp(1j * theta))
     bad = ~np.isfinite(vals)
     if bad.any():
         jitter = theta[bad] + math.pi / quad_points
-        vals[bad] = _log_abs_eval(c, r * np.exp(1j * jitter))
+        vals[bad] = _log_abs_eval(table, r * np.exp(1j * jitter))
     # uniform grid over the full period: trapezoid rule = plain mean
     return float(np.mean(vals))
 
