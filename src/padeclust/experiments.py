@@ -10,15 +10,23 @@ are far too large to verify directly at desk scale, and summaries say so.
 The deterministic clustering inequalities, by contrast, must hold on every
 non-degenerate trial; a single violation aborts the run.
 
-et-clustering and discrete-example run one stage at a time over a
-contiguous range of trials (one range per worker): sample, pade, the
-coefficient-mass check and the end-coefficient bounds for every (trial, m)
-unit, then a single find_roots_batch over all surviving numerators, then the
-clustering checks, writing records in (trial, m) order.  The batch returns
-each polynomial's roots bitwise as find_roots would, so neither the range
-split nor the batch composition reaches trials.csv.  zero-radius and
-pole-clustering find one series' roots per trial, with retries, and stay
-trial at a time.
+Four protocols run one stage at a time over a contiguous range of trials
+(one range per worker):
+
+* et-clustering and discrete-example: sample, pade, the coefficient-mass
+  check and the end-coefficient bounds for every (trial, m) unit, then a
+  single find_roots_batch over all surviving numerators, then the
+  clustering checks, writing records in (trial, m) order.
+* toeplitz-anticoncentration (per n) and det-growth: the range goes in
+  blocks of at most _WINDOW_ELEMS coefficients.  Each block is sampled into
+  one WindowStack, its windows are factored by one log_abs_dets call per n
+  or m, and then its records are written in trial order.
+
+The batched kernels give every polynomial's roots and every window's
+determinant bitwise as the one-at-a-time calls would, so neither the range
+split, the block size nor the batch composition reaches trials.csv.
+zero-radius and pole-clustering find one series' roots per trial, with
+retries, and stay trial at a time.
 
 Per-trial wall times are deliberately not written to trials.csv (they would
 break byte-level reproducibility); the summary carries the aggregate.
@@ -58,7 +66,9 @@ from .errors import (
 from .pade import EtRatio, et_bound_chain, et_ratio, pade
 from .poly import Polynomial, find_roots, find_roots_batch
 from .sampler import DISCRETE, GAUSSIAN, LOGCONCAVE, DistributionSpec, distribution, sample
-from .toeplitz import assoc_matrix, build_triple, log_abs_det
+# assoc_matrix and log_abs_det are not called here any more, but they stay
+# module names: the benchmark tracer (perfbench/tracer.py) wraps them here.
+from .toeplitz import WindowStack, assoc_matrix, build_triple, log_abs_det, log_abs_dets
 
 SCHEMA_VERSION = 1
 
@@ -208,6 +218,35 @@ def _map_units(units: Sequence, fn: Callable, workers: int) -> List:
     return [fn(u) for u in units]
 
 
+def _by_range(config: ExperimentConfig, fn: Callable[[range], List]) -> List:
+    """fn over the trials split into one contiguous range per worker, its
+    records concatenated in trial order."""
+    parts = min(config.workers, config.trials)
+    bounds = [config.trials * k // parts for k in range(parts + 1)]
+    ranges = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return [rec for part in _map_units(ranges, fn, config.workers) for rec in part]
+
+
+# Coefficients per window block: a block of a trial range holds at most
+# _WINDOW_ELEMS // length trials of `length` coefficients (at least one).
+_WINDOW_ELEMS = 1 << 15
+
+
+def _window_blocks(config: ExperimentConfig, trials: range, length: int, k: int,
+                   key_offset: int = 0):
+    """The trial range in blocks, each sampled into a WindowStack of k x k
+    windows: yields (block, stack), trial t of the block drawn with key
+    key_offset + t and length coefficients."""
+    step = max(1, _WINDOW_ELEMS // length)
+    for lo in range(0, len(trials), step):
+        block = trials[lo:lo + step]
+        stack = WindowStack(len(block), length, k)
+        for row, trial in enumerate(block):
+            stack.coeffs[row] = sample(config.spec, length - 1, config.seed,
+                                       key_offset + trial).coeffs
+        yield block, stack
+
+
 def _median(values: Sequence[float]) -> float:
     if not values:
         return math.nan
@@ -348,16 +387,6 @@ def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: in
     return records
 
 
-def _run_et_style(config: ExperimentConfig, m_values: Tuple[int, ...],
-                  n: int) -> List[TrialRecord]:
-    """All trial units, the trials split into one contiguous range per worker."""
-    parts = min(config.workers, config.trials)
-    bounds = [config.trials * k // parts for k in range(parts + 1)]
-    ranges = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    fn = lambda trials: _et_style_records(config, m_values, n, trials)
-    return [rec for part in _map_units(ranges, fn, config.workers) for rec in part]
-
-
 def _summarize_et(config: ExperimentConfig, records: List[TrialRecord]) -> Dict:
     m_values = _as_tuple(config.m)
     per_m: Dict[str, Dict] = {}
@@ -398,7 +427,7 @@ def run_et_clustering(config: ExperimentConfig):
         config = replace(config, N=max(m_values) + n + 1)
     if config.N < max(m_values) + n + 1:
         raise ValueError("N must be at least max(m) + n + 1")
-    records = _run_et_style(config, m_values, n)
+    records = _by_range(config, lambda trials: _et_style_records(config, m_values, n, trials))
     return ET_COLUMNS, records, _summarize_et(config, records)
 
 
@@ -419,7 +448,7 @@ def run_discrete_example(config: ExperimentConfig):
         config = replace(config, N=max(m_values) + n + 1)
     if config.N < max(m_values) + n + 1:
         raise ValueError("N must be at least max(m) + n + 1")
-    records = _run_et_style(config, m_values, n)
+    records = _by_range(config, lambda trials: _et_style_records(config, m_values, n, trials))
     summary = _summarize_et(config, records)
     xs, ys = [], []
     M = config.spec.M
@@ -448,13 +477,19 @@ def run_discrete_example(config: ExperimentConfig):
 ANTICONC_COLUMNS = ("n", "det_abs_root", "singular")
 
 
-def _anticonc_trial(config: ExperimentConfig, n: int, offset: int, trial: int) -> TrialRecord:
-    coeffs = sample(config.spec, 2 * n - 2, config.seed, offset + trial).coeffs
-    res = log_abs_det(assoc_matrix(coeffs, n - 1, n))
-    root = 0.0 if res.singular else math.exp(res.log_abs / n)
-    return TrialRecord(trial, False, False, "", {
-        "n": n, "det_abs_root": root, "singular": res.singular,
-    })
+def _anticonc_records(config: ExperimentConfig, n: int, offset: int,
+                      trials: range) -> List[TrialRecord]:
+    """The n x n windows a_{n-1+i-j} of a trial range (sample keys offset +
+    trial), one stacked factorization per block."""
+    records: List[TrialRecord] = []
+    for block, stack in _window_blocks(config, trials, 2 * n - 1, n, offset):
+        log_abs, singular = log_abs_dets(stack.windows(n - 1))
+        for trial, log_abs_t, singular_t in zip(block, log_abs.tolist(), singular.tolist()):
+            root = 0.0 if singular_t else math.exp(log_abs_t / n)
+            records.append(TrialRecord(trial, False, False, "", {
+                "n": n, "det_abs_root": root, "singular": singular_t,
+            }))
+    return records
 
 
 def run_toeplitz_anticoncentration(config: ExperimentConfig):
@@ -465,8 +500,7 @@ def run_toeplitz_anticoncentration(config: ExperimentConfig):
     per_n: Dict[str, Dict] = {}
     for idx, n in enumerate(n_values):
         offset = idx * config.trials
-        fn = lambda t: _anticonc_trial(config, n, offset, t)
-        batch = _map_units(range(config.trials), fn, config.workers)
+        batch = _by_range(config, lambda trials: _anticonc_records(config, n, offset, trials))
         records.extend(batch)
         roots_ = np.sort(np.asarray([r.values["det_abs_root"] for r in batch]))
         cdf: Dict[str, float] = {}
@@ -512,23 +546,27 @@ def run_toeplitz_anticoncentration(config: ExperimentConfig):
 DET_GROWTH_COLUMNS = ("m", "n", "log_abs_det", "growth", "deviation", "singular")
 
 
-def _det_growth_trial(config: ExperimentConfig, m_values: Tuple[int, ...], n: int,
-                      trial: int) -> List[TrialRecord]:
-    coeffs = sample(config.spec, max(m_values) + n - 1, config.seed, trial).coeffs
+def _det_growth_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: int,
+                        trials: range) -> List[TrialRecord]:
+    """The n x n windows a_{m+i-j} (a_l = 0 for l < 0) of a trial range for
+    every m, one stacked factorization per (block, m); records in (trial, m)
+    order."""
     out: List[TrialRecord] = []
-    for m in m_values:
-        res = log_abs_det(assoc_matrix(coeffs, m, n))
-        values: Dict[str, object] = {"m": m, "n": n, "singular": res.singular}
-        if res.singular:
-            out.append(TrialRecord(trial, True, False, "singular_window", values))
-            continue
-        growth = math.exp(res.log_abs / m)
-        values.update({
-            "log_abs_det": res.log_abs,
-            "growth": growth,
-            "deviation": abs(growth - 1.0),
-        })
-        out.append(TrialRecord(trial, False, False, "", values))
+    for block, stack in _window_blocks(config, trials, max(m_values) + n, n):
+        dets = [tuple(x.tolist() for x in log_abs_dets(stack.windows(m))) for m in m_values]
+        for row, trial in enumerate(block):
+            for m, (log_abs, singular) in zip(m_values, dets):
+                values: Dict[str, object] = {"m": m, "n": n, "singular": singular[row]}
+                if singular[row]:
+                    out.append(TrialRecord(trial, True, False, "singular_window", values))
+                    continue
+                growth = math.exp(log_abs[row] / m)
+                values.update({
+                    "log_abs_det": log_abs[row],
+                    "growth": growth,
+                    "deviation": abs(growth - 1.0),
+                })
+                out.append(TrialRecord(trial, False, False, "", values))
     return out
 
 
@@ -537,9 +575,9 @@ def run_det_growth(config: ExperimentConfig):
     (n,) = _as_tuple(config.n) or (2,)
     if not m_values or min(m_values) < 1:
         raise ValueError("det-growth needs a schedule of m >= 1")
-    fn = lambda t: _det_growth_trial(config, m_values, n, t)
-    batches = _map_units(range(config.trials), fn, config.workers)
-    records = [rec for batch in batches for rec in batch]
+    if n < 0:
+        raise ValueError("det-growth needs n >= 0")
+    records = _by_range(config, lambda trials: _det_growth_records(config, m_values, n, trials))
     per_m: Dict[str, Dict] = {}
     for m in m_values:
         devs = [r.values["deviation"] for r in records

@@ -191,6 +191,14 @@ def _horner_pair(table: np.ndarray, x: np.ndarray, cols: np.ndarray):
     return p, dp
 
 
+def _horner(table: np.ndarray, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """p(x) alone, by the same out-of-place steps as _horner_pair."""
+    p = np.zeros_like(x)
+    for ck in table[::-1]:
+        p = p * x + ck[cols]
+    return p
+
+
 def _newton_ratio(table: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
     """p(z)/p'(z), through the reversed polynomial for |z| > 1.
 
@@ -210,7 +218,7 @@ def _log_abs_eval(table: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] =
     ``table`` and ``rows`` are as in _horner_table and _fold."""
     d = len(table) - 1
     x, cols, outer = _fold(table, z, rows)
-    p, _ = _horner_pair(table, x, cols)
+    p = _horner(table, x, cols)
     with np.errstate(divide="ignore"):
         log_p = np.log(np.abs(p))
         return np.where(outer, d * np.log(np.abs(z)) + log_p, log_p)

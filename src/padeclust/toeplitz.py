@@ -2,6 +2,11 @@
 used on them: pivoted-LU log-determinants, condition estimates and the
 normalized denominator solve.
 
+Window protocols work on stacks: WindowStack holds the coefficients of a
+block of trials and hands out the (B, k, k) windows of every row as one
+strided view, and log_abs_dets factors such a stack.  log_abs_det is its
+B = 1 call, so a determinant comes out the same bits alone or in a stack.
+
 Index conventions (a_l = 0 for l < 0 throughout):
 
 * ``C`` is (m+1) x (n+1) with C[i][j] = a_{i-j}         (numerator product)
@@ -16,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack
 
 from .errors import DegenerateSystem, InsufficientCoefficients
@@ -119,6 +125,77 @@ def _getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray):
     return x
 
 
+class WindowStack:
+    """Coefficient rows of a block of trials and their k x k windows.
+
+    Row b of ``coeffs`` (shape (B, length)) holds a_0..a_{length-1} of one
+    trial; callers fill it in place.  It is the right part of a zeroed
+    buffer with k - 1 extra columns on the left, so the windows read
+    a_l = 0 for l < 0 without a copy.
+    """
+
+    def __init__(self, rows: int, length: int, k: int, dtype=float):
+        self.k = k
+        self._buf = np.zeros((rows, max(k - 1, 0) + length), dtype=dtype)
+        self.coeffs = self._buf[:, max(k - 1, 0):]
+
+    def windows(self, m: int) -> np.ndarray:
+        """(B, k, k) view W[b, i, j] = a_{m+i-j} of row b; needs length >= m+k."""
+        k = self.k
+        rows, length = self.coeffs.shape
+        if k == 0:
+            return np.zeros((rows, 0, 0), dtype=self._buf.dtype)
+        if length < m + k:
+            raise InsufficientCoefficients(
+                f"need at least {m + k} coefficients for the {k}x{k} window at m={m}, got {length}"
+            )
+        # Slide over the reversed rows: start s reads a_{L-k-s-j} at column j
+        # (L the padded row length), so W's row i is start L-k-m-i.
+        slid = sliding_window_view(self._buf[:, ::-1], k, axis=1)
+        top = self._buf.shape[1] - k - m
+        return slid[:, top : (top - k if top >= k else None) : -1]
+
+
+def _lu_stack(W: np.ndarray):
+    """Partial-pivot LU of every matrix of a (B, k, k) stack, one getrf call
+    each: the (B, k) LU diagonals, the info codes, and the last matrix's
+    (lu, piv)."""
+    rows, k = W.shape[:2]
+    diag = np.empty((rows, k), dtype=W.dtype)
+    info = np.empty(rows, dtype=int)
+    lu = piv = None
+    for b in range(rows):
+        lu, piv, info[b] = _getrf(W[b])
+        diag[b] = lu.diagonal()
+    return diag, info, lu, piv
+
+
+def _log_abs(diag: np.ndarray, info: np.ndarray):
+    singular = (info > 0) | np.any(diag == 0, axis=1)
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(diag)).sum(axis=1)
+    log_abs[singular] = -math.inf
+    return log_abs, singular
+
+
+def log_abs_dets(W) -> Tuple[np.ndarray, np.ndarray]:
+    """log|det| of every matrix of a (B, k, k) stack, and which are singular.
+
+    A matrix is singular when getrf reports an exactly zero pivot or its LU
+    diagonal holds a zero; its log|det| is -inf.  Each entry has the bits
+    log_abs_det gives for that matrix alone.
+    """
+    W = np.asarray(W)
+    if W.dtype.kind not in "fc":
+        W = W.astype(float)
+    if W.ndim != 3 or W.shape[1] != W.shape[2]:
+        raise ValueError("log_abs_dets needs a (B, k, k) stack")
+    if W.shape[1] == 0:
+        return np.zeros(len(W)), np.zeros(len(W), dtype=bool)
+    diag, info, _, _ = _lu_stack(W)
+    return _log_abs(diag, info)
+
+
 def log_abs_det(M) -> DetResult:
     """Partial-pivot LU determinant in log form, with a 1-norm condition
     estimate from the same factorization.  det of the 0x0 matrix is 1."""
@@ -130,22 +207,21 @@ def log_abs_det(M) -> DetResult:
         raise ValueError("log_abs_det needs a square matrix")
     if r == 0:
         return DetResult(log_abs=0.0, sign_or_phase=1.0, singular=False, condition_estimate=1.0)
-    anorm = float(np.abs(M).sum(axis=0).max())
-    lu, piv, info = _getrf(M)
-    diag = np.diagonal(lu)
-    singular = bool(info > 0) or bool(np.any(diag == 0))
+    diag, info, lu, piv = _lu_stack(M[None])
+    (log_abs,), (singular,) = _log_abs(diag, info)
     if singular:
         return DetResult(
             log_abs=-math.inf, sign_or_phase=0.0, singular=True, condition_estimate=math.inf
         )
-    log_abs = float(np.sum(np.log(np.abs(diag))))
+    diag = diag[0]
     swaps = int(np.sum(piv != np.arange(r)))
     phase = complex(np.prod(diag / np.abs(diag))) * (-1.0) ** swaps
     if M.dtype.kind != "c":
         phase = float(np.real(phase))
-    rcond = _gecon(lu, anorm)
+    rcond = _gecon(lu, float(np.abs(M).sum(axis=0).max()))
     cond = float(1.0 / rcond) if rcond > 0 else math.inf
-    return DetResult(log_abs=log_abs, sign_or_phase=phase, singular=singular, condition_estimate=cond)
+    return DetResult(log_abs=float(log_abs), sign_or_phase=phase, singular=False,
+                     condition_estimate=cond)
 
 
 def _solve_normalized(A: np.ndarray, rhs: np.ndarray, cond_cap: float):
