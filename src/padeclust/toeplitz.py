@@ -128,15 +128,15 @@ def _getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray):
 class WindowStack:
     """Coefficient rows of a block of trials and their k x k windows.
 
-    Row b of ``coeffs`` (shape (B, length)) holds a_0..a_{length-1} of one
-    trial; callers fill it in place.  It is the right part of a zeroed
-    buffer with k - 1 extra columns on the left, so the windows read
+    Row b of ``coeffs`` (shape (B, length), float) holds a_0..a_{length-1}
+    of one trial; callers fill it in place.  It is the right part of a
+    zeroed buffer with k - 1 extra columns on the left, so the windows read
     a_l = 0 for l < 0 without a copy.
     """
 
-    def __init__(self, rows: int, length: int, k: int, dtype=float):
+    def __init__(self, rows: int, length: int, k: int):
         self.k = k
-        self._buf = np.zeros((rows, max(k - 1, 0) + length), dtype=dtype)
+        self._buf = np.zeros((rows, max(k - 1, 0) + length))
         self.coeffs = self._buf[:, max(k - 1, 0):]
 
     def windows(self, m: int) -> np.ndarray:
@@ -159,9 +159,10 @@ class WindowStack:
 def _lu_stack(W: np.ndarray):
     """Partial-pivot LU of every matrix of a (B, k, k) stack, one getrf call
     each: the (B, k) LU diagonals, the info codes, and the last matrix's
-    (lu, piv)."""
+    (lu, piv).  getrf works in double (complex) precision whatever the
+    input's, so the diagonals keep the precision it returns."""
     rows, k = W.shape[:2]
-    diag = np.empty((rows, k), dtype=W.dtype)
+    diag = np.empty((rows, k), dtype=complex if W.dtype.kind == "c" else float)
     info = np.empty(rows, dtype=int)
     lu = piv = None
     for b in range(rows):
@@ -171,11 +172,12 @@ def _lu_stack(W: np.ndarray):
 
 
 def _log_abs(diag: np.ndarray, info: np.ndarray):
-    singular = (info > 0) | np.any(diag == 0, axis=1)
+    singular = (info > 0) | (diag == 0).any(axis=1)
+    if not singular.any():
+        return np.log(np.abs(diag)).sum(axis=1), singular
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(diag)).sum(axis=1)
-    log_abs[singular] = -math.inf
-    return log_abs, singular
+    return np.where(singular, -math.inf, log_abs), singular
 
 
 def log_abs_dets(W) -> Tuple[np.ndarray, np.ndarray]:

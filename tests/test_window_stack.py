@@ -26,7 +26,10 @@ def _bits(x):
 
 def _stack(rows, m, k):
     rows = np.asarray(rows)
-    stack = WindowStack(len(rows), rows.shape[1], k, dtype=rows.dtype)
+    if rows.dtype != float:
+        # WindowStack holds sampled (real double) coefficients only.
+        return np.stack([assoc_matrix(row, m, k) for row in rows])
+    stack = WindowStack(len(rows), rows.shape[1], k)
     stack.coeffs[:] = rows
     return stack.windows(m)
 
@@ -83,11 +86,29 @@ def test_discrete_windows_bitwise_with_singular_rows(M, n):
         assert singular.any()
 
 
-def test_complex_stack_bitwise():
+@pytest.mark.parametrize("dtype", [complex, np.float32, np.complex64])
+def test_complex_and_single_precision_stacks_bitwise(dtype):
+    """getrf works in double precision whatever the input's; the stacked
+    diagonals must keep it."""
     rng = np.random.default_rng(11)
-    rows = rng.standard_normal((300, 9)) + 1j * rng.standard_normal((300, 9))
+    rows = rng.standard_normal((300, 9))
+    if np.dtype(dtype).kind == "c":
+        rows = rows + 1j * rng.standard_normal((300, 9))
     rows[::7, :] = np.round(rows[::7, :])  # some exactly representable windows
-    _assert_matches_per_matrix(rows, 4, 5)
+    _assert_matches_per_matrix(rows.astype(dtype), 4, 5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+def test_pivot_below_single_precision_range_is_not_singular(dtype):
+    """U[1, 1] = -1e-60 fits a double but not a float32."""
+    M = np.array([[1.0, 1e-30], [1e-30, 0.0]], dtype=dtype)
+    ref = _reference_log_abs_det(M)
+    assert ref[1] is False and ref[0] < -130
+    log_abs, singular = log_abs_dets(M[None])
+    assert not singular[0] and _bits(log_abs) == _bits([ref[0]])
+    res = log_abs_det(M)
+    assert not res.singular and _bits(res.log_abs) == _bits(ref[0])
+    assert res.sign_or_phase == pytest.approx(-1.0)
 
 
 def test_single_matrix_stack_bitwise():
