@@ -10,23 +10,15 @@ are far too large to verify directly at desk scale, and summaries say so.
 The deterministic clustering inequalities, by contrast, must hold on every
 non-degenerate trial; a single violation aborts the run.
 
-Four protocols run one stage at a time over a contiguous range of trials
-(one range per worker):
-
-* et-clustering and discrete-example: sample, pade, the coefficient-mass
-  check and the end-coefficient bounds for every (trial, m) unit, then a
-  single find_roots_batch over all surviving numerators, then the
-  clustering checks, writing records in (trial, m) order.
-* toeplitz-anticoncentration (per n) and det-growth: the range goes in
-  blocks of at most _WINDOW_ELEMS coefficients.  Each block is sampled into
-  one WindowStack, its windows are factored by one log_abs_dets call per n
-  or m, and then its records are written in trial order.
-
-The batched kernels give every polynomial's roots and every window's
-determinant bitwise as the one-at-a-time calls would, so neither the range
-split, the block size nor the batch composition reaches trials.csv.
-zero-radius and pole-clustering find one series' roots per trial, with
-retries, and stay trial at a time.
+Every protocol has one runner shape: its run_* function validates the
+config, _by_range splits the trials into one contiguous range per worker,
+and _blocks samples each range in blocks of at most _BLOCK_ELEMS
+coefficients.  The protocol's stage function takes a whole block one stage
+at a time (one find_roots_batch or log_abs_dets call per stage) and writes
+its records in trial order.  The batched kernels give every polynomial's
+roots and every window's determinant bitwise as the one-at-a-time calls
+would, so neither the range split, the block size nor the batch composition
+reaches trials.csv.
 
 Per-trial wall times are deliberately not written to trials.csv (they would
 break byte-level reproducibility); the summary carries the aggregate.
@@ -40,7 +32,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -66,8 +58,9 @@ from .errors import (
 from .pade import EtRatio, et_bound_chain, et_ratio, pade
 from .poly import Polynomial, find_roots, find_roots_batch
 from .sampler import DISCRETE, GAUSSIAN, LOGCONCAVE, DistributionSpec, distribution, sample
-# assoc_matrix and log_abs_det are not called here any more, but they stay
-# module names: the benchmark tracer (perfbench/tracer.py) wraps them here.
+# find_roots, assoc_matrix and log_abs_det are not called here any more, but
+# they stay module names: the benchmark tracer (perfbench/tracer.py) wraps
+# them here.
 from .toeplitz import WindowStack, assoc_matrix, build_triple, log_abs_det, log_abs_dets
 
 SCHEMA_VERSION = 1
@@ -124,25 +117,13 @@ class ExperimentConfig:
             raise ValueError(f"precision must be 'double' or 'extended', got {self.precision!r}")
 
     def to_dict(self) -> Dict:
-        d = {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "spec": self.spec.to_dict(),
-            "trials": self.trials,
-            "seed": self.seed,
-            "delta": self.delta,
-            "epsilon_grid": list(self.epsilon_grid),
-            "r_schedule": list(self.r_schedule),
-            "s_list": list(self.s_list),
-            "rhos": list(self.rhos),
-            "grid_size": self.grid_size,
-            "family_size": self.family_size,
-            "workers": self.workers,
-            "precision": self.precision,
-        }
-        for key, val in (("m", self.m), ("n", self.n), ("N", self.N)):
+        d: Dict = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.name == "spec":
+                val = val.to_dict()
             if val is not None:
-                d[key] = list(val) if isinstance(val, (tuple, list)) else val
+                d[f.name] = list(val) if isinstance(val, (tuple, list)) else val
         return d
 
     @staticmethod
@@ -211,33 +192,43 @@ def _as_tuple(v: Optional[IntOrList]) -> Tuple[int, ...]:
     return (int(v),)
 
 
-def _map_units(units: Sequence, fn: Callable, workers: int) -> List:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, units))
-    return [fn(u) for u in units]
+def _single(config: ExperimentConfig, field: str, default: int) -> int:
+    """The value of an int field that the protocol takes as one number."""
+    values = _as_tuple(getattr(config, field)) or (default,)
+    if len(values) != 1:
+        raise ValueError(f"{config.name} takes a single {field}, got {list(values)}")
+    return values[0]
+
+
+def _need_rhos(config: ExperimentConfig) -> None:
+    if not config.rhos:
+        raise ValueError(f"{config.name} needs at least one radius in rhos")
 
 
 def _by_range(config: ExperimentConfig, fn: Callable[[range], List]) -> List:
     """fn over the trials split into one contiguous range per worker, its
     records concatenated in trial order."""
     parts = min(config.workers, config.trials)
+    if parts == 1:
+        return fn(range(config.trials))
     bounds = [config.trials * k // parts for k in range(parts + 1)]
     ranges = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return [rec for part in _map_units(ranges, fn, config.workers) for rec in part]
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        return [rec for part in pool.map(fn, ranges) for rec in part]
 
 
-# Coefficients per window block: a block of a trial range holds at most
-# _WINDOW_ELEMS // length trials of `length` coefficients (at least one).
-_WINDOW_ELEMS = 1 << 15
+# Coefficients per block: a block of a trial range holds at most
+# _BLOCK_ELEMS // length trials of `length` coefficients (at least one).
+_BLOCK_ELEMS = 1 << 15
 
 
-def _window_blocks(config: ExperimentConfig, trials: range, length: int, k: int,
-                   key_offset: int = 0):
+def _blocks(config: ExperimentConfig, trials: range, length: int, k: int = 1,
+            key_offset: int = 0):
     """The trial range in blocks, each sampled into a WindowStack of k x k
     windows: yields (block, stack), trial t of the block drawn with key
-    key_offset + t and length coefficients."""
-    step = max(1, _WINDOW_ELEMS // length)
+    key_offset + t and length coefficients (for k = 1, stack.coeffs is the
+    plain (len(block), length) array)."""
+    step = max(1, _BLOCK_ELEMS // length)
     for lo in range(0, len(trials), step):
         block = trials[lo:lo + step]
         stack = WindowStack(len(block), length, k)
@@ -247,6 +238,22 @@ def _window_blocks(config: ExperimentConfig, trials: range, length: int, k: int,
         yield block, stack
 
 
+def _roots_with_retry(polys: Sequence[Polynomial], precision: str) -> List:
+    """find_roots_batch over polys; the rows that did not converge are solved
+    again from rotated start points, and (for precision "extended") those
+    still failing once more in extended precision.  A row that fails every
+    tier stays a NonConvergence."""
+    found = find_roots_batch(polys)
+    retries = [dict(start_offset=0.37)]
+    if precision == "extended":
+        retries.append(dict(precision="extended"))
+    for kwargs in retries:
+        failed = [i for i, r in enumerate(found) if isinstance(r, NonConvergence)]
+        for i, roots in zip(failed, find_roots_batch([polys[i] for i in failed], **kwargs)):
+            found[i] = roots
+    return found
+
+
 def _median(values: Sequence[float]) -> float:
     if not values:
         return math.nan
@@ -254,9 +261,10 @@ def _median(values: Sequence[float]) -> float:
 
 
 def _check_clustering(et: EtRatio, mu: EmpiricalMeasure, config: ExperimentConfig,
-                      context: str):
+                      context: str) -> Dict[str, float]:
     """Evaluate the deterministic clustering inequalities for the roots mu of
-    a polynomial whose end-coefficient ratio is et; raise on breach.
+    a polynomial whose end-coefficient ratio is et; raise on breach, else
+    return the report's trials.csv columns.
 
     Enforced forms are theorems for every polynomial with nonzero end
     coefficients, so a single failure means a bug, not bad luck.  The radial
@@ -276,7 +284,13 @@ def _check_clustering(et: EtRatio, mu: EmpiricalMeasure, config: ExperimentConfi
         raise InvariantViolation(
             f"deterministic clustering inequality broken ({', '.join(failed)}) in {context}"
         )
-    return rep
+    return {
+        "et_log": rep.et_log,
+        "sector_discrepancy": rep.max_sector_discrepancy,
+        "bl_upper": rep.bl_upper,
+        "bl_lower": rep.bl_lower_estimate,
+        "max_radial_defect": max(rep.radial_defect.values()),
+    }
 
 
 def _check_mass_inequality(coeffs: np.ndarray, pair, context: str) -> None:
@@ -337,53 +351,50 @@ ET_COLUMNS = (
 
 def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: int,
                       trials: range) -> List[TrialRecord]:
-    """Trial units (trial, m) for a contiguous trial range, one stage at a
-    time: sample, pade, mass check and end-coefficient bounds for every unit,
-    then one find_roots_batch over the surviving numerators, then the
+    """Trial units (trial, m) for a contiguous trial range, one block and one
+    stage at a time: pade, mass check and end-coefficient bounds for every
+    unit, then one find_roots_batch over the surviving numerators, then the
     clustering checks.  Records come back in (trial, m) order."""
     records: List[TrialRecord] = []
-    pending: List[Tuple[int, Polynomial, EtRatio]] = []  # (record slot, numerator, ratio)
-    for trial in trials:
-        coeffs = sample(config.spec, config.N, config.seed, trial).coeffs
-        for m in m_values:
-            values: Dict[str, object] = {"m": m, "n": n}
-            window = coeffs[: m + n + 2]
-            try:
-                pair = pade(window, m, n, precision=config.precision)
-            except DegenerateSystem:
-                records.append(TrialRecord(trial, True, False, "degenerate_system", values))
+    for block, stack in _blocks(config, trials, config.N + 1):
+        pending: List[Tuple[int, Polynomial, EtRatio]] = []  # (record slot, numerator, ratio)
+        for trial, coeffs in zip(block, stack.coeffs):
+            for m in m_values:
+                values: Dict[str, object] = {"m": m, "n": n}
+                window = coeffs[: m + n + 2]
+                try:
+                    pair = pade(window, m, n, precision=config.precision)
+                except DegenerateSystem:
+                    records.append(TrialRecord(trial, True, False, "degenerate_system", values))
+                    continue
+                _check_mass_inequality(window, pair, f"trial {trial}, m={m}, n={n}")
+                values["order_residual"] = pair.diagnostics["order_residual"]
+                values["condition"] = pair.diagnostics["condition"]
+                try:
+                    ratio = et_ratio(pair.p)
+                    chain = et_bound_chain(window, build_triple(window, m, n), pair)
+                except EndCoefficientZero:
+                    records.append(TrialRecord(trial, False, True, "end_coefficient_zero", values))
+                    continue
+                except DegenerateSystem:
+                    records.append(TrialRecord(trial, False, True, "singular_window", values))
+                    continue
+                values["et_log"] = ratio.log_value
+                values["et_log_over_m"] = ratio.log_value / m
+                values["log_l1_bound"] = chain.log_l1
+                values["log_cauchy_binet_bound"] = chain.log_cauchy_binet
+                values["log_amgm_bound"] = chain.log_amgm
+                pending.append((len(records), pair.p, ratio))
+                records.append(TrialRecord(trial, False, False, "", values))
+        found = find_roots_batch([p for _, p, _ in pending])
+        for (slot, _, ratio), roots in zip(pending, found):
+            rec = records[slot]
+            if isinstance(roots, NonConvergence):
+                records[slot] = replace(rec, excluded=True, reason="nonconvergence")
                 continue
-            _check_mass_inequality(window, pair, f"trial {trial}, m={m}, n={n}")
-            values["order_residual"] = pair.diagnostics["order_residual"]
-            values["condition"] = pair.diagnostics["condition"]
-            try:
-                ratio = et_ratio(pair.p)
-                chain = et_bound_chain(window, build_triple(window, m, n), pair)
-            except EndCoefficientZero:
-                records.append(TrialRecord(trial, False, True, "end_coefficient_zero", values))
-                continue
-            except DegenerateSystem:
-                records.append(TrialRecord(trial, False, True, "singular_window", values))
-                continue
-            values["et_log"] = ratio.log_value
-            values["et_log_over_m"] = ratio.log_value / m
-            values["log_l1_bound"] = chain.log_l1
-            values["log_cauchy_binet_bound"] = chain.log_cauchy_binet
-            values["log_amgm_bound"] = chain.log_amgm
-            pending.append((len(records), pair.p, ratio))
-            records.append(TrialRecord(trial, False, False, "", values))
-    found = find_roots_batch([p for _, p, _ in pending])
-    for (slot, _, ratio), roots in zip(pending, found):
-        rec = records[slot]
-        if isinstance(roots, NonConvergence):
-            records[slot] = replace(rec, excluded=True, reason="nonconvergence")
-            continue
-        rep = _check_clustering(ratio, EmpiricalMeasure(roots), config,
-                                f"trial {rec.trial_index}, m={rec.values['m']}, n={n}")
-        rec.values["sector_discrepancy"] = rep.max_sector_discrepancy
-        rec.values["bl_upper"] = rep.bl_upper
-        rec.values["bl_lower"] = rep.bl_lower_estimate
-        rec.values["max_radial_defect"] = max(rep.radial_defect.values())
+            rec.values.update(_check_clustering(
+                ratio, EmpiricalMeasure(roots), config,
+                f"trial {rec.trial_index}, m={rec.values['m']}, n={n}"))
     return records
 
 
@@ -418,17 +429,27 @@ def _summarize_et(config: ExperimentConfig, records: List[TrialRecord]) -> Dict:
     }
 
 
-def run_et_clustering(config: ExperimentConfig):
+def _run_et_style(config: ExperimentConfig, default_n: int, min_n: int):
+    """Validate an et-style config, run it and summarize it; returns the
+    config with N filled in, n, the records and the summary."""
     m_values = _as_tuple(config.m)
-    (n,) = _as_tuple(config.n) or (1,)
+    n = _single(config, "n", default_n)
     if not m_values:
-        raise ValueError("et-clustering needs at least one m value")
+        raise ValueError(f"{config.name} needs at least one m value")
+    if min(m_values) < 1 or n < min_n:
+        raise ValueError(f"{config.name} needs m >= 1 and n >= {min_n}")
+    _need_rhos(config)
     if config.N is None:
         config = replace(config, N=max(m_values) + n + 1)
     if config.N < max(m_values) + n + 1:
         raise ValueError("N must be at least max(m) + n + 1")
     records = _by_range(config, lambda trials: _et_style_records(config, m_values, n, trials))
-    return ET_COLUMNS, records, _summarize_et(config, records)
+    return config, n, records, _summarize_et(config, records)
+
+
+def run_et_clustering(config: ExperimentConfig):
+    _, _, records, summary = _run_et_style(config, 1, 0)
+    return ET_COLUMNS, records, summary
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +461,9 @@ def run_discrete_example(config: ExperimentConfig):
         raise ValueError("discrete-example needs a discrete_pm_M distribution")
     if config.spec.M < 2:
         raise ValueError("discrete-example needs M >= 2")
+    # n >= 1: the fit's abscissa is n*log(n*M)/m
+    config, n, records, summary = _run_et_style(config, 10, 1)
     m_values = _as_tuple(config.m)
-    (n,) = _as_tuple(config.n) or (10,)
-    if not m_values:
-        raise ValueError("discrete-example needs at least one m value")
-    if config.N is None:
-        config = replace(config, N=max(m_values) + n + 1)
-    if config.N < max(m_values) + n + 1:
-        raise ValueError("N must be at least max(m) + n + 1")
-    records = _by_range(config, lambda trials: _et_style_records(config, m_values, n, trials))
-    summary = _summarize_et(config, records)
     xs, ys = [], []
     M = config.spec.M
     for m in m_values:
@@ -482,7 +496,7 @@ def _anticonc_records(config: ExperimentConfig, n: int, offset: int,
     """The n x n windows a_{n-1+i-j} of a trial range (sample keys offset +
     trial), one stacked factorization per block."""
     records: List[TrialRecord] = []
-    for block, stack in _window_blocks(config, trials, 2 * n - 1, n, offset):
+    for block, stack in _blocks(config, trials, 2 * n - 1, n, offset):
         log_abs, singular = log_abs_dets(stack.windows(n - 1))
         for trial, log_abs_t, singular_t in zip(block, log_abs.tolist(), singular.tolist()):
             root = 0.0 if singular_t else math.exp(log_abs_t / n)
@@ -552,7 +566,7 @@ def _det_growth_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: 
     every m, one stacked factorization per (block, m); records in (trial, m)
     order."""
     out: List[TrialRecord] = []
-    for block, stack in _window_blocks(config, trials, max(m_values) + n, n):
+    for block, stack in _blocks(config, trials, max(m_values) + n, n):
         dets = [tuple(x.tolist() for x in log_abs_dets(stack.windows(m))) for m in m_values]
         for row, trial in enumerate(block):
             for m, (log_abs, singular) in zip(m_values, dets):
@@ -572,7 +586,7 @@ def _det_growth_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: 
 
 def run_det_growth(config: ExperimentConfig):
     m_values = _as_tuple(config.m)
-    (n,) = _as_tuple(config.n) or (2,)
+    n = _single(config, "n", 2)
     if not m_values or min(m_values) < 1:
         raise ValueError("det-growth needs a schedule of m >= 1")
     if n < 0:
@@ -614,59 +628,48 @@ def _log_variance_profile(r: float, N: int) -> float:
     return math.log1p(-r ** (2 * N + 2)) - math.log1p(-r * r)
 
 
-def _find_roots_fallback(poly: Polynomial, precision: str):
-    """Double precision with a rotated restart, then (if requested) the
-    extended path; the slow path only ever runs on the rare stuck seed."""
-    try:
-        return find_roots(poly, precision="double")
-    except NonConvergence:
-        try:
-            return find_roots(poly, precision="double", start_offset=0.37)
-        except NonConvergence:
-            if precision != "extended":
-                raise
-            return find_roots(poly, precision="extended")
-
-
-def _zero_radius_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
-    coeffs = sample(config.spec, config.N, config.seed, trial).coeffs
-    poly = Polynomial(coeffs)
-    values: Dict[str, object] = {}
-    try:
-        roots = _find_roots_fallback(poly, config.precision)
-    except NonConvergence:
-        return TrialRecord(trial, False, True, "nonconvergence", values)
-    moduli = roots.moduli
-    values["n_roots"] = len(roots)
-    values["roots_in_unit_disc"] = int(np.sum(moduli < 1.0))
-    values["min_modulus"] = float(moduli[0])
-    try:
-        rep = _check_clustering(et_ratio(poly), EmpiricalMeasure(roots), config, f"trial {trial}")
-    except EndCoefficientZero:
-        return TrialRecord(trial, False, True, "end_coefficient_zero", values)
-    values["et_log"] = rep.et_log
-    values["sector_discrepancy"] = rep.max_sector_discrepancy
-    values["bl_upper"] = rep.bl_upper
-    values["bl_lower"] = rep.bl_lower_estimate
-    values["max_radial_defect"] = max(rep.radial_defect.values())
-    for r in config.r_schedule:
-        zci = zero_counting_integral(roots, r)
-        values[f"ratio_r{repr(float(r))}"] = zci / (-math.log1p(-r * r))
-        values[f"profile_dev_r{repr(float(r))}"] = zci - 0.5 * _log_variance_profile(r, config.N)
-    for s in config.s_list:
-        if s < len(roots):
-            r_s = radius_R_s(roots, s)
-            values[f"rs_norm_s{s}"] = (1.0 - r_s) * s / math.log(s)
-    return TrialRecord(trial, False, False, "", values)
+def _zero_radius_records(config: ExperimentConfig, trials: range) -> List[TrialRecord]:
+    """One record per trial of a contiguous range, one block at a time: the
+    roots of every series of the block by one _roots_with_retry, then the
+    checks and columns in trial order."""
+    records: List[TrialRecord] = []
+    for block, stack in _blocks(config, trials, config.N + 1):
+        polys = [Polynomial(c) for c in stack.coeffs]
+        for trial, poly, roots in zip(block, polys, _roots_with_retry(polys, config.precision)):
+            values: Dict[str, object] = {}
+            if isinstance(roots, NonConvergence):
+                records.append(TrialRecord(trial, False, True, "nonconvergence", values))
+                continue
+            moduli = roots.moduli
+            values["n_roots"] = len(roots)
+            values["roots_in_unit_disc"] = int(np.sum(moduli < 1.0))
+            values["min_modulus"] = float(moduli[0])
+            try:
+                values.update(_check_clustering(et_ratio(poly), EmpiricalMeasure(roots), config,
+                                                f"trial {trial}"))
+            except EndCoefficientZero:
+                records.append(TrialRecord(trial, False, True, "end_coefficient_zero", values))
+                continue
+            for r in config.r_schedule:
+                zci = zero_counting_integral(roots, r)
+                values[f"ratio_r{repr(float(r))}"] = zci / (-math.log1p(-r * r))
+                values[f"profile_dev_r{repr(float(r))}"] = (
+                    zci - 0.5 * _log_variance_profile(r, config.N))
+            for s in config.s_list:
+                if s < len(roots):
+                    r_s = radius_R_s(roots, s)
+                    values[f"rs_norm_s{s}"] = (1.0 - r_s) * s / math.log(s)
+            records.append(TrialRecord(trial, False, False, "", values))
+    return records
 
 
 def run_zero_radius(config: ExperimentConfig):
     if config.N is None or config.N < 8:
         raise ValueError("zero-radius needs a truncation degree N >= 8")
-    if min(config.s_list) < 2:
-        raise ValueError("s_list entries must be >= 2 (normalization divides by log s)")
-    fn = lambda t: _zero_radius_trial(config, t)
-    records = _map_units(range(config.trials), fn, config.workers)
+    if not config.s_list or min(config.s_list) < 2:
+        raise ValueError("s_list needs entries, each >= 2 (normalization divides by log s)")
+    _need_rhos(config)
+    records = _by_range(config, lambda trials: _zero_radius_records(config, trials))
     good = [r for r in records if not r.excluded]
     per_r: Dict[str, Dict] = {}
     for r in config.r_schedule:
@@ -713,57 +716,68 @@ def run_zero_radius(config: ExperimentConfig):
 POLE_COLUMNS = ("n", "R_m", "annulus_mass", "median_abs_dev", "q_et_log")
 
 
-def _pole_trial(config: ExperimentConfig, n_values: Tuple[int, ...], m: int,
-                trial: int) -> List[TrialRecord]:
-    coeffs = sample(config.spec, config.N, config.seed, trial).coeffs
-    poly = Polynomial(coeffs)
+def _pole_records(config: ExperimentConfig, n_values: Tuple[int, ...], m: int,
+                  trials: range) -> List[TrialRecord]:
+    """Units (trial, n) for a contiguous trial range, one block at a time:
+    the series roots by one _roots_with_retry, the series check and R_m,
+    pade for every unit, then one find_roots_batch over all the block's
+    denominators and their checks.  Records come back in (trial, n) order."""
     out: List[TrialRecord] = []
-    try:
-        roots_f = _find_roots_fallback(poly, config.precision)
-    except NonConvergence:
-        return [TrialRecord(trial, False, True, "nonconvergence", {"n": n}) for n in n_values]
-    try:
-        _check_clustering(et_ratio(poly), EmpiricalMeasure(roots_f), config,
-                          f"trial {trial} (series)")
-    except EndCoefficientZero:
-        return [TrialRecord(trial, False, True, "end_coefficient_zero", {"n": n})
-                for n in n_values]
-    r_m = radius_R_s(roots_f, m)
     rho = config.rhos[-1]
-    for n in n_values:
-        values: Dict[str, object] = {"n": n, "R_m": r_m}
-        try:
-            pair = pade(coeffs[: m + n + 2], m, n, precision=config.precision)
-            q_roots = find_roots(pair.q)
-        except DegenerateSystem:
-            out.append(TrialRecord(trial, True, False, "degenerate_system", values))
-            continue
-        except NonConvergence:
-            out.append(TrialRecord(trial, False, True, "nonconvergence", values))
-            continue
-        mu_q = EmpiricalMeasure(q_roots)
-        values["annulus_mass"] = annulus_mass(mu_q, r_m, rho)
-        values["median_abs_dev"] = _median(list(np.abs(q_roots.moduli - r_m)))
-        try:
-            q_et = et_ratio(pair.q)
-            _check_clustering(q_et, mu_q, config, f"trial {trial}, n={n} (denominator)")
-            values["q_et_log"] = q_et.log_value
-        except (EndCoefficientZero, DegenerateInput):
-            pass
-        out.append(TrialRecord(trial, False, False, "", values))
+    for block, stack in _blocks(config, trials, config.N + 1):
+        polys = [Polynomial(c) for c in stack.coeffs]
+        pending: List[Tuple[int, Polynomial, float]] = []  # (record slot, denominator, R_m)
+        for trial, poly, roots_f in zip(block, polys, _roots_with_retry(polys, config.precision)):
+            if isinstance(roots_f, NonConvergence):
+                out.extend(TrialRecord(trial, False, True, "nonconvergence", {"n": n})
+                           for n in n_values)
+                continue
+            try:
+                _check_clustering(et_ratio(poly), EmpiricalMeasure(roots_f), config,
+                                  f"trial {trial} (series)")
+            except EndCoefficientZero:
+                out.extend(TrialRecord(trial, False, True, "end_coefficient_zero", {"n": n})
+                           for n in n_values)
+                continue
+            r_m = radius_R_s(roots_f, m)
+            for n in n_values:
+                values: Dict[str, object] = {"n": n, "R_m": r_m}
+                try:
+                    pair = pade(poly.coeffs[: m + n + 2], m, n, precision=config.precision)
+                except DegenerateSystem:
+                    out.append(TrialRecord(trial, True, False, "degenerate_system", values))
+                    continue
+                pending.append((len(out), pair.q, r_m))
+                out.append(TrialRecord(trial, False, False, "", values))
+        for (slot, q, r_m), q_roots in zip(pending, find_roots_batch([q for _, q, _ in pending])):
+            rec = out[slot]
+            if isinstance(q_roots, NonConvergence):
+                out[slot] = replace(rec, excluded=True, reason="nonconvergence")
+                continue
+            mu_q = EmpiricalMeasure(q_roots)
+            rec.values["annulus_mass"] = annulus_mass(mu_q, r_m, rho)
+            rec.values["median_abs_dev"] = _median(list(np.abs(q_roots.moduli - r_m)))
+            try:
+                q_et = et_ratio(q)
+                _check_clustering(q_et, mu_q, config,
+                                  f"trial {rec.trial_index}, n={rec.values['n']} (denominator)")
+                rec.values["q_et_log"] = q_et.log_value
+            except (EndCoefficientZero, DegenerateInput):
+                pass
     return out
 
 
 def run_pole_clustering(config: ExperimentConfig):
     n_values = _as_tuple(config.n)
-    (m,) = _as_tuple(config.m) or (1,)
-    if not n_values:
-        raise ValueError("pole-clustering needs an n schedule")
+    m = _single(config, "m", 1)
+    if not n_values or min(n_values) < 1:
+        raise ValueError("pole-clustering needs an n schedule of n >= 1")
+    if m < 0:
+        raise ValueError("pole-clustering needs m >= 0")
+    _need_rhos(config)
     if config.N is None or config.N < m + max(n_values) + 1:
         raise ValueError("N must be at least m + max(n) + 1")
-    fn = lambda t: _pole_trial(config, n_values, m, t)
-    batches = _map_units(range(config.trials), fn, config.workers)
-    records = [rec for batch in batches for rec in batch]
+    records = _by_range(config, lambda trials: _pole_records(config, n_values, m, trials))
     per_n: Dict[str, Dict] = {}
     for n in n_values:
         sub = [r for r in records if r.values.get("n") == n

@@ -16,15 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInput, DegenerateSystem, EndCoefficientZero, InsufficientCoefficients
 from .poly import Polynomial, _as_poly, coeff_vector, truncated_product
-from .toeplitz import (
-    COND_CAP_DOUBLE,
-    COND_CAP_EXTENDED,
-    ToeplitzTriple,
-    _solve_normalized,
-    _solve_normalized_extended,
-    assoc_matrix,
-    log_abs_det,
-)
+from .toeplitz import ToeplitzTriple, _solve_window, assoc_matrix, log_abs_det
 
 _LOG_OVERFLOW = 709.0
 
@@ -108,14 +100,7 @@ def pade(coeffs, m: int, n: int, precision: str = "double",
         A = assoc_matrix(arr, m, n)
         rhs = -arr[m + 1 : m + n + 1]
         try:
-            if precision == "extended":
-                tail, logdet, cond = _solve_normalized_extended(
-                    A, rhs, COND_CAP_EXTENDED if cond_cap is None else cond_cap)
-            elif precision == "double":
-                tail, logdet, cond = _solve_normalized(
-                    A, rhs, COND_CAP_DOUBLE if cond_cap is None else cond_cap)
-            else:
-                raise ValueError("precision must be 'double' or 'extended'")
+            tail, logdet, cond = _solve_window(A, rhs, precision, cond_cap)
         except DegenerateSystem as exc:
             raise DegenerateSystem(
                 f"coefficient window A_{m}^({n}) is singular or too ill-conditioned: {exc}"

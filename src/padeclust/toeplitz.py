@@ -226,11 +226,8 @@ def log_abs_det(M) -> DetResult:
                      condition_estimate=cond)
 
 
-def _solve_normalized(A: np.ndarray, rhs: np.ndarray, cond_cap: float):
-    """Solve A x = rhs under the degeneracy cap; returns (x, logdet, cond)."""
-    nn = A.shape[0]
-    if nn == 0:
-        return rhs[:0], 0.0, 1.0
+def _solve_normalized(A: np.ndarray, rhs: np.ndarray):
+    """LAPACK solve of A x = rhs; returns (x, logdet, cond)."""
     anorm = float(np.abs(A).sum(axis=0).max())
     lu, piv, info = _getrf(A)
     diag = np.diagonal(lu)
@@ -238,23 +235,17 @@ def _solve_normalized(A: np.ndarray, rhs: np.ndarray, cond_cap: float):
         raise DegenerateSystem("denominator window matrix is singular")
     rcond = _gecon(lu, anorm)
     cond = float(1.0 / rcond) if rcond > 0 else math.inf
-    if cond > cond_cap:
-        raise DegenerateSystem(
-            f"denominator window matrix condition {cond:.3e} exceeds cap {cond_cap:.1e}"
-        )
     x = _getrs(lu, piv, rhs)
     logdet = float(np.sum(np.log(np.abs(diag))))
     return x, logdet, cond
 
 
-def _solve_normalized_extended(A: np.ndarray, rhs: np.ndarray, cond_cap: float, dps: int = 30):
+def _solve_normalized_extended(A: np.ndarray, rhs: np.ndarray, dps: int = 30):
     """mpmath route: LU solve at >= 30 significant digits, exact 1-norm
     condition via the inverse (sizes here are small), rounded back to double."""
     import mpmath as mp
 
     nn = A.shape[0]
-    if nn == 0:
-        return rhs[:0], 0.0, 1.0
     complex_field = A.dtype.kind == "c"
     with mp.workdps(dps):
         Am = mp.matrix([[mp.mpc(complex(v)) if complex_field else mp.mpf(float(v)) for v in row] for row in A])
@@ -270,16 +261,32 @@ def _solve_normalized_extended(A: np.ndarray, rhs: np.ndarray, cond_cap: float, 
         norm1 = max(sum(abs(Am[i, j]) for i in range(nn)) for j in range(nn))
         inv1 = max(sum(abs(Ainv[i, j]) for i in range(nn)) for j in range(nn))
         cond = float(norm1 * inv1)
-        if cond > cond_cap:
-            raise DegenerateSystem(
-                f"denominator window matrix condition {cond:.3e} exceeds cap {cond_cap:.1e}"
-            )
         logdet = float(mp.log(abs(det)))
         if complex_field:
             out = np.array([complex(v) for v in x], dtype=complex)
         else:
             out = np.array([float(v) for v in x], dtype=float)
     return out, logdet, cond
+
+
+def _solve_window(A: np.ndarray, rhs: np.ndarray, precision: str,
+                  cond_cap: Optional[float] = None):
+    """Solve the (n >= 1) normalized window system A x = rhs at the given
+    precision; returns (x, logdet, cond).  Raises DegenerateSystem when A is
+    singular or its condition exceeds cond_cap, by default the precision's
+    cap (1e12 double, 1e28 extended)."""
+    if precision == "extended":
+        x, logdet, cond = _solve_normalized_extended(A, rhs)
+        cap = COND_CAP_EXTENDED if cond_cap is None else cond_cap
+    elif precision == "double":
+        x, logdet, cond = _solve_normalized(A, rhs)
+        cap = COND_CAP_DOUBLE if cond_cap is None else cond_cap
+    else:
+        raise ValueError("precision must be 'double' or 'extended'")
+    if cond > cap:
+        raise DegenerateSystem(
+            f"denominator window matrix condition {cond:.3e} exceeds cap {cap:.1e}")
+    return x, logdet, cond
 
 
 def solve_denominator(
@@ -292,20 +299,11 @@ def solve_denominator(
     Raises DegenerateSystem when A is singular or its condition estimate
     exceeds the cap (1e12 double, 1e28 extended).
     """
-    if cond_cap is None:
-        cond_cap = COND_CAP_EXTENDED if precision == "extended" else COND_CAP_DOUBLE
     n = triple.n
     dtype = triple.A.dtype if n > 0 else triple.T.dtype
     q = np.zeros(n + 1, dtype=dtype)
     q[0] = 1.0
     if n == 0:
         return q
-    rhs = -triple.T[:, 0]
-    if precision == "extended":
-        tail, _, _ = _solve_normalized_extended(triple.A, rhs, cond_cap)
-    elif precision == "double":
-        tail, _, _ = _solve_normalized(triple.A, rhs, cond_cap)
-    else:
-        raise ValueError("precision must be 'double' or 'extended'")
-    q[1:] = tail
+    q[1:] = _solve_window(triple.A, -triple.T[:, 0], precision, cond_cap)[0]
     return q

@@ -14,9 +14,9 @@ import pytest
 
 from padeclust import experiments as ex
 from padeclust.cluster import EmpiricalMeasure, clustering_report
-from padeclust.errors import DegenerateSystem, EndCoefficientZero
+from padeclust.errors import DegenerateSystem, EndCoefficientZero, NonConvergence
 from padeclust.pade import et_ratio, pade
-from padeclust.poly import Polynomial, circle_log_average, find_roots, jensen_rhs
+from padeclust.poly import Polynomial, circle_log_average, find_roots, find_roots_batch, jensen_rhs
 from padeclust.sampler import (
     DISCRETE,
     GAUSSIAN,
@@ -96,8 +96,9 @@ def test_criterion_03_deterministic_inequality_suite(capsys):
     mass_checked = 0
     skipped_end = 0
     for spec in specs:
-        got, trial = 0, 0
-        while got < per_sampler:
+        accepted = []
+        trial = 0
+        while len(accepted) < per_sampler:
             coeffs = sample(spec, 64, 11, trial).coeffs
             trial += 1
             poly = Polynomial(coeffs)
@@ -106,7 +107,12 @@ def test_criterion_03_deterministic_inequality_suite(capsys):
             except EndCoefficientZero:
                 skipped_end += 1  # bounds need nonzero end coefficients
                 continue
-            roots = find_roots(poly)
+            accepted.append((coeffs, poly, et))
+        # one batched solve per sampler; each row is bitwise find_roots(poly)
+        found = find_roots_batch([poly for _, poly, _ in accepted])
+        for (coeffs, poly, et), roots in zip(accepted, found):
+            if isinstance(roots, NonConvergence):
+                raise roots
             rep = clustering_report(EmpiricalMeasure(roots), et,
                                     rhos=(0.05, 0.1, 0.2),
                                     grid_size=256, family_size=16)
@@ -121,7 +127,6 @@ def test_criterion_03_deterministic_inequality_suite(capsys):
                 mass_checked += 1
             except DegenerateSystem:
                 pass
-            got += 1
             checked += 1
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and checked == 10_000 and elapsed < 300.0

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from padeclust import experiments as ex
-from padeclust.errors import InvariantViolation
-from padeclust.sampler import DISCRETE, GAUSSIAN, distribution
+from padeclust.errors import InvariantViolation, NonConvergence
+from padeclust.sampler import DISCRETE, GAUSSIAN, distribution, sample
 
 
 def test_default_config_known_names():
@@ -47,6 +47,30 @@ def test_config_rejects_out_of_range_fields(override, field):
         ex.default_config(ex.DET_GROWTH, **override)
     with pytest.raises(ValueError, match=field):
         ex.ExperimentConfig.from_dict({**ex.default_config(ex.DET_GROWTH).to_dict(), **override})
+
+
+@pytest.mark.parametrize("name, overrides, field", [
+    (ex.POLE_CLUSTERING, dict(n=(0,)), r"\bn\b"),
+    (ex.POLE_CLUSTERING, dict(n=(8, 0)), r"\bn\b"),
+    (ex.POLE_CLUSTERING, dict(m=-1), r"\bm\b"),
+    (ex.POLE_CLUSTERING, dict(m=(1, 2)), r"\bm\b"),
+    (ex.POLE_CLUSTERING, dict(rhos=()), "rhos"),
+    (ex.ZERO_RADIUS, dict(rhos=()), "rhos"),
+    (ex.ZERO_RADIUS, dict(s_list=()), "s_list"),
+    (ex.ET_CLUSTERING, dict(n=(1, 2)), r"\bn\b"),
+    (ex.ET_CLUSTERING, dict(m=(0, 8)), r"\bm\b"),
+    (ex.ET_CLUSTERING, dict(rhos=()), "rhos"),
+    (ex.DISCRETE_EXAMPLE, dict(n=(1, 2)), r"\bn\b"),
+    (ex.DISCRETE_EXAMPLE, dict(n=0), r"\bn\b"),
+    (ex.DET_GROWTH, dict(n=(1, 2)), r"\bn\b"),
+])
+def test_protocol_rejects_bad_schedule_before_sampling(name, overrides, field, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config was validated")
+
+    monkeypatch.setattr(ex, "sample", no_sampling)
+    with pytest.raises(ValueError, match=field):
+        ex.execute(ex.default_config(name, trials=2, **overrides))
 
 
 def test_et_clustering_structure_and_decay():
@@ -142,6 +166,21 @@ def test_zero_radius_input_validation():
         ex.run_zero_radius(ex.default_config(ex.ZERO_RADIUS, N=64, trials=2, s_list=(1, 4)))
 
 
+@pytest.mark.parametrize("name, overrides, partial", [
+    # discrete_pm_1 draws a_0 = 0 with probability 1/3
+    (ex.ZERO_RADIUS, dict(spec=distribution(DISCRETE, M=1), N=24, r_schedule=(0.9,), s_list=(4,)),
+     {"n_roots", "roots_in_unit_disc", "min_modulus"}),
+    (ex.DISCRETE_EXAMPLE, dict(spec=distribution(DISCRETE, M=2), m=(8, 16), n=2),
+     {"m", "n", "order_residual", "condition"}),
+])
+def test_end_coefficient_exclusion_keeps_partial_columns(name, overrides, partial):
+    cfg = ex.default_config(name, trials=12, seed=6, **overrides)
+    excluded = [r for r in ex.RUNNERS[name](cfg)[1] if r.reason == "end_coefficient_zero"]
+    assert excluded
+    for r in excluded:
+        assert set(r.values) == partial
+
+
 def test_log_variance_profile_matches_direct_sum():
     for r, N in ((0.9, 50), (0.5, 12), (0.995, 2048)):
         direct = math.log(sum(r ** (2 * k) for k in range(N + 1)))
@@ -212,6 +251,10 @@ def test_trials_csv_is_byte_identical_across_workers_and_reruns(tmp_path):
     (ex.ET_CLUSTERING, dict(m=(8, 16), n=1, trials=8)),
     # M=2 mixes degenerate_system and end_coefficient_zero rows into the batch
     (ex.DISCRETE_EXAMPLE, dict(spec=distribution(DISCRETE, M=2), m=(8, 16), n=2, trials=12)),
+    # 7*16 gives B=4 for the degree-24 series
+    (ex.ZERO_RADIUS, dict(N=24, trials=9, r_schedule=(0.9,), s_list=(4,))),
+    # B=2 for the degree-40 series, 28 and 14 for the degree-4 and -8 denominators
+    (ex.POLE_CLUSTERING, dict(N=40, n=(4, 8), trials=8)),
 ])
 def test_trials_csv_is_byte_identical_across_batch_caps(name, overrides, tmp_path, monkeypatch):
     from padeclust import poly
@@ -227,6 +270,83 @@ def test_trials_csv_is_byte_identical_across_batch_caps(name, overrides, tmp_pat
     assert blobs[0] == blobs[1] == blobs[2]
     reasons = {line.split(",")[3] for line in blobs[0].decode().splitlines()[1:]}
     assert "" in reasons
+
+
+@pytest.mark.parametrize("name, overrides", [
+    (ex.ZERO_RADIUS, dict(N=24, r_schedule=(0.9,), s_list=(4, 8))),
+    (ex.POLE_CLUSTERING, dict(N=40, n=(4, 8, 16))),
+])
+def test_root_protocols_do_not_depend_on_workers_or_blocks(name, overrides, tmp_path,
+                                                           monkeypatch):
+    """37 trials split 12/12/13 across three workers; a budget of 100
+    coefficients gives blocks of 4 (N=24) or 2 (N=40) series, so the last
+    block of a range is partial."""
+    blobs = {}
+    for elems in (ex._BLOCK_ELEMS, 100):
+        monkeypatch.setattr(ex, "_BLOCK_ELEMS", elems)
+        for workers in (1, 3):
+            out = tmp_path / f"{elems}-{workers}"
+            ex.execute(ex.default_config(name, trials=37, seed=6, workers=workers, **overrides),
+                       out)
+            blobs[elems, workers] = (out / "trials.csv").read_bytes()
+    assert len(set(blobs.values())) == 1
+
+
+def _inject_series_failures(monkeypatch, config, failing):
+    """Wrap ex.find_roots_batch so that the series of the trials in
+    failing[tier] come back as NonConvergence in that tier (tier 0: offset
+    0, tier 1: offset 0.37); returns the log of series calls as
+    (kwargs, trials of the rows)."""
+    real = ex.find_roots_batch
+    trial_of = {sample(config.spec, config.N, config.seed, t).coeffs.tobytes(): t
+                for t in range(config.trials)}
+    calls = []
+
+    def wrapped(polys, **kwargs):
+        out = real(polys, **kwargs)
+        trials = [trial_of.get(p.coeffs.tobytes()) for p in polys]
+        if any(t is not None for t in trials):
+            calls.append((kwargs, trials))
+        tier = {0.0: 0, 0.37: 1}.get(kwargs.get("start_offset", 0.0))
+        fail = failing.get(tier, ()) if kwargs.get("precision", "double") == "double" else ()
+        return [NonConvergence("injected", partial=r) if t in fail else r
+                for t, r in zip(trials, out)]
+
+    monkeypatch.setattr(ex, "find_roots_batch", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("retry_fails", [False, True])
+@pytest.mark.parametrize("name, overrides", [
+    (ex.ZERO_RADIUS, dict(N=16, r_schedule=(0.9,), s_list=(4,))),
+    (ex.POLE_CLUSTERING, dict(N=16, n=(2, 4))),
+])
+def test_series_retry_tiers(name, overrides, retry_fails, precision, monkeypatch):
+    config = ex.default_config(name, trials=7, seed=3, precision=precision, **overrides)
+    clean = ex.RUNNERS[name](config)[1]
+    chosen = [1, 4, 5]
+    failing = {0: chosen, 1: chosen if retry_fails else ()}
+    calls = _inject_series_failures(monkeypatch, config, failing)
+    records = ex.RUNNERS[name](config)[1]
+
+    expected = [({}, list(range(config.trials))), ({"start_offset": 0.37}, chosen)]
+    if retry_fails and precision == "extended":
+        expected.append(({"precision": "extended"}, chosen))
+    assert calls == expected
+    assert len(records) == len(clean)
+    for got, want in zip(records, clean):
+        assert got.trial_index == want.trial_index
+        if got.trial_index not in chosen:
+            assert got == want
+        elif retry_fails and precision == "double":
+            assert (got.excluded, got.reason) == (True, "nonconvergence")
+        else:
+            # solved by a later tier: other start points, the same roots
+            assert (got.excluded, got.reason, got.values.keys()) == (
+                want.excluded, want.reason, want.values.keys())
+            for key, value in want.values.items():
+                assert got.values[key] == pytest.approx(value, rel=1e-6, abs=1e-9), key
 
 
 def test_trials_csv_round_trips_through_float_parse(tmp_path):

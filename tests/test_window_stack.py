@@ -185,7 +185,7 @@ def test_anticoncentration_records_match_per_trial(monkeypatch, elems, kind):
     """Trial counts that are not a multiple of the block size (23 trials in
     blocks of 40 // (2n - 1) with the small budget)."""
     if elems is not None:
-        monkeypatch.setattr(ex, "_WINDOW_ELEMS", elems)
+        monkeypatch.setattr(ex, "_BLOCK_ELEMS", elems)
     spec = distribution(kind, M=1) if kind == DISCRETE else distribution(kind)
     config = ex.default_config(ex.ANTICONCENTRATION, spec=spec, trials=23, seed=4)
     for idx, n in enumerate((1, 2, 5, 10)):
@@ -199,7 +199,7 @@ def test_anticoncentration_records_match_per_trial(monkeypatch, elems, kind):
 @pytest.mark.parametrize("kind", [GAUSSIAN, DISCRETE])
 def test_det_growth_records_match_per_trial(monkeypatch, elems, kind):
     if elems is not None:
-        monkeypatch.setattr(ex, "_WINDOW_ELEMS", elems)
+        monkeypatch.setattr(ex, "_BLOCK_ELEMS", elems)
     spec = distribution(kind, M=1) if kind == DISCRETE else distribution(kind)
     config = ex.default_config(ex.DET_GROWTH, spec=spec, m=(1, 3, 8, 12), n=4,
                                trials=11, seed=2)
@@ -222,7 +222,7 @@ def test_window_protocols_do_not_depend_on_workers(tmp_path, monkeypatch, elems,
     """37 trials split 12/12/13 across three workers, and into blocks that
     do not divide the worker ranges when the block budget is small."""
     if elems is not None:
-        monkeypatch.setattr(ex, "_WINDOW_ELEMS", elems)
+        monkeypatch.setattr(ex, "_BLOCK_ELEMS", elems)
     out = {}
     for workers in (1, 3):
         ex.execute(ex.default_config(name, workers=workers, seed=6, **overrides),
