@@ -13,9 +13,9 @@ non-degenerate trial; a single violation aborts the run.
 Every protocol has one runner shape: its run_* function validates the
 config, _by_range splits the trials into one contiguous range per worker,
 and _blocks samples each range in blocks of at most _BLOCK_ELEMS
-coefficients.  The protocol's stage function takes a whole block one stage
-at a time (one find_roots_batch or log_abs_dets call per stage) and writes
-its records in trial order.  The batched kernels give every polynomial's
+coefficients, one sample_block call per block.  The protocol's stage
+function takes a whole block one stage at a time (one find_roots_batch or
+log_abs_dets call per stage) and writes its records in trial order.  The batched kernels give every polynomial's
 roots and every window's determinant bitwise as the one-at-a-time calls
 would, so neither the range split, the block size nor the batch composition
 reaches trials.csv.
@@ -57,10 +57,11 @@ from .errors import (
 )
 from .pade import EtRatio, et_bound_chain, et_ratio, pade
 from .poly import Polynomial, find_roots, find_roots_batch
-from .sampler import DISCRETE, GAUSSIAN, LOGCONCAVE, DistributionSpec, distribution, sample
-# find_roots, assoc_matrix and log_abs_det are not called here any more, but
-# they stay module names: the benchmark tracer (perfbench/tracer.py) wraps
-# them here.
+from .sampler import (DISCRETE, GAUSSIAN, LOGCONCAVE, DistributionSpec, distribution, sample,
+                      sample_block)
+# sample, find_roots, assoc_matrix and log_abs_det are not called here any
+# more, but they stay module names: the benchmark tracer
+# (perfbench/tracer.py) wraps them here.
 from .toeplitz import WindowStack, assoc_matrix, build_triple, log_abs_det, log_abs_dets
 
 SCHEMA_VERSION = 1
@@ -113,6 +114,9 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.precision not in ("double", "extended"):
             raise ValueError(f"precision must be 'double' or 'extended', got {self.precision!r}")
 
@@ -232,9 +236,8 @@ def _blocks(config: ExperimentConfig, trials: range, length: int, k: int = 1,
     for lo in range(0, len(trials), step):
         block = trials[lo:lo + step]
         stack = WindowStack(len(block), length, k)
-        for row, trial in enumerate(block):
-            stack.coeffs[row] = sample(config.spec, length - 1, config.seed,
-                                       key_offset + trial).coeffs
+        sample_block(config.spec, length - 1, config.seed, key_offset + np.asarray(block),
+                     out=stack.coeffs)
         yield block, stack
 
 

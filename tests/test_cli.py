@@ -122,6 +122,14 @@ def test_experiment_bad_config_json(capsys, tmp_path):
     assert code == 1
 
 
+def test_experiment_negative_seed_is_a_config_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "experiment", "run", "toeplitz-anticoncentration",
+                             "--seed", "-1", "--trials", "2", "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert "config error" in err and "seed" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_experiment_missing_config_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "experiment", "run", "det-growth",
                              "--config", str(tmp_path / "absent.json"))

@@ -41,6 +41,8 @@ def test_config_from_dict_rejects_bad_input():
     (dict(workers=0), "workers"),
     (dict(workers=-1), "workers"),
     (dict(precision="foo"), "precision"),
+    (dict(seed=-1), "seed"),
+    (dict(seed=1.5), "seed"),
 ])
 def test_config_rejects_out_of_range_fields(override, field):
     with pytest.raises(ValueError, match=field):
@@ -69,6 +71,7 @@ def test_protocol_rejects_bad_schedule_before_sampling(name, overrides, field, m
         raise AssertionError("sampled before the config was validated")
 
     monkeypatch.setattr(ex, "sample", no_sampling)
+    monkeypatch.setattr(ex, "sample_block", no_sampling)
     with pytest.raises(ValueError, match=field):
         ex.execute(ex.default_config(name, trials=2, **overrides))
 

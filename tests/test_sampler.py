@@ -15,8 +15,11 @@ from padeclust.sampler import (
     CoefficientSample,
     DistributionSpec,
     distribution,
+    _draw,
+    _trial_keys,
     empirical_levy,
     sample,
+    sample_block,
 )
 
 
@@ -83,6 +86,76 @@ def test_sample_shape_and_kind():
         assert s.coeffs.shape == (10,)
     disc = sample(distribution(DISCRETE, M=5), 999, 0, 0).coeffs
     assert np.all(disc == np.round(disc)) and np.max(np.abs(disc)) <= 5
+
+
+# ---------------------------------------------------------------- bulk keys
+
+def _reference_rng(seed, trial_index):
+    """One trial's generator built on its own: a SeedSequence, a Philox and
+    a Generator per trial, the streams sample_block must reproduce."""
+    ss = np.random.SeedSequence(entropy=(int(seed), int(trial_index)))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+BIG_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 5]
+BIG_TRIALS = [0, 1, 2**32 - 1, 2**32]
+
+
+@pytest.mark.parametrize("seed", BIG_SEEDS)
+def test_trial_keys_match_seed_sequence(seed):
+    """Entropy of 2 to 5 words: past the 4-word pool for seeds >= 2**96, and
+    for seeds >= 2**64 with trials >= 2**32, with rows of one block of
+    different word counts."""
+    blocks = [BIG_TRIALS, BIG_TRIALS[::-1], range(2**32 - 3, 2**32 + 3), range(40)]
+    for trials in blocks:
+        want = [np.random.SeedSequence(entropy=(seed, t)).generate_state(2, np.uint64)
+                for t in trials]
+        got = _trial_keys(seed, trials)
+        assert got.dtype == np.uint64 and got.shape == (len(trials), 2)
+        assert np.array_equal(got, want)
+
+
+def test_trial_keys_reject_negative_and_non_integer_input():
+    with pytest.raises(ValueError):
+        _trial_keys(-1, [0])
+    with pytest.raises(ValueError):
+        _trial_keys(0, [3, -1])
+    with pytest.raises(ValueError):
+        sample(distribution(GAUSSIAN), 4, -1, 0)
+    with pytest.raises(ValueError):
+        sample(distribution(GAUSSIAN), 4, 0, -2)
+    with pytest.raises(TypeError):
+        _trial_keys(0, [0.5])
+
+
+SPECS = [distribution(GAUSSIAN), distribution(UNIFORM), distribution(LAPLACE),
+         distribution(DISCRETE, M=1), distribution(DISCRETE, M=5), distribution(LOGCONCAVE)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.M}")
+@pytest.mark.parametrize("N", [0, 38, 2048])
+@pytest.mark.parametrize("trials", [[5], [9, 3, 2**32, 4, 0, 17, 8]])
+def test_sample_block_matches_per_trial_generators(spec, N, trials):
+    """Odd row lengths leave a buffered 32-bit half (discrete kinds) and a
+    part-used Philox buffer behind each row; the next row must not see
+    them."""
+    want = np.array([_draw(_reference_rng(7, t), spec, N + 1) for t in trials])
+    got = sample_block(spec, N, 7, trials)
+    assert got.shape == (len(trials), N + 1)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for row, t in zip(want, trials):
+        assert np.array_equal(sample(spec, N, 7, t).coeffs.view(np.uint64), row.view(np.uint64))
+
+
+def test_sample_block_fills_a_strided_out():
+    spec = distribution(DISCRETE, M=5)
+    buf = np.zeros((4, 12))
+    out = buf[:, 3:]
+    assert sample_block(spec, 8, 2, range(10, 14), out=out) is out
+    assert np.array_equal(out, sample_block(spec, 8, 2, range(10, 14)))
+    assert np.all(buf[:, :3] == 0.0)
+    with pytest.raises(ValueError):
+        sample_block(spec, 8, 2, range(10, 13), out=out)
 
 
 # ---------------------------------------------------------------- isotropy

@@ -9,9 +9,14 @@ that trials.csv does not depend on the worker count or the block size.
 """
 
 import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from padeclust import experiments as ex
@@ -229,6 +234,38 @@ def test_window_protocols_do_not_depend_on_workers(tmp_path, monkeypatch, elems,
                    tmp_path / str(workers))
         out[workers] = (tmp_path / str(workers) / "trials.csv").read_bytes()
     assert out[1] == out[3]
+
+
+@st.composite
+def window_runs(draw):
+    """A small anticoncentration or det-growth config of 1-40 trials, a
+    worker count of 1-3 and a block budget of 1-400 coefficients."""
+    name = draw(st.sampled_from([ex.ANTICONCENTRATION, ex.DET_GROWTH]))
+    spec = draw(st.sampled_from([distribution(GAUSSIAN), distribution(DISCRETE, M=1)]))
+    if name == ex.ANTICONCENTRATION:
+        schedule = dict(n=tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3,
+                                              unique=True))))
+    else:
+        schedule = dict(n=draw(st.integers(0, 5)),
+                        m=tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3,
+                                              unique=True))))
+    config = ex.default_config(name, spec=spec, trials=draw(st.integers(1, 40)),
+                               seed=draw(st.integers(0, 2**32)), **schedule)
+    return config, draw(st.integers(1, 3)), draw(st.integers(1, 400))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(window_runs())
+def test_window_protocol_output_is_independent_of_workers_and_blocks(run):
+    """trials.csv equals the one-worker run at the default block budget."""
+    config, workers, elems = run
+    with tempfile.TemporaryDirectory() as tmp:
+        ex.execute(config, Path(tmp, "reference"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ex, "_BLOCK_ELEMS", elems)
+            ex.execute(replace(config, workers=workers), Path(tmp, "run"))
+        assert (Path(tmp, "run", "trials.csv").read_bytes()
+                == Path(tmp, "reference", "trials.csv").read_bytes())
 
 
 def test_det_growth_rejects_negative_n():
