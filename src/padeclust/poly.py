@@ -14,7 +14,11 @@ Newton ratio p/p' is evaluated through the reversed polynomial at w = 1/z,
 which keeps Horner finite at any start radius and any degree.  Horner runs
 once per sweep over every active iterate: a (d+1, 2B) table holds the B
 forward coefficient columns next to the B reversed ones, and each iterate
-reads the forward column at z or the reversed column at 1/z.
+reads the forward column at z or the reversed column at 1/z.  The points of
+a pass are visited sorted by table column, so each coefficient step adds a
+contiguous row of a block of table rows expanded once per block, with no
+per-coefficient gather.  The repulsion sums take each row block's differences
+from contiguous operands: repeated iterates minus the iterates tiled once.
 find_roots_batch iterates a (B, d) stack of same-degree polynomials at once,
 sharing the Python-level Horner loop; find_roots is its B = 1 call.
 """
@@ -175,28 +179,58 @@ def _fold(table: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray]):
     return x, cols, outer
 
 
+# Entries per expanded coefficient block in Horner: a block holds
+# _HORNER_ELEMS // n table rows for n points (8 at n = 4,096), so it stays
+# within 512 KB up to 32,768 points.
+_HORNER_ELEMS = 32768
+
+
 def _horner_pair(table: np.ndarray, x: np.ndarray, cols: np.ndarray):
     """p(x) and p'(x), point x[i] evaluated on table column cols[i].
 
-    Each element sees the same sequence of floating-point operations however
-    many points share the call.  The products stay out of place: numpy's
-    in-place complex multiply rounds a one-element array differently from a
-    longer one.
+    The points are visited sorted by column, so each coefficient addend is a
+    contiguous row of np.repeat(table[lo:hi], counts, axis=1): a block of at
+    most _HORNER_ELEMS // len(x) table rows, expanded once per block rather
+    than gathered per coefficient.  The steps write into reused buffers and
+    the results are scattered back to the input order.  Each element sees
+    the same sequence of floating-point operations however many points share
+    the call.  Every multiply writes to a buffer distinct from its inputs:
+    numpy's in-place complex multiply rounds a one-element array differently
+    from a longer one.  The in-place adds are exact.
     """
-    p = np.zeros_like(x)
-    dp = np.zeros_like(x)
-    for ck in table[::-1]:
-        dp = dp * x + p
-        p = p * x + ck[cols]
-    return p, dp
+    return _horner_steps(table, x, cols, True)
 
 
 def _horner(table: np.ndarray, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """p(x) alone, by the same out-of-place steps as _horner_pair."""
-    p = np.zeros_like(x)
-    for ck in table[::-1]:
-        p = p * x + ck[cols]
-    return p
+    """p(x) alone, by the same steps as _horner_pair."""
+    return _horner_steps(table, x, cols, False)
+
+
+def _horner_steps(table: np.ndarray, x: np.ndarray, cols: np.ndarray, deriv: bool):
+    """The Horner loop of _horner_pair and _horner; p' is carried only when
+    ``deriv``."""
+    order = np.argsort(cols, kind="stable")
+    counts = np.bincount(cols, minlength=table.shape[1])
+    xs = x[order]
+    p, u = np.zeros_like(xs), np.empty_like(xs)
+    dp, t = (np.zeros_like(xs), np.empty_like(xs)) if deriv else (None, None)
+    step = max(1, _HORNER_ELEMS // max(len(xs), 1))
+    for hi in range(len(table), 0, -step):
+        for ek in np.repeat(table[max(0, hi - step):hi], counts, axis=1)[::-1]:
+            if deriv:
+                np.multiply(dp, xs, out=t)
+                np.add(t, p, out=t)
+                dp, t = t, dp
+            np.multiply(p, xs, out=u)
+            np.add(u, ek, out=u)
+            p, u = u, p
+    out = np.empty_like(p)
+    out[order] = p
+    if not deriv:
+        return out
+    dout = np.empty_like(dp)
+    dout[order] = dp
+    return out, dout
 
 
 def _newton_ratio(table: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
@@ -233,25 +267,34 @@ _REPULSION_ELEMS = 8192
 def _repulsion(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """S_i = sum_{j != i} 1/(z_i - z_j) for i in idx, as conj(z_i - z_j)/|.|^2.
 
-    The conjugated differences are taken from conj(z) directly, and each is
-    multiplied by the real reciprocal 1/|.|^2.  Numpy divides by a complex
-    with zero imaginary part by Smith's formula, which reduces to that same
-    product, so the multiply gives the bits of a complex division by |.|^2,
-    NaN on a collision included, without its per-entry cost.  A diagonal
-    entry has |.|^2 = inf and adds zero.
+    The conjugated differences are taken from conj(z) directly.  A row
+    block's differences come from contiguous operands, each row's conj(z_i)
+    repeated n times minus conj(z) tiled once per call, not from a
+    (rows, 1) - (1, n) broadcast; |.|^2 squares the real and imaginary parts
+    through a float view.  Each difference is multiplied by the real
+    reciprocal 1/|.|^2.  Numpy divides by a complex with zero imaginary part
+    by Smith's formula, which reduces to that same product, so the multiply
+    gives the bits of a complex division by |.|^2, NaN on a collision
+    included, without its per-entry cost.  A diagonal entry has |.|^2 = inf
+    and adds zero.
     """
     zc = np.conjugate(z)
-    step = max(1, _REPULSION_ELEMS // len(z))
+    n = len(z)
+    step = max(1, _REPULSION_ELEMS // n)
+    tiled = np.repeat(zc[None, :], min(step, len(idx)), axis=0).ravel()
+    diff = np.empty_like(tiled)
     S = np.empty(len(idx), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s0 in range(0, len(idx), step):
             rows = idx[s0:s0 + step]
-            d = zc[rows, None] - zc[None, :]
-            mag = d.real * d.real + d.imag * d.imag
-            mag[np.arange(len(rows)), rows] = np.inf
+            r = len(rows)
+            d = np.subtract(np.repeat(zc[rows], n), tiled[:r * n], out=diff[:r * n]).reshape(r, n)
+            sq = np.square(d.view(float)).reshape(r, n, 2)
+            mag = sq[..., 0] + sq[..., 1]
+            mag[np.arange(r), rows] = np.inf
             np.divide(1.0, mag, out=mag)
             d *= mag
-            S[s0:s0 + len(rows)] = d.sum(axis=1)
+            S[s0:s0 + r] = d.sum(axis=1)
     return S
 
 

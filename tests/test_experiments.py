@@ -1,10 +1,13 @@
 import json
 import math
+import tempfile
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padeclust import experiments as ex
 from padeclust.errors import InvariantViolation, NonConvergence
@@ -273,6 +276,43 @@ def test_trials_csv_is_byte_identical_across_batch_caps(name, overrides, tmp_pat
     assert blobs[0] == blobs[1] == blobs[2]
     reasons = {line.split(",")[3] for line in blobs[0].decode().splitlines()[1:]}
     assert "" in reasons
+
+
+@st.composite
+def root_runs(draw):
+    """A small zero-radius or et-clustering config of 1-8 trials and budgets
+    for the batch cap, the repulsion blocks and the Horner expansion blocks."""
+    name = draw(st.sampled_from([ex.ZERO_RADIUS, ex.ET_CLUSTERING]))
+    spec = draw(st.sampled_from([distribution(GAUSSIAN), distribution(DISCRETE, M=1)]))
+    if name == ex.ZERO_RADIUS:
+        schedule = dict(N=draw(st.integers(8, 40)), r_schedule=(0.9,), s_list=(4,))
+    else:
+        schedule = dict(m=tuple(draw(st.lists(st.integers(2, 30), min_size=1, max_size=3,
+                                              unique=True))),
+                        n=draw(st.integers(1, 2)))
+    config = ex.default_config(name, spec=spec, trials=draw(st.integers(1, 8)),
+                               seed=draw(st.integers(0, 2**32)), **schedule)
+    budgets = dict(_BATCH_ELEMS=draw(st.integers(1, 200)),
+                   _REPULSION_ELEMS=draw(st.integers(1, 200)),
+                   _HORNER_ELEMS=draw(st.integers(1, 400)))
+    return config, budgets
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(root_runs())
+def test_root_protocol_output_is_independent_of_kernel_budgets(run):
+    """trials.csv equals the run at the default batch and block budgets."""
+    from padeclust import poly
+
+    config, budgets = run
+    with tempfile.TemporaryDirectory() as tmp:
+        ex.execute(config, Path(tmp, "reference"))
+        with pytest.MonkeyPatch.context() as mp:
+            for attr, elems in budgets.items():
+                mp.setattr(poly, attr, elems)
+            ex.execute(config, Path(tmp, "run"))
+        assert (Path(tmp, "run", "trials.csv").read_bytes()
+                == Path(tmp, "reference", "trials.csv").read_bytes())
 
 
 @pytest.mark.parametrize("name, overrides", [

@@ -177,6 +177,16 @@ def test_find_roots_nonconvergence_carries_partial():
     assert partial is not None and len(partial) == 3 and not partial.converged
 
 
+@pytest.mark.xfail(strict=True, raises=NonConvergence, reason=(
+    "multiple root: the residual reaches 3.4e-17 but |p/p'| never drops below the "
+    "step rule's 1e-12*(1+|z|); ROADMAP item 4's backward-error stop makes this pass"))
+def test_find_roots_multiple_root():
+    rs = find_roots(np.poly(np.ones(8))[::-1])  # (z - 1)**8
+    assert rs.converged and len(rs) == 8
+    # an 8-fold root is conditioned to about eps**(1/8)
+    assert np.abs(rs.roots - 1.0).max() < 0.1
+
+
 def test_find_roots_degenerate_input():
     with pytest.raises(DegenerateInput):
         find_roots(Polynomial([2.0]))

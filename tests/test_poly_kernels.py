@@ -133,6 +133,31 @@ def test_repulsion_bitwise_when_mag_underflows_or_overflows(n, scale):
         assert_bitwise(P._repulsion(z, idx), want)
 
 
+@pytest.mark.parametrize("elems", [1, 3 * 50 + 7, P._REPULSION_ELEMS])
+def test_repulsion_bitwise_on_partial_and_unordered_row_blocks(elems, monkeypatch):
+    """Row blocks of 1, 3 and 163 rows over 50 iterates, the rows out of
+    order; at 3 rows the last block of every idx below is partial."""
+    monkeypatch.setattr(P, "_REPULSION_ELEMS", elems)
+    rng = np.random.default_rng(300 + elems)
+    n = 50
+    z = gaussian_points(rng, n)
+    for idx in (rng.permutation(n), rng.choice(n, size=17, replace=False),
+                np.arange(n)[::-1], np.array([n - 1])):
+        with np.errstate(all="ignore"):
+            want = ref_repulsion(z, idx)
+        assert_bitwise(P._repulsion(z, idx), want)
+
+
+def test_repulsion_bitwise_on_partial_row_block_at_degree_2048():
+    # 4 rows per block: 10 unordered rows make blocks of 4, 4 and 2
+    rng = np.random.default_rng(301)
+    z = gaussian_points(rng, 2048)
+    idx = rng.choice(2048, size=10, replace=False)
+    with np.errstate(all="ignore"):
+        want = ref_repulsion(z, idx)
+    assert_bitwise(P._repulsion(z, idx), want)
+
+
 def test_repulsion_bitwise_with_equal_imaginary_parts():
     # differences with a zero imaginary part exercise the sign of zero
     rng = np.random.default_rng(7)
@@ -197,6 +222,70 @@ def test_one_pass_horner_matches_two_passes_batched(B):
         assert_bitwise(P._newton_ratio(single, z[own]), ratio[own])
         for i in np.flatnonzero(own):
             assert_bitwise(P._newton_ratio(table, z[i:i + 1], rows[i:i + 1]), ratio[i:i + 1])
+
+
+def assert_horner_matches_reference(table, z, rows):
+    """_horner_pair on the folded points, and the Newton ratio and log|p|
+    built on it, against the per-coefficient gather of the reference."""
+    B = table.shape[1] // 2
+    x, cols, _ = P._fold(table, z, rows)
+    with np.errstate(all="ignore"):
+        want_p, want_dp = ref_horner_pair(table, x, cols)
+        ratio = ref_newton_ratio(table[:, :B], z, rows)
+        logp = ref_log_abs_eval(table[:, :B], z, rows)
+    got_p, got_dp = P._horner_pair(table, x, cols)
+    assert_bitwise(got_p, want_p)
+    assert_bitwise(got_dp, want_dp)
+    assert_bitwise(P._horner(table, x, cols), want_p)
+    assert_bitwise(P._newton_ratio(table, z, rows), ratio)
+    assert_bitwise(P._log_abs_eval(table, z, rows), logp)
+
+
+def test_horner_bitwise_on_unsorted_interleaved_columns():
+    # unsorted polynomial rows and inner and outer points in random order,
+    # so forward and reversed columns interleave in the input order
+    rng = np.random.default_rng(21)
+    B, d = 3, 25
+    C = gaussian_points(rng, B * (d + 1)).reshape(B, d + 1)
+    z = mixed_points(rng, 10 * B)
+    rows = rng.integers(0, B, size=len(z))
+    assert np.any(np.diff(rows) < 0)
+    assert_horner_matches_reference(P._horner_table(C), z, rows)
+
+
+def test_horner_bitwise_on_162_column_stack():
+    # B = 81 at degree 50 (the largest et-sweep stack), every column in use
+    rng = np.random.default_rng(22)
+    B, d = 81, 50
+    C = gaussian_points(rng, B * (d + 1)).reshape(B, d + 1)
+    z = mixed_points(rng, 4 * B)
+    rows = np.concatenate([np.arange(B), rng.integers(0, B, size=len(z) - B)])
+    perm = rng.permutation(len(z))
+    table = P._horner_table(C)
+    assert table.shape[1] == 162
+    assert_horner_matches_reference(table, z, rows[perm])
+
+
+@pytest.mark.parametrize("elems", [1, 5, 7 * 40 + 3])
+def test_horner_bitwise_with_partial_last_expansion_block(elems, monkeypatch):
+    """Expansion blocks of 1, 1 and 7 table rows for 40 points: 31 rows
+    leave a partial last block of 3 in the last case."""
+    monkeypatch.setattr(P, "_HORNER_ELEMS", elems)
+    rng = np.random.default_rng(23)
+    B, d = 2, 30
+    C = gaussian_points(rng, B * (d + 1)).reshape(B, d + 1)
+    z = mixed_points(rng, 20)[:40]
+    assert_horner_matches_reference(P._horner_table(C), z, rng.integers(0, B, size=len(z)))
+
+
+@pytest.mark.parametrize("point", [0.3 - 0.2j, 2.5 + 1.0j, 1.0, 0j])
+def test_horner_bitwise_on_a_single_point(point):
+    rng = np.random.default_rng(24)
+    B, d = 3, 40
+    C = gaussian_points(rng, B * (d + 1)).reshape(B, d + 1)
+    z = np.array([point], dtype=complex)
+    assert_horner_matches_reference(P._horner_table(C), z, np.array([2]))
+    assert_horner_matches_reference(P._horner_table(C[:1]), z, None)
 
 
 def test_find_roots_batch_matches_reference_kernels(monkeypatch):
