@@ -205,8 +205,16 @@ def _single(config: ExperimentConfig, field: str, default: int) -> int:
 
 
 def _need_rhos(config: ExperimentConfig) -> None:
+    """Check the fields _check_clustering reads, before any sampling."""
     if not config.rhos:
         raise ValueError(f"{config.name} needs at least one radius in rhos")
+    if not all(0.0 < rho <= 1.0 for rho in config.rhos):
+        raise ValueError(f"{config.name} needs every rho in rhos to lie in (0, 1], "
+                         f"got {list(config.rhos)}")
+    if config.grid_size < 4:
+        raise ValueError(f"{config.name} needs grid_size >= 4, got {config.grid_size}")
+    if config.family_size < 8:
+        raise ValueError(f"{config.name} needs family_size >= 8, got {config.family_size}")
 
 
 def _by_range(config: ExperimentConfig, fn: Callable[[range], List]) -> List:

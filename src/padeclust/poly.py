@@ -21,12 +21,14 @@ per-coefficient gather.  The repulsion sums take each row block's differences
 from contiguous operands: repeated iterates minus the iterates tiled once.
 find_roots_batch iterates a (B, d) stack of same-degree polynomials at once,
 sharing the Python-level Horner loop; find_roots is its B = 1 call.
+precision="extended" continues each row's double iterates in mpmath at
+EXTENDED_DPS digits until they settle there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +43,8 @@ ZERO_REL = 1e-13
 _GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
 
 _STEP_REL = 1e-14  # per-root stopping threshold on the Aberth step
+
+EXTENDED_DPS = 30  # digits of precision="extended" here and in toeplitz
 
 
 def coeff_vector(coeffs) -> np.ndarray:
@@ -394,61 +398,38 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
     return Z, ~active.any(axis=1)
 
 
-def _aberth_extended(c: np.ndarray, max_iter: int, offset: float, dps: int):
-    """Scalar mpmath version of the same iteration; slow but arbitrary
-    precision.  Intended for modest degrees or as a retry path."""
+def _aberth_extended(c: np.ndarray, z: np.ndarray, max_iter: int):
+    """Continue the Aberth sweep of row c from its double iterates z in
+    mpmath at EXTENDED_DPS digits, where p and p' cannot overflow at any |z|.
+    A zero division (p' = 0, a collision, a zero denominator) kicks the
+    iterate as _aberth does.  Returns the iterates rounded to double and
+    whether all settled within max_iter sweeps."""
     import mpmath as mp
 
-    with mp.workdps(dps):
-        cm = [mp.mpc(complex(v)) for v in c]
-        crm = cm[::-1]
-        d = len(cm) - 1
-        radius = 1 + max(abs(v) for v in cm[:-1]) / abs(cm[-1])
-        z = [mp.mpc(complex(v)) for v in _start_points(c, offset)]
-        stop = mp.mpf(10) ** (-dps + 2)
-
-        def ratio(zi):
-            if abs(zi) <= 1:
-                p = dp = mp.mpc(0)
-                for ck in reversed(cm):
-                    dp = dp * zi + p
-                    p = p * zi + ck
-                return p / dp if dp != 0 else None
-            w = 1 / zi
-            pr = dpr = mp.mpc(0)
-            for ck in reversed(crm):
-                dpr = dpr * w + pr
-                pr = pr * w + ck
-            den = d * pr - w * dpr
-            return zi * pr / den if den != 0 else None
-
-        active = [True] * d
+    with mp.workdps(EXTENDED_DPS):
+        cm = [mp.mpc(complex(v)) for v in c[::-1]]
+        radius = 1 + max(abs(v) for v in cm[1:]) / abs(cm[0])
+        zm = [mp.mpc(complex(v)) for v in z]
+        stop = mp.mpf(10) ** (2 - EXTENDED_DPS)
+        active = [True] * len(zm)
         for it in range(max_iter):
-            for i in range(d):
+            for i, zi in enumerate(zm):
                 if not active[i]:
                     continue
-                s = ratio(z[i])
-                if s is None:
-                    z[i] += 1e-3 * radius * mp.expjpi(_GOLDEN_ANGLE * (it + i) / mp.pi)
+                try:
+                    p, dp = mp.polyval(cm, zi, derivative=True)
+                    s = p / dp
+                    corr = s / (1 - s * mp.fsum(1 / (zi - zj) for j, zj in enumerate(zm) if j != i))
+                except ZeroDivisionError:
+                    zm[i] = zi + 1e-3 * radius * mp.expjpi(_GOLDEN_ANGLE * (it + i) / mp.pi)
                     continue
-                S = mp.mpc(0)
-                for j in range(d):
-                    if j != i:
-                        S += 1 / (z[i] - z[j])
-                den = 1 - s * S
-                if den == 0:
-                    z[i] += 1e-3 * radius * mp.expjpi(_GOLDEN_ANGLE * (it + i) / mp.pi)
-                    continue
-                corr = s / den
-                z[i] -= corr
-                if abs(corr) <= stop * (1 + abs(z[i])) and abs(s) <= stop * 100 * (1 + abs(z[i])):
+                zm[i] = zi - corr
+                tiny = stop * (1 + abs(zm[i]))
+                if abs(corr) <= tiny and abs(s) <= 100 * tiny:
                     active[i] = False
             if not any(active):
                 break
-        return (
-            np.array([complex(v) for v in z], dtype=complex),
-            not any(active),
-        )
+        return np.array([complex(v) for v in zm], dtype=complex), not any(active)
 
 
 def _sorted_roots(roots: np.ndarray) -> np.ndarray:
@@ -468,7 +449,6 @@ def find_roots_batch(
     tol: float = 1e-10,
     max_iter: int = 150,
     precision: str = "double",
-    dps: int = 30,
     start_offset: float = 0.0,
 ) -> List[Union[RootSet, NonConvergence]]:
     """find_roots for each polynomial of ``polys``, in input order.
@@ -505,10 +485,9 @@ def find_roots_batch(
     for d, members in by_degree.items():
         for chunk in _chunks(members, d):
             C = np.stack([full[i][-d - 1:] for i in chunk])
-            if precision == "double":
-                Z, row_ok = _aberth(C, max_iter, start_offset)
-            else:
-                Z, row_ok = zip(*(_aberth_extended(c, max_iter, start_offset, dps) for c in C))
+            Z, row_ok = _aberth(C, max_iter, start_offset)
+            if precision == "extended":
+                Z, row_ok = zip(*(_aberth_extended(c, z, max_iter) for c, z in zip(C, Z)))
             for i, z, ok in zip(chunk, Z, row_ok):
                 roots[i] = np.concatenate([roots[i], z])
                 settled[i] = bool(ok)
@@ -550,7 +529,6 @@ def find_roots(
     tol: float = 1e-10,
     max_iter: int = 150,
     precision: str = "double",
-    dps: int = 30,
     start_offset: float = 0.0,
 ) -> RootSet:
     """All roots of p, with zeros at the origin split off exactly.
@@ -559,7 +537,7 @@ def find_roots(
     budget runs out with the residual above tol; the caller may retry with a
     different ``start_offset`` or with precision="extended".
     """
-    (rs,) = find_roots_batch([p], tol, max_iter, precision, dps, start_offset)
+    (rs,) = find_roots_batch([p], tol, max_iter, precision, start_offset)
     if isinstance(rs, NonConvergence):
         raise rs
     return rs

@@ -9,7 +9,6 @@ B = 1 call, so a determinant comes out the same bits alone or in a stack.
 
 Index conventions (a_l = 0 for l < 0 throughout):
 
-* ``C`` is (m+1) x (n+1) with C[i][j] = a_{i-j}         (numerator product)
 * ``T`` is  n    x (n+1) with T[i][j] = a_{m+1+i-j}     (order conditions)
 * ``A`` is  n    x  n    with A[i][j] = a_{m+i-j}, i.e. columns 2..n+1 of T
 
@@ -28,6 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack
 
 from .errors import DegenerateSystem, InsufficientCoefficients
+from .poly import EXTENDED_DPS
 
 COND_CAP_DOUBLE = 1e12
 COND_CAP_EXTENDED = 1e28
@@ -37,7 +37,6 @@ COND_CAP_EXTENDED = 1e28
 class ToeplitzTriple:
     m: int
     n: int
-    C: np.ndarray
     T: np.ndarray
     A: np.ndarray
 
@@ -86,7 +85,7 @@ def assoc_matrix(coeffs, m: int, k: int) -> np.ndarray:
 
 
 def build_triple(coeffs, m: int, n: int) -> ToeplitzTriple:
-    """Build the C, T, A windows for the [m, n] problem."""
+    """Build the T, A windows for the [m, n] problem."""
     arr = _as_coeff_array(coeffs)
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
@@ -94,13 +93,11 @@ def build_triple(coeffs, m: int, n: int) -> ToeplitzTriple:
         raise InsufficientCoefficients(
             f"need at least m+n+1 = {m + n + 1} coefficients, got {len(arr)}"
         )
-    i_c = np.arange(m + 1)[:, None]
-    j_c = np.arange(n + 1)[None, :]
-    C = _window(arr, i_c - j_c)
     i_t = np.arange(n)[:, None]
-    T = _window(arr, m + 1 + i_t - j_c)
+    j_t = np.arange(n + 1)[None, :]
+    T = _window(arr, m + 1 + i_t - j_t)
     A = T[:, 1:].copy() if n > 0 else np.zeros((0, 0), dtype=arr.dtype)
-    return ToeplitzTriple(m=m, n=n, C=C, T=T, A=A)
+    return ToeplitzTriple(m=m, n=n, T=T, A=A)
 
 
 def _getrf(M: np.ndarray):
@@ -240,14 +237,14 @@ def _solve_normalized(A: np.ndarray, rhs: np.ndarray):
     return x, logdet, cond
 
 
-def _solve_normalized_extended(A: np.ndarray, rhs: np.ndarray, dps: int = 30):
-    """mpmath route: LU solve at >= 30 significant digits, exact 1-norm
+def _solve_normalized_extended(A: np.ndarray, rhs: np.ndarray):
+    """mpmath route: LU solve at EXTENDED_DPS significant digits, exact 1-norm
     condition via the inverse (sizes here are small), rounded back to double."""
     import mpmath as mp
 
     nn = A.shape[0]
     complex_field = A.dtype.kind == "c"
-    with mp.workdps(dps):
+    with mp.workdps(EXTENDED_DPS):
         Am = mp.matrix([[mp.mpc(complex(v)) if complex_field else mp.mpf(float(v)) for v in row] for row in A])
         bm = mp.matrix([mp.mpc(complex(v)) if complex_field else mp.mpf(float(v)) for v in rhs])
         try:

@@ -68,6 +68,16 @@ def test_config_rejects_out_of_range_fields(override, field):
     (ex.DISCRETE_EXAMPLE, dict(n=(1, 2)), r"\bn\b"),
     (ex.DISCRETE_EXAMPLE, dict(n=0), r"\bn\b"),
     (ex.DET_GROWTH, dict(n=(1, 2)), r"\bn\b"),
+    (ex.ET_CLUSTERING, dict(grid_size=3), "grid_size"),
+    (ex.ET_CLUSTERING, dict(family_size=7), "family_size"),
+    (ex.ET_CLUSTERING, dict(rhos=(0.1, 0.0)), "rhos"),
+    (ex.ET_CLUSTERING, dict(rhos=(1.5,)), "rhos"),
+    (ex.DISCRETE_EXAMPLE, dict(grid_size=0), "grid_size"),
+    (ex.DISCRETE_EXAMPLE, dict(rhos=(-0.1,)), "rhos"),
+    (ex.ZERO_RADIUS, dict(family_size=4), "family_size"),
+    (ex.ZERO_RADIUS, dict(rhos=(0.05, 2.0)), "rhos"),
+    (ex.POLE_CLUSTERING, dict(grid_size=2), "grid_size"),
+    (ex.POLE_CLUSTERING, dict(rhos=(math.nan,)), "rhos"),
 ])
 def test_protocol_rejects_bad_schedule_before_sampling(name, overrides, field, monkeypatch):
     def no_sampling(*args, **kwargs):

@@ -1,14 +1,17 @@
 """Unit tests for polynomial arithmetic, root finding and circle averages.
 
 Oracles used here are independent of the implementation under test:
-companion-matrix eigenvalues for roots, a brute-force convolution loop for
-products, and the two sides of Jensen's identity against each other.
+companion-matrix eigenvalues and mpmath.polyroots for roots, a brute-force
+convolution loop for products, and the two sides of Jensen's identity
+against each other.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from padeclust import (
     DegenerateInput,
@@ -21,7 +24,7 @@ from padeclust import (
     jensen_rhs,
     truncated_product,
 )
-from padeclust.poly import ZERO_REL
+from padeclust.poly import EXTENDED_DPS, ZERO_REL
 from padeclust.sampler import DISCRETE, distribution, sample
 
 
@@ -229,8 +232,9 @@ def _mixed_polys():
 def test_find_roots_batch_matches_find_roots_bitwise(max_iter, precision):
     polys = _mixed_polys()
     if precision == "extended":
-        # the mpmath path is slow: keep the low degrees, repeats included
-        polys = [p for p in polys if len(p) <= 13]
+        # the mpmath continuation costs about d^2 mp operations per sweep:
+        # keep the degrees up to 50, repeats included
+        polys = [p for p in polys if len(p) <= 51]
     batch = find_roots_batch(polys, max_iter=max_iter, precision=precision)
     assert len(batch) == len(polys)
     unsettled = 0
@@ -255,6 +259,43 @@ def test_find_roots_extended_precision_matches_double():
     a = find_roots(Polynomial(c))
     b = find_roots(Polynomial(c), precision="extended")
     assert match_distance(a.roots, b.roots) < 1e-12
+
+
+def _mp_roots(c):
+    """Oracle: mpmath.polyroots (Durand-Kerner) at EXTENDED_DPS digits."""
+    with mpmath.workdps(EXTENDED_DPS):
+        roots = mpmath.polyroots([mpmath.mpc(complex(v)) for v in c[::-1]],
+                                 maxsteps=200, extraprec=100)
+        return np.array([complex(v) for v in roots])
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_find_roots_extended_matches_mpmath_polyroots(kind):
+    rng = np.random.default_rng(31)
+    polys = [rng.standard_normal(d + 1) for d in (2, 3, 5, 8, 12)]
+    if kind == "complex":
+        polys = [c + 1j * rng.standard_normal(len(c)) for c in polys]
+    else:
+        # (z-1)...(z-6): exact integer coefficients, and double precision
+        # alone does not settle on these ill-conditioned roots
+        polys.append(np.poly(np.arange(1.0, 7.0))[::-1])
+    for c in polys:
+        got = find_roots(c, precision="extended").roots
+        want = _mp_roots(c)
+        cost = np.abs(got[:, None] - want[None, :])
+        i, j = linear_sum_assignment(cost)
+        assert np.all(cost[i, j] <= 1e-14 * (1.0 + np.abs(want[j])))
+
+
+def test_find_roots_extended_continues_unsettled_double_iterates():
+    # 8 double sweeps leave this degree-40 polynomial unsettled; extended
+    # precision continues those iterates and settles within its own 8
+    c = np.random.default_rng(0).standard_normal(41)
+    with pytest.raises(NonConvergence, match="did not settle"):
+        find_roots(c, max_iter=8)
+    rs = find_roots(c, max_iter=8, precision="extended")
+    assert rs.converged and len(rs) == 40
+    assert match_distance(rs.roots, find_roots(c).roots) < 1e-12
 
 
 def test_find_roots_large_start_radius_stays_finite():

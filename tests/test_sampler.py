@@ -162,7 +162,7 @@ def test_sample_block_fills_a_strided_out():
 
 def test_gaussian_n0_single_draw_statistics():
     spec = distribution(GAUSSIAN)
-    vals = np.array([sample(spec, 0, 42, t).coeffs[0] for t in range(50_000)])
+    vals = sample_block(spec, 0, 42, range(50_000))[:, 0]
     assert vals.shape == (50_000,)
     # 4 standard errors at this count: +-0.018 on the mean, +-0.025 on the variance
     assert abs(vals.mean()) <= 0.018
@@ -178,7 +178,7 @@ def test_independent_kinds_are_isotropic_at_1e6(kind):
 
 def test_l1ball_is_isotropic_despite_dependence():
     spec = distribution(LOGCONCAVE)
-    mats = np.stack([sample(spec, 63, 42, t).coeffs for t in range(15_625)])
+    mats = sample_block(spec, 63, 42, range(15_625))
     pooled = mats.ravel()
     assert abs(pooled.mean()) <= 0.004
     assert 0.996 <= pooled.var() <= 1.004
