@@ -1,11 +1,14 @@
-"""Pinned trials.csv digests of all six protocols at reduced default configs.
+"""Pinned trials.csv and summary.json digests of all six protocols at
+reduced default configs.
 
 A change that moves any iterate, reorders any record or alters any number's
 formatting changes one of these digests.  A change that is meant to alter
-trials.csv bytes must update the pin here and say why.
+trials.csv bytes must update the pin here and say why.  The summary digest is
+taken without its wall_time_s key, the one value that differs between runs.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -39,8 +42,18 @@ PINNED = {
 }
 
 
+SUMMARY_PINNED = {
+    ex.ET_CLUSTERING: "709fb27dfe7ff625eedc284fdfedc7f83e99ff119e95450f5190ab84e36f3b66",
+    ex.DISCRETE_EXAMPLE: "9819b25b6baf970807885190a4144949df3001c563293c57bedfff5a6a3059fd",
+    ex.ANTICONCENTRATION: "bc32e457fbd03839df8ee6f89e552a4174d5404e9a2d3122d4696016dd159876",
+    ex.DET_GROWTH: "bf31539b5cb7fceaeea26da2df57fe9c1a0d44a65ab77ac0ca7cbe40b4396ebd",
+    ex.ZERO_RADIUS: "334bbebc8a4deb1b7dbc8979eabe4e5da112607741a9cca1e8505fdb85dd56e7",
+    ex.POLE_CLUSTERING: "4980389a406edcd1757a4d43046fefaf0f13443f4eaea37f1930e2c3fba377a2",
+}
+
+
 def test_every_protocol_is_pinned():
-    assert set(PINNED) == set(ex.PROTOCOLS)
+    assert set(PINNED) == set(SUMMARY_PINNED) == set(ex.PROTOCOLS)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -48,3 +61,13 @@ def test_trials_csv_digest_is_pinned(name, tmp_path):
     overrides, digest = PINNED[name]
     ex.execute(ex.default_config(name, seed=0, **overrides), tmp_path)
     assert hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_PINNED))
+def test_summary_json_digest_is_pinned(name, tmp_path):
+    overrides, _ = PINNED[name]
+    ex.execute(ex.default_config(name, seed=0, **overrides), tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    del summary["wall_time_s"]
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SUMMARY_PINNED[name]
