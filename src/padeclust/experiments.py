@@ -2,7 +2,7 @@
 the clustering metrics.
 
 Each protocol maps a batch of keyed trials (pure functions of
-(seed, trial_index)) to TrialRecords and a summary dict.  Aggregation uses
+(seed, trial_index)) to a record block and a summary dict.  Aggregation uses
 exact counts, medians of sorted values and order-preserving maps, so results
 are bit-identical for any worker count.  Probabilistic statements are checked
 as event shapes and monotone trends: the theoretical constants behind them
@@ -15,10 +15,13 @@ config, _by_range splits the trials into one contiguous range per worker,
 and _blocks samples each range in blocks of at most _BLOCK_ELEMS
 coefficients, one sample_block call per block.  The protocol's stage
 function takes a whole block one stage at a time (one find_roots_batch or
-log_abs_dets call per stage) and writes its records in trial order.  The batched kernels give every polynomial's
-roots and every window's determinant bitwise as the one-at-a-time calls
-would, so neither the range split, the block size nor the batch composition
-reaches trials.csv.
+log_abs_dets call per stage) and fills the columns of one RecordBlock in
+trial order; _by_range concatenates the record blocks of the ranges.  The
+batched kernels give every polynomial's roots and every window's
+determinant bitwise as the one-at-a-time calls would, so neither the range
+split, the block size nor the batch composition reaches trials.csv.  The
+summaries read masked columns of the record block, and write_trials_csv
+formats each column once.
 
 Per-trial wall times are deliberately not written to trials.csv (they would
 break byte-level reproducibility); the summary carries the aggregate.
@@ -26,7 +29,6 @@ break byte-level reproducibility); the summary carries the aggregate.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -73,14 +75,8 @@ DET_GROWTH = "det-growth"
 ZERO_RADIUS = "zero-radius"
 POLE_CLUSTERING = "pole-clustering"
 
-PROTOCOLS = (
-    ET_CLUSTERING,
-    DISCRETE_EXAMPLE,
-    ANTICONCENTRATION,
-    DET_GROWTH,
-    ZERO_RADIUS,
-    POLE_CLUSTERING,
-)
+PROTOCOLS = (ET_CLUSTERING, DISCRETE_EXAMPLE, ANTICONCENTRATION, DET_GROWTH, ZERO_RADIUS,
+             POLE_CLUSTERING)
 
 _METHOD_NOTE = (
     "probabilistic statements are checked as event shapes and monotone trends; "
@@ -119,6 +115,12 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.precision not in ("double", "extended"):
             raise ValueError(f"precision must be 'double' or 'extended', got {self.precision!r}")
+        # a repeated schedule entry would repeat a trials.csv column or a
+        # summary key
+        for name in ("m", "n", "r_schedule", "s_list", "epsilon_grid", "rhos"):
+            values = getattr(self, name)
+            if isinstance(values, (tuple, list)) and len(set(values)) != len(values):
+                raise ValueError(f"{name} has duplicate entries: {list(values)}")
 
     def to_dict(self) -> Dict:
         d: Dict = {"schema_version": SCHEMA_VERSION}
@@ -137,24 +139,19 @@ class ExperimentConfig:
         name = d.get("name")
         if name not in PROTOCOLS:
             raise ValueError(f"unknown experiment {name!r}; valid: {', '.join(PROTOCOLS)}")
-        base = default_config(name)
-        kwargs: Dict = {}
+        kwargs: Dict = {key: d[key] for key in ("trials", "seed", "N", "delta", "grid_size",
+                                                "family_size", "workers", "precision") if key in d}
         if "spec" in d:
             kwargs["spec"] = DistributionSpec.from_dict(d["spec"])
-        for key in ("trials", "seed", "N", "delta", "grid_size", "family_size",
-                    "workers", "precision"):
-            if key in d:
-                kwargs[key] = d[key]
         for key in ("m", "n"):
             if key in d:
                 v = d[key]
                 kwargs[key] = tuple(v) if isinstance(v, (list, tuple)) else int(v)
-        for key in ("epsilon_grid", "r_schedule", "rhos"):
+        for key, cast in (("epsilon_grid", float), ("r_schedule", float), ("rhos", float),
+                          ("s_list", int)):
             if key in d:
-                kwargs[key] = tuple(float(x) for x in d[key])
-        if "s_list" in d:
-            kwargs["s_list"] = tuple(int(x) for x in d["s_list"])
-        return replace(base, **kwargs)
+                kwargs[key] = tuple(cast(x) for x in d[key])
+        return replace(default_config(name), **kwargs)
 
 
 _DEFAULTS: Dict[str, Dict] = {
@@ -175,13 +172,53 @@ def default_config(name: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(name=name, **merged)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_index: int
-    degenerate: bool
-    excluded: bool
-    reason: str
-    values: Dict[str, object]
+class RecordBlock:
+    """Trial units in columns, in trials.csv order: the base columns trial,
+    degenerate, excluded and reason, and in values one list per protocol
+    column.  None in a protocol column means "not computed" (an empty cell).
+
+    Built empty, or from len(trial) clean units with the cells in values."""
+
+    def __init__(self, columns: Sequence[str], trial: Sequence[int] = (),
+                 values: Optional[Dict[str, List]] = None) -> None:
+        k = len(trial)
+        values = values or {}
+        self.trial: List[int] = list(trial)
+        self.degenerate: List[bool] = [False] * k
+        self.excluded: List[bool] = [False] * k
+        self.reason: List[str] = [""] * k
+        self.values: Dict[str, List] = {c: list(values.get(c, [None] * k)) for c in columns}
+
+    def __len__(self) -> int:
+        return len(self.trial)
+
+    def add(self, trial: int, values: Dict[str, object], degenerate: bool = False,
+            excluded: bool = False, reason: str = "") -> int:
+        """Append one unit with the cells in values (the other columns not
+        computed); returns its slot."""
+        self.trial.append(trial)
+        self.degenerate.append(degenerate)
+        self.excluded.append(excluded)
+        self.reason.append(reason)
+        for c, col in self.values.items():
+            col.append(values.get(c))
+        return len(self.trial) - 1
+
+    def extend(self, other: "RecordBlock") -> None:
+        self.trial += other.trial
+        self.degenerate += other.degenerate
+        self.excluded += other.excluded
+        self.reason += other.reason
+        for c, col in self.values.items():
+            col += other.values[c]
+
+    def flags(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The degenerate and excluded columns as boolean masks."""
+        return np.array(self.degenerate, dtype=bool), np.array(self.excluded, dtype=bool)
+
+    def floats(self, column: str) -> np.ndarray:
+        """A protocol column as float64, NaN where not computed."""
+        return np.array(self.values[column], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +254,19 @@ def _need_rhos(config: ExperimentConfig) -> None:
         raise ValueError(f"{config.name} needs family_size >= 8, got {config.family_size}")
 
 
-def _by_range(config: ExperimentConfig, fn: Callable[[range], List]) -> List:
+def _by_range(config: ExperimentConfig, fn: Callable[[range], RecordBlock]) -> RecordBlock:
     """fn over the trials split into one contiguous range per worker, its
-    records concatenated in trial order."""
+    record blocks concatenated in trial order."""
     parts = min(config.workers, config.trials)
     if parts == 1:
         return fn(range(config.trials))
     bounds = [config.trials * k // parts for k in range(parts + 1)]
     ranges = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     with ThreadPoolExecutor(max_workers=parts) as pool:
-        return [rec for part in pool.map(fn, ranges) for rec in part]
+        first, *rest = pool.map(fn, ranges)
+    for part in rest:
+        first.extend(part)
+    return first
 
 
 # Coefficients per block: a block of a trial range holds at most
@@ -266,9 +306,20 @@ def _roots_with_retry(polys: Sequence[Polynomial], precision: str) -> List:
 
 
 def _median(values: Sequence[float]) -> float:
-    if not values:
+    if len(values) == 0:
         return math.nan
     return float(np.median(np.sort(np.asarray(values, dtype=float))))
+
+
+def _fraction(mask: np.ndarray) -> float:
+    """The share of true entries, NaN for an empty mask."""
+    return int(np.count_nonzero(mask)) / len(mask) if len(mask) else math.nan
+
+
+def _counts(block: RecordBlock) -> Dict:
+    """The summary entries every protocol shares."""
+    return {"degenerate": sum(block.degenerate), "excluded": sum(block.excluded),
+            "note": _METHOD_NOTE}
 
 
 def _check_clustering(et: EtRatio, mu: EmpiricalMeasure, config: ExperimentConfig,
@@ -295,13 +346,9 @@ def _check_clustering(et: EtRatio, mu: EmpiricalMeasure, config: ExperimentConfi
         raise InvariantViolation(
             f"deterministic clustering inequality broken ({', '.join(failed)}) in {context}"
         )
-    return {
-        "et_log": rep.et_log,
-        "sector_discrepancy": rep.max_sector_discrepancy,
-        "bl_upper": rep.bl_upper,
-        "bl_lower": rep.bl_lower_estimate,
-        "max_radial_defect": max(rep.radial_defect.values()),
-    }
+    return {"et_log": rep.et_log, "sector_discrepancy": rep.max_sector_discrepancy,
+            "bl_upper": rep.bl_upper, "bl_lower": rep.bl_lower_estimate,
+            "max_radial_defect": max(rep.radial_defect.values())}
 
 
 def _check_mass_inequality(coeffs: np.ndarray, pair, context: str) -> None:
@@ -313,70 +360,70 @@ def _check_mass_inequality(coeffs: np.ndarray, pair, context: str) -> None:
         )
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
+# The cell text of each type a column may hold.  Columns hold Python
+# scalars: under numpy 2 the repr of a numpy float is not its digits alone.
+_CELL_FORMAT: Dict[type, Callable] = {
+    float: repr, int: str, str: str, type(None): lambda v: "",
+    bool: {True: "true", False: "false"}.__getitem__,
+}
 
 BASE_COLUMNS = ("trial", "degenerate", "excluded", "reason")
 
 
-def write_trials_csv(path: Path, columns: Sequence[str], records: Sequence[TrialRecord]) -> None:
+def _cells(column: List) -> List[str]:
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        return list(map(_CELL_FORMAT[kinds.pop()], column))
+    return [_CELL_FORMAT[type(v)](v) for v in column]
+
+
+def write_trials_csv(path: Path, columns: Sequence[str], block: RecordBlock) -> None:
+    """Write the block as comma-separated rows with a header, one column
+    formatted at a time.  No cell is quoted: a header, reason or value that
+    would need quoting (a comma, a double quote or a line break) raises
+    ValueError before anything is written."""
+    header = list(BASE_COLUMNS) + list(columns)
+    cells = [_cells(block.trial), _cells(block.degenerate), _cells(block.excluded),
+             block.reason] + [_cells(block.values[c]) for c in columns]
+    text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    if (text.count(",") != (len(header) - 1) * (len(block) + 1)
+            or text.count("\n") != len(block) + 1 or '"' in text or "\r" in text):
+        raise ValueError("a trials.csv header or cell contains a comma, a double quote "
+                         "or a line break")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(BASE_COLUMNS) + list(columns))
-        for rec in records:
-            row = [
-                str(rec.trial_index),
-                _fmt(rec.degenerate),
-                _fmt(rec.excluded),
-                rec.reason,
-            ]
-            row += [_fmt(rec.values.get(c)) for c in columns]
-            writer.writerow(row)
+        fh.write(text)
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # protocol: decay of the end-coefficient ratio (continuous coefficients)
 
 
-ET_COLUMNS = (
-    "m", "n", "et_log", "et_log_over_m", "log_l1_bound", "log_cauchy_binet_bound",
-    "log_amgm_bound", "order_residual", "condition", "sector_discrepancy",
-    "bl_upper", "bl_lower", "max_radial_defect",
-)
+ET_COLUMNS = ("m", "n", "et_log", "et_log_over_m", "log_l1_bound", "log_cauchy_binet_bound",
+              "log_amgm_bound", "order_residual", "condition", "sector_discrepancy",
+              "bl_upper", "bl_lower", "max_radial_defect")
 
 
 def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: int,
-                      trials: range) -> List[TrialRecord]:
+                      trials: range) -> RecordBlock:
     """Trial units (trial, m) for a contiguous trial range, one block and one
     stage at a time: pade, mass check and end-coefficient bounds for every
     unit, then one find_roots_batch over the surviving numerators, then the
-    clustering checks.  Records come back in (trial, m) order."""
-    records: List[TrialRecord] = []
-    for block, stack in _blocks(config, trials, config.N + 1):
-        pending: List[Tuple[int, Polynomial, EtRatio]] = []  # (record slot, numerator, ratio)
-        for trial, coeffs in zip(block, stack.coeffs):
+    clustering checks.  Units come in (trial, m) order."""
+    out = RecordBlock(ET_COLUMNS)
+    for batch, stack in _blocks(config, trials, config.N + 1):
+        pending: List[Tuple[int, Polynomial, EtRatio]] = []  # (slot, numerator, ratio)
+        for trial, coeffs in zip(batch, stack.coeffs):
             for m in m_values:
                 values: Dict[str, object] = {"m": m, "n": n}
                 window = coeffs[: m + n + 2]
                 try:
                     pair = pade(window, m, n, precision=config.precision)
                 except DegenerateSystem:
-                    records.append(TrialRecord(trial, True, False, "degenerate_system", values))
+                    out.add(trial, values, degenerate=True, reason="degenerate_system")
                     continue
                 _check_mass_inequality(window, pair, f"trial {trial}, m={m}, n={n}")
                 values["order_residual"] = pair.diagnostics["order_residual"]
@@ -385,64 +432,57 @@ def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: in
                     ratio = et_ratio(pair.p)
                     chain = et_bound_chain(window, build_triple(window, m, n), pair)
                 except EndCoefficientZero:
-                    records.append(TrialRecord(trial, False, True, "end_coefficient_zero", values))
+                    out.add(trial, values, excluded=True, reason="end_coefficient_zero")
                     continue
                 except DegenerateSystem:
-                    records.append(TrialRecord(trial, False, True, "singular_window", values))
+                    out.add(trial, values, excluded=True, reason="singular_window")
                     continue
-                values["et_log"] = ratio.log_value
-                values["et_log_over_m"] = ratio.log_value / m
-                values["log_l1_bound"] = chain.log_l1
-                values["log_cauchy_binet_bound"] = chain.log_cauchy_binet
-                values["log_amgm_bound"] = chain.log_amgm
-                pending.append((len(records), pair.p, ratio))
-                records.append(TrialRecord(trial, False, False, "", values))
+                values.update(et_log=ratio.log_value, et_log_over_m=ratio.log_value / m,
+                              log_l1_bound=chain.log_l1, log_amgm_bound=chain.log_amgm,
+                              log_cauchy_binet_bound=chain.log_cauchy_binet)
+                pending.append((out.add(trial, values), pair.p, ratio))
         found = find_roots_batch([p for _, p, _ in pending])
         for (slot, _, ratio), roots in zip(pending, found):
-            rec = records[slot]
             if isinstance(roots, NonConvergence):
-                records[slot] = replace(rec, excluded=True, reason="nonconvergence")
+                out.excluded[slot], out.reason[slot] = True, "nonconvergence"
                 continue
-            rec.values.update(_check_clustering(
-                ratio, EmpiricalMeasure(roots), config,
-                f"trial {rec.trial_index}, m={rec.values['m']}, n={n}"))
-    return records
+            context = f"trial {out.trial[slot]}, m={out.values['m'][slot]}, n={n}"
+            for c, v in _check_clustering(ratio, EmpiricalMeasure(roots), config, context).items():
+                out.values[c][slot] = v
+    return out
 
 
-def _summarize_et(config: ExperimentConfig, records: List[TrialRecord]) -> Dict:
+def _summarize_et(config: ExperimentConfig, block: RecordBlock) -> Dict:
     m_values = _as_tuple(config.m)
     per_m: Dict[str, Dict] = {}
     threshold = config.delta ** 4
+    degenerate, excluded = block.flags()
+    good = ~(degenerate | excluded)
+    m_column = np.array(block.values["m"])
+    ratios_all, amgm = block.floats("et_log_over_m"), block.floats("log_amgm_bound")
     for m in m_values:
-        sub = [r for r in records if r.values.get("m") == m]
-        good = [r for r in sub if not (r.degenerate or r.excluded)]
-        ratios = [r.values["et_log_over_m"] for r in good]
+        sub = m_column == m
+        ratios = ratios_all[sub & good]
         per_m[str(m)] = {
-            "trials": len(sub),
-            "degenerate": sum(1 for r in sub if r.degenerate),
-            "excluded": sum(1 for r in sub if r.excluded),
+            "trials": int(np.count_nonzero(sub)),
+            "degenerate": int(np.count_nonzero(sub & degenerate)),
+            "excluded": int(np.count_nonzero(sub & excluded)),
             "median_et_log_over_m": _median(ratios),
-            "fraction_exceeding_delta4": (
-                sum(1 for v in ratios if v > threshold) / len(ratios) if ratios else math.nan
-            ),
-            "median_log_amgm_bound": _median([r.values["log_amgm_bound"] for r in good]),
+            "fraction_exceeding_delta4": _fraction(ratios > threshold),
+            "median_log_amgm_bound": _median(amgm[sub & good]),
         }
     medians = [per_m[str(m)]["median_et_log_over_m"] for m in m_values]
     return {
         "per_m": per_m,
         "delta": config.delta,
-        "medians_strictly_decreasing": bool(
-            all(a > b for a, b in zip(medians[:-1], medians[1:]))
-        ),
-        "degenerate": sum(1 for r in records if r.degenerate),
-        "excluded": sum(1 for r in records if r.excluded),
-        "note": _METHOD_NOTE,
+        "medians_strictly_decreasing": bool(all(a > b for a, b in zip(medians[:-1], medians[1:]))),
+        **_counts(block),
     }
 
 
 def _run_et_style(config: ExperimentConfig, default_n: int, min_n: int):
     """Validate an et-style config, run it and summarize it; returns the
-    config with N filled in, n, the records and the summary."""
+    config with N filled in, n, the record block and the summary."""
     m_values = _as_tuple(config.m)
     n = _single(config, "n", default_n)
     if not m_values:
@@ -454,13 +494,13 @@ def _run_et_style(config: ExperimentConfig, default_n: int, min_n: int):
         config = replace(config, N=max(m_values) + n + 1)
     if config.N < max(m_values) + n + 1:
         raise ValueError("N must be at least max(m) + n + 1")
-    records = _by_range(config, lambda trials: _et_style_records(config, m_values, n, trials))
-    return config, n, records, _summarize_et(config, records)
+    block = _by_range(config, lambda trials: _et_style_records(config, m_values, n, trials))
+    return config, n, block, _summarize_et(config, block)
 
 
 def run_et_clustering(config: ExperimentConfig):
-    _, _, records, summary = _run_et_style(config, 1, 0)
-    return ET_COLUMNS, records, summary
+    _, _, block, summary = _run_et_style(config, 1, 0)
+    return ET_COLUMNS, block, summary
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +513,7 @@ def run_discrete_example(config: ExperimentConfig):
     if config.spec.M < 2:
         raise ValueError("discrete-example needs M >= 2")
     # n >= 1: the fit's abscissa is n*log(n*M)/m
-    config, n, records, summary = _run_et_style(config, 10, 1)
+    config, n, block, summary = _run_et_style(config, 10, 1)
     m_values = _as_tuple(config.m)
     xs, ys = [], []
     M = config.spec.M
@@ -484,15 +524,10 @@ def run_discrete_example(config: ExperimentConfig):
             ys.append(med)
     if len(xs) >= 2:
         slope, intercept = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
-        summary["affine_model"] = {
-            "x": "n*log(n*M)/m",
-            "intercept": float(intercept),
-            "slope": float(slope),
-        }
-    summary["degenerate_fraction"] = (
-        summary["degenerate"] / len(records) if records else math.nan
-    )
-    return ET_COLUMNS, records, summary
+        summary["affine_model"] = {"x": "n*log(n*M)/m", "intercept": float(intercept),
+                                   "slope": float(slope)}
+    summary["degenerate_fraction"] = summary["degenerate"] / len(block) if len(block) else math.nan
+    return ET_COLUMNS, block, summary
 
 
 # ---------------------------------------------------------------------------
@@ -503,34 +538,32 @@ ANTICONC_COLUMNS = ("n", "det_abs_root", "singular")
 
 
 def _anticonc_records(config: ExperimentConfig, n: int, offset: int,
-                      trials: range) -> List[TrialRecord]:
+                      trials: range) -> RecordBlock:
     """The n x n windows a_{n-1+i-j} of a trial range (sample keys offset +
     trial), one stacked factorization per block."""
-    records: List[TrialRecord] = []
-    for block, stack in _blocks(config, trials, 2 * n - 1, n, offset):
-        log_abs, singular = log_abs_dets(stack.windows(n - 1))
-        for trial, log_abs_t, singular_t in zip(block, log_abs.tolist(), singular.tolist()):
-            root = 0.0 if singular_t else math.exp(log_abs_t / n)
-            records.append(TrialRecord(trial, False, False, "", {
-                "n": n, "det_abs_root": root, "singular": singular_t,
-            }))
-    return records
+    roots: List[float] = []
+    singular: List[bool] = []
+    for _, stack in _blocks(config, trials, 2 * n - 1, n, offset):
+        log_abs, singular_b = log_abs_dets(stack.windows(n - 1))
+        singular_b = singular_b.tolist()
+        roots += [0.0 if s else math.exp(v / n) for v, s in zip(log_abs.tolist(), singular_b)]
+        singular += singular_b
+    return RecordBlock(ANTICONC_COLUMNS, trials,
+                       {"n": [n] * len(trials), "det_abs_root": roots, "singular": singular})
 
 
 def run_toeplitz_anticoncentration(config: ExperimentConfig):
     n_values = _as_tuple(config.n)
     if not n_values or min(n_values) < 1:
         raise ValueError("toeplitz-anticoncentration needs n >= 1")
-    records: List[TrialRecord] = []
+    block = RecordBlock(ANTICONC_COLUMNS)
     per_n: Dict[str, Dict] = {}
     for idx, n in enumerate(n_values):
         offset = idx * config.trials
-        batch = _by_range(config, lambda trials: _anticonc_records(config, n, offset, trials))
-        records.extend(batch)
-        roots_ = np.sort(np.asarray([r.values["det_abs_root"] for r in batch]))
-        cdf: Dict[str, float] = {}
-        bound: Dict[str, float] = {}
-        within: Dict[str, bool] = {}
+        part = _by_range(config, lambda trials: _anticonc_records(config, n, offset, trials))
+        block.extend(part)
+        roots_ = np.sort(np.array(part.values["det_abs_root"]))
+        cdf, bound, within = {}, {}, {}
         for eps in config.epsilon_grid:
             p_hat = float(np.searchsorted(roots_, eps, side="left")) / config.trials
             cdf[repr(float(eps))] = p_hat
@@ -540,12 +573,7 @@ def run_toeplitz_anticoncentration(config: ExperimentConfig):
                 bound[repr(float(eps))] = cap
                 within[repr(float(eps))] = bool(p_hat <= cap + 3 * se)
         per_n[str(n)] = {"cdf": cdf, "bound_nK_eps": bound, "within_3se": within}
-    summary: Dict = {
-        "per_n": per_n,
-        "degenerate": 0,
-        "excluded": 0,
-        "note": _METHOD_NOTE,
-    }
+    summary: Dict = {"per_n": per_n, **_counts(block)}
     if config.spec.kind == LOGCONCAVE and len(n_values) >= 2:
         xs, ys = [], []
         for n in n_values:
@@ -556,12 +584,9 @@ def run_toeplitz_anticoncentration(config: ExperimentConfig):
                     ys.append(math.log(p_hat) - math.log(eps))
         if len(xs) >= 2:
             c, logC = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
-            summary["fitted_power_law"] = {
-                "form": "P(|det A|^(1/n) < eps) ~ C * n^c * eps",
-                "C": float(math.exp(logC)),
-                "c": float(c),
-            }
-    return ANTICONC_COLUMNS, records, summary
+            summary["fitted_power_law"] = {"form": "P(|det A|^(1/n) < eps) ~ C * n^c * eps",
+                                           "C": float(math.exp(logC)), "c": float(c)}
+    return ANTICONC_COLUMNS, block, summary
 
 
 # ---------------------------------------------------------------------------
@@ -572,26 +597,23 @@ DET_GROWTH_COLUMNS = ("m", "n", "log_abs_det", "growth", "deviation", "singular"
 
 
 def _det_growth_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: int,
-                        trials: range) -> List[TrialRecord]:
+                        trials: range) -> RecordBlock:
     """The n x n windows a_{m+i-j} (a_l = 0 for l < 0) of a trial range for
-    every m, one stacked factorization per (block, m); records in (trial, m)
+    every m, one stacked factorization per (block, m); units in (trial, m)
     order."""
-    out: List[TrialRecord] = []
-    for block, stack in _blocks(config, trials, max(m_values) + n, n):
+    out = RecordBlock(DET_GROWTH_COLUMNS)
+    for batch, stack in _blocks(config, trials, max(m_values) + n, n):
         dets = [tuple(x.tolist() for x in log_abs_dets(stack.windows(m))) for m in m_values]
-        for row, trial in enumerate(block):
+        for row, trial in enumerate(batch):
             for m, (log_abs, singular) in zip(m_values, dets):
                 values: Dict[str, object] = {"m": m, "n": n, "singular": singular[row]}
                 if singular[row]:
-                    out.append(TrialRecord(trial, True, False, "singular_window", values))
+                    out.add(trial, values, degenerate=True, reason="singular_window")
                     continue
                 growth = math.exp(log_abs[row] / m)
-                values.update({
-                    "log_abs_det": log_abs[row],
-                    "growth": growth,
-                    "deviation": abs(growth - 1.0),
-                })
-                out.append(TrialRecord(trial, False, False, "", values))
+                values.update(log_abs_det=log_abs[row], growth=growth,
+                              deviation=abs(growth - 1.0))
+                out.add(trial, values)
     return out
 
 
@@ -602,22 +624,19 @@ def run_det_growth(config: ExperimentConfig):
         raise ValueError("det-growth needs a schedule of m >= 1")
     if n < 0:
         raise ValueError("det-growth needs n >= 0")
-    records = _by_range(config, lambda trials: _det_growth_records(config, m_values, n, trials))
-    per_m: Dict[str, Dict] = {}
-    for m in m_values:
-        devs = [r.values["deviation"] for r in records
-                if r.values.get("m") == m and not r.degenerate]
-        per_m[str(m)] = {"median_deviation": _median(devs), "count": len(devs)}
+    block = _by_range(config, lambda trials: _det_growth_records(config, m_values, n, trials))
+    degenerate, _ = block.flags()
+    m_column, deviation = np.array(block.values["m"]), block.floats("deviation")
+    devs = {m: deviation[(m_column == m) & ~degenerate] for m in m_values}
+    per_m = {str(m): {"median_deviation": _median(devs[m]), "count": len(devs[m])}
+             for m in m_values}
     medians = [per_m[str(m)]["median_deviation"] for m in m_values]
-    largest = [r.values["deviation"] for r in records
-               if r.values.get("m") == max(m_values) and not r.degenerate]
-    return DET_GROWTH_COLUMNS, records, {
+    largest = devs[max(m_values)]
+    return DET_GROWTH_COLUMNS, block, {
         "per_m": per_m,
         "medians_decreasing": bool(all(a > b for a, b in zip(medians[:-1], medians[1:]))),
-        "max_deviation_at_largest_m": max(largest) if largest else math.nan,
-        "degenerate": sum(1 for r in records if r.degenerate),
-        "excluded": 0,
-        "note": _METHOD_NOTE,
+        "max_deviation_at_largest_m": float(largest.max()) if len(largest) else math.nan,
+        **_counts(block),
     }
 
 
@@ -626,12 +645,10 @@ def run_det_growth(config: ExperimentConfig):
 
 
 def _zero_radius_columns(config: ExperimentConfig) -> Tuple[str, ...]:
-    cols = ["n_roots", "roots_in_unit_disc", "min_modulus", "et_log",
-            "sector_discrepancy", "bl_upper", "bl_lower", "max_radial_defect"]
-    cols += [f"ratio_r{repr(float(r))}" for r in config.r_schedule]
-    cols += [f"profile_dev_r{repr(float(r))}" for r in config.r_schedule]
-    cols += [f"rs_norm_s{s}" for s in config.s_list]
-    return tuple(cols)
+    radii = [repr(float(r)) for r in config.r_schedule]
+    return ("n_roots", "roots_in_unit_disc", "min_modulus", "et_log", "sector_discrepancy",
+            "bl_upper", "bl_lower", "max_radial_defect", *(f"ratio_r{r}" for r in radii),
+            *(f"profile_dev_r{r}" for r in radii), *(f"rs_norm_s{s}" for s in config.s_list))
 
 
 def _log_variance_profile(r: float, N: int) -> float:
@@ -639,17 +656,17 @@ def _log_variance_profile(r: float, N: int) -> float:
     return math.log1p(-r ** (2 * N + 2)) - math.log1p(-r * r)
 
 
-def _zero_radius_records(config: ExperimentConfig, trials: range) -> List[TrialRecord]:
-    """One record per trial of a contiguous range, one block at a time: the
+def _zero_radius_records(config: ExperimentConfig, trials: range) -> RecordBlock:
+    """One unit per trial of a contiguous range, one block at a time: the
     roots of every series of the block by one _roots_with_retry, then the
     checks and columns in trial order."""
-    records: List[TrialRecord] = []
-    for block, stack in _blocks(config, trials, config.N + 1):
+    out = RecordBlock(_zero_radius_columns(config))
+    for batch, stack in _blocks(config, trials, config.N + 1):
         polys = [Polynomial(c) for c in stack.coeffs]
-        for trial, poly, roots in zip(block, polys, _roots_with_retry(polys, config.precision)):
+        for trial, poly, roots in zip(batch, polys, _roots_with_retry(polys, config.precision)):
             values: Dict[str, object] = {}
             if isinstance(roots, NonConvergence):
-                records.append(TrialRecord(trial, False, True, "nonconvergence", values))
+                out.add(trial, values, excluded=True, reason="nonconvergence")
                 continue
             moduli = roots.moduli
             values["n_roots"] = len(roots)
@@ -659,7 +676,7 @@ def _zero_radius_records(config: ExperimentConfig, trials: range) -> List[TrialR
                 values.update(_check_clustering(et_ratio(poly), EmpiricalMeasure(roots), config,
                                                 f"trial {trial}"))
             except EndCoefficientZero:
-                records.append(TrialRecord(trial, False, True, "end_coefficient_zero", values))
+                out.add(trial, values, excluded=True, reason="end_coefficient_zero")
                 continue
             for r in config.r_schedule:
                 zci = zero_counting_integral(roots, r)
@@ -670,8 +687,8 @@ def _zero_radius_records(config: ExperimentConfig, trials: range) -> List[TrialR
                 if s < len(roots):
                     r_s = radius_R_s(roots, s)
                     values[f"rs_norm_s{s}"] = (1.0 - r_s) * s / math.log(s)
-            records.append(TrialRecord(trial, False, False, "", values))
-    return records
+            out.add(trial, values)
+    return out
 
 
 def run_zero_radius(config: ExperimentConfig):
@@ -680,42 +697,31 @@ def run_zero_radius(config: ExperimentConfig):
     if not config.s_list or min(config.s_list) < 2:
         raise ValueError("s_list needs entries, each >= 2 (normalization divides by log s)")
     _need_rhos(config)
-    records = _by_range(config, lambda trials: _zero_radius_records(config, trials))
-    good = [r for r in records if not r.excluded]
+    block = _by_range(config, lambda trials: _zero_radius_records(config, trials))
+    good = ~block.flags()[1]
     per_r: Dict[str, Dict] = {}
     for r in config.r_schedule:
         key = repr(float(r))
-        ratios = [rec.values[f"ratio_r{key}"] for rec in good]
-        devs = [rec.values[f"profile_dev_r{key}"] for rec in good]
+        ratios = block.floats(f"ratio_r{key}")[good]
         per_r[key] = {
             "median_ratio": _median(ratios),
-            "fraction_in_bracket": (
-                sum(1 for v in ratios if 0.35 <= v <= 0.65) / len(ratios) if ratios else math.nan
-            ),
-            "median_profile_dev": _median(devs),
+            "fraction_in_bracket": _fraction((0.35 <= ratios) & (ratios <= 0.65)),
+            "median_profile_dev": _median(block.floats(f"profile_dev_r{key}")[good]),
         }
     per_s: Dict[str, Dict] = {}
     for s in config.s_list:
-        vals = [rec.values[f"rs_norm_s{s}"] for rec in good if f"rs_norm_s{s}" in rec.values]
-        per_s[str(s)] = {
-            "median_norm": _median(vals),
-            "fraction_in_window": (
-                sum(1 for v in vals if 0.05 <= v <= 20.0) / len(vals) if vals else math.nan
-            ),
-        }
-    frac_root_in_disc = (
-        sum(1 for rec in good if rec.values["roots_in_unit_disc"] >= 1) / len(good)
-        if good else math.nan
-    )
-    return _zero_radius_columns(config), records, {
+        vals = block.floats(f"rs_norm_s{s}")[good]
+        vals = vals[~np.isnan(vals)]  # R_s is computed only for s below the root count
+        per_s[str(s)] = {"median_norm": _median(vals),
+                         "fraction_in_window": _fraction((0.05 <= vals) & (vals <= 20.0))}
+    frac_root_in_disc = _fraction(block.floats("roots_in_unit_disc")[good] >= 1)
+    return _zero_radius_columns(config), block, {
         "per_r": per_r,
         "per_s": per_s,
         "ratio_bracket": [0.35, 0.65],
         "rs_window": [0.05, 20.0],
         "fraction_seeds_with_root_in_disc": frac_root_in_disc,
-        "degenerate": 0,
-        "excluded": sum(1 for r in records if r.excluded),
-        "note": _METHOD_NOTE,
+        **_counts(block),
     }
 
 
@@ -728,27 +734,27 @@ POLE_COLUMNS = ("n", "R_m", "annulus_mass", "median_abs_dev", "q_et_log")
 
 
 def _pole_records(config: ExperimentConfig, n_values: Tuple[int, ...], m: int,
-                  trials: range) -> List[TrialRecord]:
+                  trials: range) -> RecordBlock:
     """Units (trial, n) for a contiguous trial range, one block at a time:
     the series roots by one _roots_with_retry, the series check and R_m,
     pade for every unit, then one find_roots_batch over all the block's
-    denominators and their checks.  Records come back in (trial, n) order."""
-    out: List[TrialRecord] = []
+    denominators and their checks.  Units come in (trial, n) order."""
+    out = RecordBlock(POLE_COLUMNS)
     rho = config.rhos[-1]
-    for block, stack in _blocks(config, trials, config.N + 1):
+    for batch, stack in _blocks(config, trials, config.N + 1):
         polys = [Polynomial(c) for c in stack.coeffs]
-        pending: List[Tuple[int, Polynomial, float]] = []  # (record slot, denominator, R_m)
-        for trial, poly, roots_f in zip(block, polys, _roots_with_retry(polys, config.precision)):
+        pending: List[Tuple[int, Polynomial, float]] = []  # (slot, denominator, R_m)
+        for trial, poly, roots_f in zip(batch, polys, _roots_with_retry(polys, config.precision)):
             if isinstance(roots_f, NonConvergence):
-                out.extend(TrialRecord(trial, False, True, "nonconvergence", {"n": n})
-                           for n in n_values)
+                for n in n_values:
+                    out.add(trial, {"n": n}, excluded=True, reason="nonconvergence")
                 continue
             try:
                 _check_clustering(et_ratio(poly), EmpiricalMeasure(roots_f), config,
                                   f"trial {trial} (series)")
             except EndCoefficientZero:
-                out.extend(TrialRecord(trial, False, True, "end_coefficient_zero", {"n": n})
-                           for n in n_values)
+                for n in n_values:
+                    out.add(trial, {"n": n}, excluded=True, reason="end_coefficient_zero")
                 continue
             r_m = radius_R_s(roots_f, m)
             for n in n_values:
@@ -756,23 +762,21 @@ def _pole_records(config: ExperimentConfig, n_values: Tuple[int, ...], m: int,
                 try:
                     pair = pade(poly.coeffs[: m + n + 2], m, n, precision=config.precision)
                 except DegenerateSystem:
-                    out.append(TrialRecord(trial, True, False, "degenerate_system", values))
+                    out.add(trial, values, degenerate=True, reason="degenerate_system")
                     continue
-                pending.append((len(out), pair.q, r_m))
-                out.append(TrialRecord(trial, False, False, "", values))
+                pending.append((out.add(trial, values), pair.q, r_m))
         for (slot, q, r_m), q_roots in zip(pending, find_roots_batch([q for _, q, _ in pending])):
-            rec = out[slot]
             if isinstance(q_roots, NonConvergence):
-                out[slot] = replace(rec, excluded=True, reason="nonconvergence")
+                out.excluded[slot], out.reason[slot] = True, "nonconvergence"
                 continue
             mu_q = EmpiricalMeasure(q_roots)
-            rec.values["annulus_mass"] = annulus_mass(mu_q, r_m, rho)
-            rec.values["median_abs_dev"] = _median(list(np.abs(q_roots.moduli - r_m)))
+            out.values["annulus_mass"][slot] = annulus_mass(mu_q, r_m, rho)
+            out.values["median_abs_dev"][slot] = _median(np.abs(q_roots.moduli - r_m))
             try:
                 q_et = et_ratio(q)
-                _check_clustering(q_et, mu_q, config,
-                                  f"trial {rec.trial_index}, n={rec.values['n']} (denominator)")
-                rec.values["q_et_log"] = q_et.log_value
+                _check_clustering(q_et, mu_q, config, f"trial {out.trial[slot]}, "
+                                  f"n={out.values['n'][slot]} (denominator)")
+                out.values["q_et_log"][slot] = q_et.log_value
             except (EndCoefficientZero, DegenerateInput):
                 pass
     return out
@@ -788,34 +792,28 @@ def run_pole_clustering(config: ExperimentConfig):
     _need_rhos(config)
     if config.N is None or config.N < m + max(n_values) + 1:
         raise ValueError("N must be at least m + max(n) + 1")
-    records = _by_range(config, lambda trials: _pole_records(config, n_values, m, trials))
+    block = _by_range(config, lambda trials: _pole_records(config, n_values, m, trials))
+    degenerate, excluded = block.flags()
+    good = ~(degenerate | excluded)
+    n_column = np.array(block.values["n"])
+    abs_dev, mass = block.floats("median_abs_dev"), block.floats("annulus_mass")
     per_n: Dict[str, Dict] = {}
     for n in n_values:
-        sub = [r for r in records if r.values.get("n") == n
-               and not (r.degenerate or r.excluded)]
+        sub = n_column == n
         per_n[str(n)] = {
-            "median_abs_dev": _median([r.values["median_abs_dev"] for r in sub]),
-            "median_annulus_mass": _median([r.values["annulus_mass"] for r in sub]),
-            "cells": len(sub),
-            "degenerate_cells": sum(
-                1 for r in records if r.values.get("n") == n and r.degenerate
-            ),
+            "median_abs_dev": _median(abs_dev[sub & good]),
+            "median_annulus_mass": _median(mass[sub & good]),
+            "cells": int(np.count_nonzero(sub & good)),
+            "degenerate_cells": int(np.count_nonzero(sub & degenerate)),
         }
-    summary: Dict = {
-        "per_n": per_n,
-        "m": m,
-        "degenerate": sum(1 for r in records if r.degenerate),
-        "excluded": sum(1 for r in records if r.excluded),
-        "note": _METHOD_NOTE,
-    }
+    summary: Dict = {"per_n": per_n, "m": m, **_counts(block)}
     if m >= 1:
         meds = [per_n[str(n)]["median_abs_dev"] for n in n_values]
         summary["deviation_medians_non_increasing"] = bool(
-            all(a >= b - 1e-12 for a, b in zip(meds[:-1], meds[1:]))
-        )
+            all(a >= b - 1e-12 for a, b in zip(meds[:-1], meds[1:])))
     else:
         summary["control_arm"] = "m=0: zeros reported without clustering verdict"
-    return POLE_COLUMNS, records, summary
+    return POLE_COLUMNS, block, summary
 
 
 # ---------------------------------------------------------------------------
@@ -839,23 +837,15 @@ def execute(config: ExperimentConfig, out_dir: Optional[Union[str, Path]] = None
         raise ValueError(f"unknown experiment {config.name!r}; valid: {', '.join(PROTOCOLS)}")
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
-    columns, records, summary = RUNNERS[config.name](config)
+    columns, block, summary = RUNNERS[config.name](config)
     wall = time.perf_counter() - t0
-    summary.setdefault("degenerate", 0)
-    summary.setdefault("excluded", 0)
-    summary.update({
-        "protocol": config.name,
-        "trials": config.trials,
-        "records": len(records),
-        "wall_time_s": round(wall, 3),
-        "workers": config.workers,
-        "seed": config.seed,
-    })
+    summary.update(protocol=config.name, trials=config.trials, records=len(block),
+                   wall_time_s=round(wall, 3), workers=config.workers, seed=config.seed)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / "trials.csv"
-        write_trials_csv(csv_path, columns, records)
+        write_trials_csv(csv_path, columns, block)
         summary_path = out / "summary.json"
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         manifest = {
@@ -865,10 +855,7 @@ def execute(config: ExperimentConfig, out_dir: Optional[Union[str, Path]] = None
             "seed": config.seed,
             "started": started,
             "ended": datetime.now(timezone.utc).isoformat(),
-            "digests": {
-                "trials.csv": _sha256(csv_path),
-                "summary.json": _sha256(summary_path),
-            },
+            "digests": {"trials.csv": _sha256(csv_path), "summary.json": _sha256(summary_path)},
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return summary

@@ -243,12 +243,12 @@ def test_criterion_07_discrete_example(capsys):
 def test_criterion_08_zero_radius_laws(capsys):
     t0 = time.perf_counter()
     cfg = ex.default_config(ex.ZERO_RADIUS, trials=50, precision="extended")
-    _, records, summ = ex.run_zero_radius(cfg)
-    good = [r for r in records if not r.excluded]
+    _, block, summ = ex.run_zero_radius(cfg)
+    good = [i for i, excluded in enumerate(block.excluded) if not excluded]
     frac_a = summ["per_r"]["0.99"]["fraction_in_bracket"]
     in_window = [
-        all(0.05 <= rec.values[f"rs_norm_s{s}"] <= 20.0 for s in (4, 8, 16, 32, 64))
-        for rec in good
+        all(0.05 <= block.values[f"rs_norm_s{s}"][i] <= 20.0 for s in (4, 8, 16, 32, 64))
+        for i in good
     ]
     frac_b = sum(in_window) / len(in_window)
     cfg_c = ex.default_config(ex.ZERO_RADIUS, N=512, trials=50,

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tempfile
@@ -46,6 +47,12 @@ def test_config_from_dict_rejects_bad_input():
     (dict(precision="foo"), "precision"),
     (dict(seed=-1), "seed"),
     (dict(seed=1.5), "seed"),
+    (dict(m=(10, 10)), r"\bm has duplicate"),
+    (dict(n=(3, 3)), r"\bn has duplicate"),
+    (dict(r_schedule=(0.9, 0.95, 0.9)), "r_schedule has duplicate"),
+    (dict(s_list=(4, 4)), "s_list has duplicate"),
+    (dict(epsilon_grid=(0.1, 0.1)), "epsilon_grid has duplicate"),
+    (dict(rhos=(0.05, 0.05)), "rhos has duplicate"),
 ])
 def test_config_rejects_out_of_range_fields(override, field):
     with pytest.raises(ValueError, match=field):
@@ -94,17 +101,17 @@ def test_et_clustering_structure_and_decay():
     cols, recs, summ = ex.run_et_clustering(cfg)
     assert cols == ex.ET_COLUMNS
     assert len(recs) == 30 * 2
-    assert {r.values["m"] for r in recs} == {10, 40}
+    assert set(recs.values["m"]) == {10, 40}
     med10 = summ["per_m"]["10"]["median_et_log_over_m"]
     med40 = summ["per_m"]["40"]["median_et_log_over_m"]
     assert med40 < med10
     assert summ["medians_strictly_decreasing"] is True
     # the chain bounds are recorded alongside the ratio on every good row
-    good = [r for r in recs if not (r.degenerate or r.excluded)]
+    good = [i for i in range(len(recs)) if not (recs.degenerate[i] or recs.excluded[i])]
     assert good
-    for r in good:
-        assert r.values["et_log"] <= r.values["log_l1_bound"] + 1e-6
-        assert r.values["max_radial_defect"] >= 0.0
+    for i in good:
+        assert recs.values["et_log"][i] <= recs.values["log_l1_bound"][i] + 1e-6
+        assert recs.values["max_radial_defect"][i] >= 0.0
 
 
 def test_et_clustering_rejects_short_series():
@@ -165,12 +172,12 @@ def test_zero_radius_columns_and_stats():
                             r_schedule=(0.9,), s_list=(4, 8))
     cols, recs, summ = ex.run_zero_radius(cfg)
     assert "ratio_r0.9" in cols and "rs_norm_s8" in cols
-    good = [r for r in recs if not r.excluded]
+    good = [i for i, excluded in enumerate(recs.excluded) if not excluded]
     assert good
-    for r in good:
-        assert r.values["n_roots"] == 96
-        assert r.values["ratio_r0.9"] > 0.0
-        assert math.isfinite(r.values["profile_dev_r0.9"])
+    for i in good:
+        assert recs.values["n_roots"][i] == 96
+        assert recs.values["ratio_r0.9"][i] > 0.0
+        assert math.isfinite(recs.values["profile_dev_r0.9"][i])
     assert summ["fraction_seeds_with_root_in_disc"] == 1.0
     assert 0.0 <= summ["per_r"]["0.9"]["fraction_in_bracket"] <= 1.0
 
@@ -191,10 +198,11 @@ def test_zero_radius_input_validation():
 ])
 def test_end_coefficient_exclusion_keeps_partial_columns(name, overrides, partial):
     cfg = ex.default_config(name, trials=12, seed=6, **overrides)
-    excluded = [r for r in ex.RUNNERS[name](cfg)[1] if r.reason == "end_coefficient_zero"]
+    block = ex.RUNNERS[name](cfg)[1]
+    excluded = [i for i, reason in enumerate(block.reason) if reason == "end_coefficient_zero"]
     assert excluded
-    for r in excluded:
-        assert set(r.values) == partial
+    for i in excluded:
+        assert {c for c, col in block.values.items() if col[i] is not None} == partial
 
 
 def test_log_variance_profile_matches_direct_sum():
@@ -210,9 +218,9 @@ def test_pole_clustering_sharpens_with_n():
     assert len(recs) == 6 * 2
     # paired design: R_m is a property of the trial, not of n
     by_trial = {}
-    for r in recs:
-        if "R_m" in r.values:
-            by_trial.setdefault(r.trial_index, set()).add(r.values["R_m"])
+    for trial, r_m in zip(recs.trial, recs.values["R_m"]):
+        if r_m is not None:
+            by_trial.setdefault(trial, set()).add(r_m)
     assert all(len(v) == 1 for v in by_trial.values())
     assert summ["per_n"]["16"]["median_abs_dev"] <= summ["per_n"]["4"]["median_abs_dev"]
     assert summ["deviation_medians_non_increasing"] is True
@@ -381,25 +389,29 @@ def test_series_retry_tiers(name, overrides, retry_fails, precision, monkeypatch
     chosen = [1, 4, 5]
     failing = {0: chosen, 1: chosen if retry_fails else ()}
     calls = _inject_series_failures(monkeypatch, config, failing)
-    records = ex.RUNNERS[name](config)[1]
+    block = ex.RUNNERS[name](config)[1]
 
     expected = [({}, list(range(config.trials))), ({"start_offset": 0.37}, chosen)]
     if retry_fails and precision == "extended":
         expected.append(({"precision": "extended"}, chosen))
     assert calls == expected
-    assert len(records) == len(clean)
-    for got, want in zip(records, clean):
-        assert got.trial_index == want.trial_index
-        if got.trial_index not in chosen:
+    assert block.trial == clean.trial
+    for i, trial in enumerate(block.trial):
+        got = (block.degenerate[i], block.excluded[i], block.reason[i])
+        want = (clean.degenerate[i], clean.excluded[i], clean.reason[i])
+        if trial not in chosen:
             assert got == want
+            assert all(block.values[c][i] == clean.values[c][i] for c in clean.values)
         elif retry_fails and precision == "double":
-            assert (got.excluded, got.reason) == (True, "nonconvergence")
+            assert got[1:] == (True, "nonconvergence")
         else:
             # solved by a later tier: other start points, the same roots
-            assert (got.excluded, got.reason, got.values.keys()) == (
-                want.excluded, want.reason, want.values.keys())
-            for key, value in want.values.items():
-                assert got.values[key] == pytest.approx(value, rel=1e-6, abs=1e-9), key
+            assert got == want
+            for key, col in clean.values.items():
+                if col[i] is None:
+                    assert block.values[key][i] is None, key
+                else:
+                    assert block.values[key][i] == pytest.approx(col[i], rel=1e-6, abs=1e-9), key
 
 
 def test_trials_csv_round_trips_through_float_parse(tmp_path):
@@ -446,3 +458,61 @@ def test_unknown_protocol_in_execute():
     broken = ex.ExperimentConfig(**{**cfg.__dict__, "name": "mystery"})
     with pytest.raises(ValueError):
         ex.execute(broken)
+
+
+def _cell_text(value):
+    """The trials.csv text of one cell, written out independently of the
+    column writer."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    (ex.ET_CLUSTERING, dict(m=(8, 16), n=1, trials=4)),
+    (ex.DISCRETE_EXAMPLE, dict(spec=distribution(DISCRETE, M=2), m=(8, 16), n=2, trials=12)),
+    (ex.ANTICONCENTRATION, dict(n=(1, 3), trials=50)),
+    (ex.DET_GROWTH, dict(spec=distribution(DISCRETE, M=1), m=(1, 2, 6), n=3, trials=20)),
+    # N = 8 roots: R_s is not computed for s = 8 or 16
+    (ex.ZERO_RADIUS, dict(N=8, s_list=(4, 8, 16), trials=5)),
+    (ex.POLE_CLUSTERING, dict(spec=distribution(DISCRETE, M=1), N=40, n=(4, 8), trials=10)),
+])
+def test_trials_csv_reads_back_through_csv_reader(name, overrides, tmp_path):
+    columns, block, _ = ex.RUNNERS[name](ex.default_config(name, seed=5, **overrides))
+    path = tmp_path / "trials.csv"
+    ex.write_trials_csv(path, columns, block)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(ex.BASE_COLUMNS) + list(columns)
+    assert len(rows) == len(block) + 1
+    for i, row in enumerate(rows[1:]):
+        want = [block.trial[i], block.degenerate[i], block.excluded[i], block.reason[i]]
+        want += [block.values[c][i] for c in columns]
+        assert row == [_cell_text(v) for v in want]
+    if name == ex.ZERO_RADIUS:
+        good = [row for row in rows[1:] if row[3] == ""]
+        assert good
+        header = rows[0]
+        for row in good:
+            assert row[header.index("rs_norm_s4")] != ""
+            assert row[header.index("rs_norm_s8")] == row[header.index("rs_norm_s16")] == ""
+
+
+@pytest.mark.parametrize("columns, reason, value", [
+    (("x,y",), "", 1.0),
+    (("x",), "bad,reason", 1.0),
+    (("x",), 'say "no"', 1.0),
+    (("x",), "", "two\nlines"),
+    (("x",), "", "carriage\rreturn"),
+    (("x\r",), "", 1.0),
+])
+def test_write_trials_csv_rejects_cells_that_need_quoting(columns, reason, value, tmp_path):
+    block = ex.RecordBlock(columns)
+    block.add(0, {columns[0]: 2.5})
+    block.add(1, {columns[0]: value}, excluded=bool(reason), reason=reason)
+    path = tmp_path / "trials.csv"
+    with pytest.raises(ValueError, match="comma, a double quote or a line break"):
+        ex.write_trials_csv(path, columns, block)
+    assert not path.exists()
