@@ -369,6 +369,11 @@ _CELL_FORMAT: Dict[type, Callable] = {
 
 BASE_COLUMNS = ("trial", "degenerate", "excluded", "reason")
 
+# Rows formatted at a time: the cell strings of one slice are freed before
+# the next is formatted, so the writer's peak memory does not grow with the
+# block.
+_WRITE_ROWS = 4096
+
 
 def _cells(column: List) -> List[str]:
     kinds = set(map(type, column))
@@ -378,20 +383,25 @@ def _cells(column: List) -> List[str]:
 
 
 def write_trials_csv(path: Path, columns: Sequence[str], block: RecordBlock) -> None:
-    """Write the block as comma-separated rows with a header, one column
-    formatted at a time.  No cell is quoted: a header, reason or value that
-    would need quoting (a comma, a double quote or a line break) raises
-    ValueError before anything is written."""
+    """Write the block as comma-separated rows with a header, formatting one
+    column of a slice of rows at a time.  No cell is quoted: a header, reason
+    or value that would need quoting (a comma, a double quote or a line
+    break) raises ValueError before anything is written."""
     header = list(BASE_COLUMNS) + list(columns)
-    cells = [_cells(block.trial), _cells(block.degenerate), _cells(block.excluded),
-             block.reason] + [_cells(block.values[c]) for c in columns]
-    text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
-    if (text.count(",") != (len(header) - 1) * (len(block) + 1)
-            or text.count("\n") != len(block) + 1 or '"' in text or "\r" in text):
+    texts = [",".join(header) + "\n"]
+    for lo in range(0, len(block), _WRITE_ROWS):
+        rows = slice(lo, lo + _WRITE_ROWS)
+        cells = [_cells(block.trial[rows]), _cells(block.degenerate[rows]),
+                 _cells(block.excluded[rows]), block.reason[rows]]
+        cells += [_cells(block.values[c][rows]) for c in columns]
+        texts.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    if (sum(t.count(",") for t in texts) != (len(header) - 1) * (len(block) + 1)
+            or sum(t.count("\n") for t in texts) != len(block) + 1
+            or any('"' in t or "\r" in t for t in texts)):
         raise ValueError("a trials.csv header or cell contains a comma, a double quote "
                          "or a line break")
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.writelines(texts)
 
 
 def _sha256(path: Path) -> str:

@@ -408,10 +408,10 @@ def test_series_retry_tiers(name, overrides, retry_fails, precision, monkeypatch
             # solved by a later tier: other start points, the same roots
             assert got == want
             for key, col in clean.values.items():
-                if col[i] is None:
-                    assert block.values[key][i] is None, key
-                else:
-                    assert block.values[key][i] == pytest.approx(col[i], rel=1e-6, abs=1e-9), key
+                value = block.values[key][i]
+                assert (value is None) == (col[i] is None), key
+                if value is not None:
+                    assert value == pytest.approx(col[i], rel=1e-6, abs=1e-9), key
 
 
 def test_trials_csv_round_trips_through_float_parse(tmp_path):
@@ -479,9 +479,10 @@ def _cell_text(value):
     (ex.ZERO_RADIUS, dict(N=8, s_list=(4, 8, 16), trials=5)),
     (ex.POLE_CLUSTERING, dict(spec=distribution(DISCRETE, M=1), N=40, n=(4, 8), trials=10)),
 ])
-def test_trials_csv_reads_back_through_csv_reader(name, overrides, tmp_path):
+def test_trials_csv_reads_back_through_csv_reader(name, overrides, tmp_path, monkeypatch):
     columns, block, _ = ex.RUNNERS[name](ex.default_config(name, seed=5, **overrides))
     path = tmp_path / "trials.csv"
+    monkeypatch.setattr(ex, "_WRITE_ROWS", 7)  # slices that do not divide the rows
     ex.write_trials_csv(path, columns, block)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -508,7 +509,9 @@ def test_trials_csv_reads_back_through_csv_reader(name, overrides, tmp_path):
     (("x",), "", "carriage\rreturn"),
     (("x\r",), "", 1.0),
 ])
-def test_write_trials_csv_rejects_cells_that_need_quoting(columns, reason, value, tmp_path):
+def test_write_trials_csv_rejects_cells_that_need_quoting(columns, reason, value, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(ex, "_WRITE_ROWS", 1)  # the bad row is in the second slice
     block = ex.RecordBlock(columns)
     block.add(0, {columns[0]: 2.5})
     block.add(1, {columns[0]: value}, excluded=bool(reason), reason=reason)
