@@ -292,12 +292,12 @@ def _blocks(config: ExperimentConfig, trials: range, length: int, k: int = 1,
 def _roots_with_retry(polys: Sequence[Polynomial], precision: str) -> List:
     """find_roots_batch over polys; the rows that did not converge are solved
     again from rotated start points, and (for precision "extended") those
-    still failing once more in extended precision.  A row that fails every
-    tier stays a NonConvergence."""
+    still failing once more from the rotated points, continued in extended
+    precision.  A row that fails every tier stays a NonConvergence."""
     found = find_roots_batch(polys)
     retries = [dict(start_offset=0.37)]
     if precision == "extended":
-        retries.append(dict(precision="extended"))
+        retries.append(dict(precision="extended", start_offset=0.37))
     for kwargs in retries:
         failed = [i for i, r in enumerate(found) if isinstance(r, NonConvergence)]
         for i, roots in zip(failed, find_roots_batch([polys[i] for i in failed], **kwargs)):
@@ -421,7 +421,7 @@ def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: in
                       trials: range) -> RecordBlock:
     """Trial units (trial, m) for a contiguous trial range, one block and one
     stage at a time: pade, mass check and end-coefficient bounds for every
-    unit, then one find_roots_batch over the surviving numerators, then the
+    unit, then one _roots_with_retry over the surviving numerators, then the
     clustering checks.  Units come in (trial, m) order."""
     out = RecordBlock(ET_COLUMNS)
     for batch, stack in _blocks(config, trials, config.N + 1):
@@ -451,7 +451,7 @@ def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: in
                               log_l1_bound=chain.log_l1, log_amgm_bound=chain.log_amgm,
                               log_cauchy_binet_bound=chain.log_cauchy_binet)
                 pending.append((out.add(trial, values), pair.p, ratio))
-        found = find_roots_batch([p for _, p, _ in pending])
+        found = _roots_with_retry([p for _, p, _ in pending], config.precision)
         for (slot, _, ratio), roots in zip(pending, found):
             if isinstance(roots, NonConvergence):
                 out.excluded[slot], out.reason[slot] = True, "nonconvergence"

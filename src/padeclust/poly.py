@@ -14,11 +14,9 @@ Newton ratio p/p' is evaluated through the reversed polynomial at w = 1/z,
 which keeps Horner finite at any start radius and any degree.  Horner runs
 once per sweep over every active iterate: a (d+1, 2B) table holds the B
 forward coefficient columns next to the B reversed ones, and each iterate
-reads the forward column at z or the reversed column at 1/z.  The points of
-a pass are visited sorted by table column, so each coefficient step adds a
-contiguous row of a block of table rows expanded once per block, with no
-per-coefficient gather.  The repulsion sums take each row block's differences
-from contiguous operands: repeated iterates minus the iterates tiled once.
+reads the forward column at z or the reversed column at 1/z.  For real
+coefficients _aberth iterates one root of each conjugate pair, and one
+exactly real root per sign change of p on a real grid.
 find_roots_batch iterates a (B, d) stack of same-degree polynomials at once,
 sharing the Python-level Horner loop; find_roots is its B = 1 call.
 precision="extended" continues each row's double iterates in mpmath at
@@ -315,15 +313,17 @@ def _scaled_residual_log(C: np.ndarray, R: np.ndarray) -> np.ndarray:
 # Aberth-Ehrlich iteration
 
 
-def _start_points(c: np.ndarray, offset: float) -> np.ndarray:
-    """Initial guesses: Newton-polygon radii with golden-angle phases.
+def _start_points(c: np.ndarray, offset: float, real: Optional[np.ndarray] = None) -> np.ndarray:
+    """Initial guesses on Newton-polygon radii.
 
     The radii come from the upper convex hull of (j, log|c_j|): a hull
     segment from j=a to j=b contributes b-a start radii |c_a/c_b|^(1/(b-a)),
     which tracks the moduli of the actual roots.  A plain Cauchy-bound circle
     is a valid but far start whose radial collapse costs O(degree)
     iterations; the hull start removes that transient.  Radii are capped by
-    the Cauchy bound.
+    the Cauchy bound.  Radius j gets phase offset + GA j, or with ``real``
+    the start is [U | conj(U) | real], U on the middle radius of each of
+    (d - r)/2 equal slices of the radii, at (offset + GA (j + 1/2)) mod pi.
     """
     d = len(c) - 1
     mags = np.abs(c)
@@ -347,27 +347,83 @@ def _start_points(c: np.ndarray, offset: float) -> np.ndarray:
         pos += b - a
     cauchy = 1.0 + float(np.max(mags[:-1]) / mags[-1])
     np.clip(radii, 1e-12, cauchy, out=radii)
-    k = np.arange(d)
-    return radii * np.exp(1j * (offset + _GOLDEN_ANGLE * k))
+    if real is None:
+        k = np.arange(d)
+        return radii * np.exp(1j * (offset + _GOLDEN_ANGLE * k))
+    k = (d - len(real)) // 2
+    j = np.arange(k)
+    upper = radii[(2 * j + 1) * d // max(2 * k, 1)] * np.exp(
+        1j * np.mod(offset + _GOLDEN_ANGLE * (j + 0.5), math.pi))
+    return np.concatenate([upper, upper.conj(), real])
+
+
+def _real_brackets(table: np.ndarray, rows: np.ndarray) -> List[np.ndarray]:
+    """Per real row of the Horner table named by ``rows``, the (3, r) array
+    of lower ends, upper ends and midpoints (in u) of the brackets where p
+    changes sign on a grid of u in [-2, 2]: x = u for |u| <= 1, else
+    1/(sign(u)(2-|u|)) on the reversed column, log-spaced toward x = +-1 with
+    d/4 points per side, 16 to 64.  A value within 4 d eps sum|c_j| of zero
+    has no certain sign and is skipped, so every bracket holds a real root.
+    """
+    B, d = table.shape[1] // 2, len(table) - 1
+    g = np.geomspace(1.0, 0.25 / d, max(16, min(64, d // 4)))
+    u = np.unique(np.outer([-1.0, 1.0], np.r_[1.0 - g, 1.0 + g, 1.0]))
+    outer = np.abs(u) > 1.0
+    def to_x(v):
+        with np.errstate(divide="ignore"):
+            return np.where(np.abs(v) > 1.0, 1.0 / (np.sign(v) * (2.0 - np.abs(v))), v)
+    w = np.where(outer, np.sign(u) * (2.0 - np.abs(u)), u)
+    vals = _horner(table, np.tile(w + 0j, len(rows)),
+                   (rows[:, None] + B * outer).ravel()).real.reshape(len(rows), len(u))
+    tol = 4 * d * np.finfo(float).eps * np.abs(table[:, rows]).sum(axis=0)
+    sign = np.where(np.abs(vals) > tol[:, None], np.sign(vals), 0.0)
+    sign *= np.where(outer, np.sign(u) ** d, 1.0)
+    x, brackets = to_x(u), []
+    for s in sign:
+        keep = np.flatnonzero(s)
+        change = s[keep[:-1]] != s[keep[1:]]
+        lo, hi = keep[:-1][change], keep[1:][change]
+        brackets.append(np.stack([x[lo], x[hi], to_x(0.5 * (u[lo] + u[hi]))]))
+    return brackets
 
 
 def _aberth(C: np.ndarray, max_iter: int, offset: float):
     """Aberth-Ehrlich iteration on the rows of C, a (B, d+1) stack of
     degree-d coefficient vectors with nonzero end coefficients.
 
+    A real row's slots are [U | conj(U) | R], R one start per _real_brackets
+    sign change.  Only U and R are iterated; the mirrors enter the repulsion
+    sums as others and are reset to conj(U) after each sweep.  R moves by the
+    real part of its correction, at most half way to its bracket's ends.  A
+    U pair stalls on real roots the count missed: once a row's unsettled U
+    and R fall to 2% of them, or by under 10% in a sweep after sweep 5, its
+    unsettled mirrors become free (nudged) iterates, and so does an R pinned
+    at its bracket's end after that, its root taken by a freed mirror.
+
     Every row keeps its own start points, Cauchy radius, per-root active
-    flags and collision kicks, and its repulsion sums run over its own
-    iterates only, so each row's iterates are bitwise those of a B = 1 call:
-    batching shares the Python-level Horner loop, not the arithmetic.  The
-    Horner table is built once for the whole stack.
+    flags, collision kicks and unfold, and its repulsion sums run over its
+    own iterates only, so each row's iterates are bitwise those of a B = 1
+    call: batching shares the Python-level Horner loop, not the arithmetic.
+    The Horner table is built once for the whole stack.
     Returns the (B, d) iterates and a per-row flag telling whether every
     root of that row settled within max_iter sweeps.
     """
     B, d = C.shape[0], C.shape[1] - 1
     table = _horner_table(C)
     radius = 1.0 + np.max(np.abs(C[:, :-1]), axis=1) / np.abs(C[:, -1])
-    Z = np.stack([_start_points(c, offset) for c in C])
-    active = np.ones((B, d), dtype=bool)
+    is_real = ~C.imag.any(axis=1)
+    reals = _real_brackets(table, np.flatnonzero(is_real))
+    k = np.zeros(B, dtype=int)
+    k[is_real] = [(d - x.shape[1]) // 2 for x in reals]
+    mirror = (np.arange(d) >= k[:, None]) & (np.arange(d) < 2 * k[:, None])
+    on_axis = is_real[:, None] & (np.arange(d) >= 2 * k[:, None])
+    ends = np.multiply.outer([-np.inf, np.inf], np.ones((B, d)))
+    ends[:, on_axis] = np.concatenate([np.empty((2, 0))] + [x[:2] for x in reals], axis=1)
+    Z = np.stack([_start_points(c, offset, reals.pop(0)[2] if real else None)
+                  for c, real in zip(C, is_real)])
+    mrows, mcols = np.nonzero(mirror)
+    folded, active = k > 0, ~mirror
+    owners = unsettled = np.count_nonzero(active, axis=1)
     for it in range(max_iter):
         rows, cols = np.nonzero(active)
         if rows.size == 0:
@@ -387,6 +443,12 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
             # points deterministically and keep going
             kick = 1e-3 * radius[rows[bad]] * np.exp(1j * _GOLDEN_ANGLE * (it + cols[bad]))
             corr[bad] = -kick
+        real = on_axis[rows, cols]
+        x, (a, e), step = z[real].real, ends[:, rows[real], cols[real]], (z - corr)[real].real
+        new = np.where(step <= a, 0.5 * (x + a), np.where(step >= e, 0.5 * (x + e), step))
+        corr[real] = x - new
+        lost = (new != step) & ~folded[rows[real]] & (k[rows[real]] > 0)
+        on_axis[rows[real][lost], cols[real][lost]] = False
         z -= corr
         Z[rows, cols] = z
         # settled means both the Aberth step and the Newton ratio are tiny;
@@ -395,6 +457,15 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
             np.abs(s) <= 1e-12 * (1.0 + np.abs(z))
         )
         active[rows[done], cols[done]] = False
+        m = folded[mrows]
+        Z[mrows[m], mcols[m]] = np.conj(Z[mrows[m], mcols[m] - k[mrows[m]]])
+        before, unsettled = unsettled, np.count_nonzero(active, axis=1)
+        stall = folded & ((unsettled <= 0.02 * owners) | ((it >= 5) & (unsettled > 0.9 * before)))
+        m = stall[mrows] & active[mrows, mcols - k[mrows]]
+        r, c = mrows[m], mcols[m]
+        Z[r, c] *= 1.0 + 1e-3 * np.exp(1j * (0.7 + _GOLDEN_ANGLE * c))
+        active[r, c] = True
+        folded &= ~stall
     return Z, ~active.any(axis=1)
 
 
@@ -402,14 +473,18 @@ def _aberth_extended(c: np.ndarray, z: np.ndarray, max_iter: int):
     """Continue the Aberth sweep of row c from its double iterates z in
     mpmath at EXTENDED_DPS digits, where p and p' cannot overflow at any |z|.
     A zero division (p' = 0, a collision, a zero denominator) kicks the
-    iterate as _aberth does.  Returns the iterates rounded to double and
-    whether all settled within max_iter sweeps."""
+    iterate as _aberth does; an exactly real iterate of a real row moves by
+    real parts only.  An iterate settles on a tiny step and Newton ratio, or
+    on |p(z)| <= 10^(2 - EXTENDED_DPS) sum |c_j| |z|^j.  Returns the iterates
+    rounded to double and whether all settled within max_iter sweeps."""
     import mpmath as mp
 
     with mp.workdps(EXTENDED_DPS):
         cm = [mp.mpc(complex(v)) for v in c[::-1]]
         radius = 1 + max(abs(v) for v in cm[1:]) / abs(cm[0])
+        cabs = [abs(v) for v in cm]
         zm = [mp.mpc(complex(v)) for v in z]
+        on_axis = [not c.imag.any() and v.imag == 0 for v in z]
         stop = mp.mpf(10) ** (2 - EXTENDED_DPS)
         active = [True] * len(zm)
         for it in range(max_iter):
@@ -421,11 +496,15 @@ def _aberth_extended(c: np.ndarray, z: np.ndarray, max_iter: int):
                     s = p / dp
                     corr = s / (1 - s * mp.fsum(1 / (zi - zj) for j, zj in enumerate(zm) if j != i))
                 except ZeroDivisionError:
-                    zm[i] = zi + 1e-3 * radius * mp.expjpi(_GOLDEN_ANGLE * (it + i) / mp.pi)
+                    kick = 1e-3 * radius * mp.expjpi(_GOLDEN_ANGLE * (it + i) / mp.pi)
+                    zm[i] = zi + (kick.real if on_axis[i] else kick)
                     continue
+                if on_axis[i]:
+                    corr = corr.real
                 zm[i] = zi - corr
                 tiny = stop * (1 + abs(zm[i]))
-                if abs(corr) <= tiny and abs(s) <= 100 * tiny:
+                if (abs(corr) <= tiny and abs(s) <= 100 * tiny) or (
+                        abs(p) <= stop * mp.polyval(cabs, abs(zi))):
                     active[i] = False
             if not any(active):
                 break

@@ -17,11 +17,11 @@ from padeclust import experiments as ex
 PINNED = {
     ex.ET_CLUSTERING: (
         dict(trials=4),
-        "077a37d0434dbf04d07b827705924c951ddfd6d418daa6ac78aecf21ff2940c2",
+        "b25ea70c511cf7a1cc87835749dea320f53d1ba463a8ec8965045b5da16c16a6",
     ),
     ex.DISCRETE_EXAMPLE: (
         dict(trials=3),
-        "056c327769df417a696a56690ac488e7189495c8fcf343b7561661755a5d0ece",
+        "036e0db97a426ce3a1c797c8f5b377c86876918376ba2d093b1c1fc1ae5051b0",
     ),
     ex.ANTICONCENTRATION: (
         dict(trials=200),
@@ -33,11 +33,11 @@ PINNED = {
     ),
     ex.ZERO_RADIUS: (
         dict(trials=2, N=256),
-        "0dd6f01e9a32e500507f7c2cceb3310a1ee3ee690296341c857ccda7e7fd06e3",
+        "06a65f6530b5aa8d1a8b95b5c449bc5f68212a757f2dc6f2ff54346c2fc7c5bc",
     ),
     ex.POLE_CLUSTERING: (
         dict(trials=2, N=256),
-        "b19d1fb26c6d02323f8591db17586029755a77407bad6b6ee4ed3758a251ff3a",
+        "334797960d23a51270653ac096eb57fbccc35287624231ae0e60ff2d4d0dde7d",
     ),
 }
 
@@ -47,8 +47,8 @@ SUMMARY_PINNED = {
     ex.DISCRETE_EXAMPLE: "9819b25b6baf970807885190a4144949df3001c563293c57bedfff5a6a3059fd",
     ex.ANTICONCENTRATION: "bc32e457fbd03839df8ee6f89e552a4174d5404e9a2d3122d4696016dd159876",
     ex.DET_GROWTH: "bf31539b5cb7fceaeea26da2df57fe9c1a0d44a65ab77ac0ca7cbe40b4396ebd",
-    ex.ZERO_RADIUS: "334bbebc8a4deb1b7dbc8979eabe4e5da112607741a9cca1e8505fdb85dd56e7",
-    ex.POLE_CLUSTERING: "4980389a406edcd1757a4d43046fefaf0f13443f4eaea37f1930e2c3fba377a2",
+    ex.ZERO_RADIUS: "c7dc2474a769f1bc46e036b78679e343d3e1cc74b935a3a8df0d63adcfd152b8",
+    ex.POLE_CLUSTERING: "169b030324e35f06613085a027c280929da2944df1309f2f7344c02019213b56",
 }
 
 

@@ -393,7 +393,7 @@ def test_series_retry_tiers(name, overrides, retry_fails, precision, monkeypatch
 
     expected = [({}, list(range(config.trials))), ({"start_offset": 0.37}, chosen)]
     if retry_fails and precision == "extended":
-        expected.append(({"precision": "extended"}, chosen))
+        expected.append(({"precision": "extended", "start_offset": 0.37}, chosen))
     assert calls == expected
     assert block.trial == clean.trial
     for i, trial in enumerate(block.trial):
@@ -412,6 +412,29 @@ def test_series_retry_tiers(name, overrides, retry_fails, precision, monkeypatch
                 assert (value is None) == (col[i] is None), key
                 if value is not None:
                     assert value == pytest.approx(col[i], rel=1e-6, abs=1e-9), key
+
+
+def test_et_style_numerators_retry_from_rotated_starts(monkeypatch):
+    # a numerator that does not settle from the first start points is solved
+    # again from rotated ones, as the series protocols' roots are
+    config = ex.default_config(ex.ET_CLUSTERING, m=(8, 16), n=1, trials=4)
+    clean = ex.RUNNERS[ex.ET_CLUSTERING](config)[1]
+    real, calls = ex.find_roots_batch, []
+
+    def first_tier_fails(polys, **kwargs):
+        calls.append(kwargs)
+        out = real(polys, **kwargs)
+        return out if kwargs else [NonConvergence("injected", partial=r) for r in out]
+
+    monkeypatch.setattr(ex, "find_roots_batch", first_tier_fails)
+    block = ex.RUNNERS[ex.ET_CLUSTERING](config)[1]
+    assert calls == [{}, {"start_offset": 0.37}]
+    assert block.reason == clean.reason and "nonconvergence" not in block.reason
+    for key, col in clean.values.items():
+        got = block.values[key]
+        assert [v is None for v in got] == [v is None for v in col], key
+        assert [v for v in got if v is not None] == pytest.approx(
+            [v for v in col if v is not None], rel=1e-6, abs=1e-9), key
 
 
 def test_trials_csv_round_trips_through_float_parse(tmp_path):

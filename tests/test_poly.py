@@ -24,8 +24,8 @@ from padeclust import (
     jensen_rhs,
     truncated_product,
 )
-from padeclust.poly import EXTENDED_DPS, ZERO_REL
-from padeclust.sampler import DISCRETE, distribution, sample
+from padeclust.poly import EXTENDED_DPS, ZERO_REL, _aberth_extended
+from padeclust.sampler import DISCRETE, GAUSSIAN, distribution, sample
 
 
 def companion_roots(coeffs):
@@ -287,6 +287,29 @@ def test_find_roots_extended_matches_mpmath_polyroots(kind):
         assert np.all(cost[i, j] <= 1e-14 * (1.0 + np.abs(want[j])))
 
 
+def test_find_roots_extended_settles_on_backward_error():
+    # (z-1)...(z-8): 30-digit corrections of the ill-conditioned roots hover
+    # above the relative-step rule, while |p(z)| is at rounding level.
+    # Iterates started off the real axis take complex steps throughout.
+    c = np.poly(np.arange(1.0, 9.0))[::-1]
+    z, settled = _aberth_extended(c.astype(complex), np.arange(1.0, 9.0) * (1 + 1e-7j), 150)
+    assert settled and np.abs(z - np.arange(1.0, 9.0)).max() < 1e-14
+    rs = find_roots(c, precision="extended")
+    assert rs.converged and len(rs) == 8
+    assert np.abs(rs.roots - np.arange(1.0, 9.0)).max() < 1e-14
+
+
+def test_find_roots_extended_keeps_exactly_real_roots_real():
+    # 8 double sweeps leave this polynomial unsettled, with one exactly real
+    # iterate per real root (one per sign change); the mpmath continuation
+    # moves those along the real axis only
+    c = np.random.default_rng(0).standard_normal(41)
+    real_roots = np.count_nonzero(np.abs(companion_roots(c).imag) < 1e-9)
+    assert real_roots == 4
+    rs = find_roots(c, max_iter=8, precision="extended")
+    assert np.count_nonzero(rs.roots.imag == 0) == real_roots
+
+
 def test_find_roots_extended_continues_unsettled_double_iterates():
     # 8 double sweeps leave this degree-40 polynomial unsettled; extended
     # precision continues those iterates and settles within its own 8
@@ -296,6 +319,18 @@ def test_find_roots_extended_continues_unsettled_double_iterates():
     rs = find_roots(c, max_iter=8, precision="extended")
     assert rs.converged and len(rs) == 40
     assert match_distance(rs.roots, find_roots(c).roots) < 1e-12
+
+
+def test_find_roots_frees_a_real_iterate_whose_root_was_taken():
+    # A U pair of this real degree-64 sample reaches the real root -22.6
+    # before the real iterate of its sign-change bracket (-inf, -3.24) does.
+    # After the row unfolds a freed mirror takes that root, and the real
+    # iterate, pinned at its bracket's end, must go free to take the
+    # complex root left over.
+    c = sample(distribution(GAUSSIAN), 64, 11, 552).coeffs
+    rs = find_roots(c)
+    assert rs.converged
+    assert match_distance(companion_roots(c), rs.roots) < 1e-9
 
 
 def test_find_roots_large_start_radius_stays_finite():
