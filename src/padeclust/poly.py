@@ -363,7 +363,8 @@ def _real_brackets(table: np.ndarray, rows: np.ndarray) -> List[np.ndarray]:
     changes sign on a grid of u in [-2, 2]: x = u for |u| <= 1, else
     1/(sign(u)(2-|u|)) on the reversed column, log-spaced toward x = +-1 with
     d/4 points per side, 16 to 64.  A value within 4 d eps sum|c_j| of zero
-    has no certain sign and is skipped, so every bracket holds a real root.
+    has no certain sign and is skipped, so every bracket holds a real root;
+    the ends x = +-inf are exact (c_d) and kept, so r has the parity of d.
     """
     B, d = table.shape[1] // 2, len(table) - 1
     g = np.geomspace(1.0, 0.25 / d, max(16, min(64, d // 4)))
@@ -375,8 +376,8 @@ def _real_brackets(table: np.ndarray, rows: np.ndarray) -> List[np.ndarray]:
     w = np.where(outer, np.sign(u) * (2.0 - np.abs(u)), u)
     vals = _horner(table, np.tile(w + 0j, len(rows)),
                    (rows[:, None] + B * outer).ravel()).real.reshape(len(rows), len(u))
-    tol = 4 * d * np.finfo(float).eps * np.abs(table[:, rows]).sum(axis=0)
-    sign = np.where(np.abs(vals) > tol[:, None], np.sign(vals), 0.0)
+    tol = 4 * d * np.finfo(float).eps * np.abs(np.ascontiguousarray(table[:, rows].T)).sum(axis=1)
+    sign = np.where((np.abs(vals) > tol[:, None]) | (np.abs(u) == 2.0), np.sign(vals), 0.0)
     sign *= np.where(outer, np.sign(u) ** d, 1.0)
     x, brackets = to_x(u), []
     for s in sign:

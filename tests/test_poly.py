@@ -321,6 +321,22 @@ def test_find_roots_extended_continues_unsettled_double_iterates():
     assert match_distance(rs.roots, find_roots(c).roots) < 1e-12
 
 
+def test_find_roots_tiny_leading_coefficient_keeps_the_real_count_parity():
+    # c_20 = 2e-13 lies below the real grid's sign tolerance 4 d eps sum|c_j|,
+    # but p(+-inf) has the exact sign of c_20, so the sign-change count keeps
+    # the parity of d and finds both real roots, -1 and about -5e12
+    c = np.r_[np.ones(20), 2e-13]
+    rs = find_roots(c)
+    assert rs.converged and len(rs) == 20
+    want = _mp_roots(c)
+    cost = np.abs(rs.roots[:, None] - want[None, :])
+    i, j = linear_sum_assignment(cost)
+    assert np.all(cost[i, j] <= 1e-12 * (1.0 + np.abs(want[j])))
+    assert np.count_nonzero(rs.roots.imag == 0) == 2
+    batched = find_roots_batch([c, np.r_[np.ones(20), 1.0], c])
+    assert all(np.array_equal(b.roots, rs.roots) for b in batched[::2])
+
+
 def test_find_roots_frees_a_real_iterate_whose_root_was_taken():
     # A U pair of this real degree-64 sample reaches the real root -22.6
     # before the real iterate of its sign-change bracket (-inf, -3.24) does.

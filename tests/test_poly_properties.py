@@ -115,6 +115,21 @@ def test_real_coefficient_roots_are_conjugate_symmetric(c):
             np.min(np.abs(others - np.conj(Z[i]))) <= 1e-9 * (1.0 + abs(Z[i])))
 
 
+@pytest.mark.parametrize("kind, degree, seed", [
+    (GAUSSIAN, 4, 24), (GAUSSIAN, 8, 11), (GAUSSIAN, 15, 4), (DISCRETE, 18, 0)])
+def test_low_degree_real_slots_end_exactly_real(kind, degree, seed):
+    # With d/4 grid points per side alone (1 to 4 here), these samples'
+    # brackets are coarse enough that a U pair reaches a real root before
+    # its R iterate and the R ends freed and non-real; the 16-point floor
+    # keeps every R slot of each of them exactly real
+    spec = distribution(kind, M=1 if kind == DISCRETE else None)
+    C = np.trim_zeros(sample(spec, degree, seed, 0).coeffs)[None, :].astype(complex)
+    r = P._real_brackets(P._horner_table(C), np.array([0]))[0].shape[1]
+    Z, settled = P._aberth(C, 150, 0.0)
+    assert r > 0 and settled[0]
+    assert np.all(Z[0, -r:].imag == 0.0)
+
+
 def test_complex_coefficient_row_is_bitwise_unchanged():
     """A complex row keeps every slot free and the golden-angle starts: its
     iterates, settled and partial, hash as they did before real rows were
