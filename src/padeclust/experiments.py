@@ -58,7 +58,7 @@ from .errors import (
     NonConvergence,
 )
 from .pade import EtRatio, et_bound_chain, et_ratio, pade
-from .poly import Polynomial, find_roots, find_roots_batch
+from .poly import Polynomial, continue_extended, find_roots, find_roots_batch
 from .sampler import (DISCRETE, GAUSSIAN, LOGCONCAVE, DistributionSpec, distribution, sample,
                       sample_block)
 # sample, find_roots, assoc_matrix and log_abs_det are not called here any
@@ -292,15 +292,16 @@ def _blocks(config: ExperimentConfig, trials: range, length: int, k: int = 1,
 def _roots_with_retry(polys: Sequence[Polynomial], precision: str) -> List:
     """find_roots_batch over polys; the rows that did not converge are solved
     again from rotated start points, and (for precision "extended") those
-    still failing once more from the rotated points, continued in extended
+    still failing have their rotated-start iterates continued in extended
     precision.  A row that fails every tier stays a NonConvergence."""
     found = find_roots_batch(polys)
-    retries = [dict(start_offset=0.37)]
+    failed = [i for i, r in enumerate(found) if isinstance(r, NonConvergence)]
+    for i, roots in zip(failed, find_roots_batch([polys[i] for i in failed], start_offset=0.37)):
+        found[i] = roots
     if precision == "extended":
-        retries.append(dict(precision="extended", start_offset=0.37))
-    for kwargs in retries:
-        failed = [i for i, r in enumerate(found) if isinstance(r, NonConvergence)]
-        for i, roots in zip(failed, find_roots_batch([polys[i] for i in failed], **kwargs)):
+        failed = [i for i in failed if isinstance(found[i], NonConvergence)]
+        for i, roots in zip(failed, continue_extended([polys[i] for i in failed],
+                                                      [found[i].partial for i in failed])):
             found[i] = roots
     return found
 
@@ -747,7 +748,7 @@ def _pole_records(config: ExperimentConfig, n_values: Tuple[int, ...], m: int,
                   trials: range) -> RecordBlock:
     """Units (trial, n) for a contiguous trial range, one block at a time:
     the series roots by one _roots_with_retry, the series check and R_m,
-    pade for every unit, then one find_roots_batch over all the block's
+    pade for every unit, then one _roots_with_retry over all the block's
     denominators and their checks.  Units come in (trial, n) order."""
     out = RecordBlock(POLE_COLUMNS)
     rho = config.rhos[-1]
@@ -775,7 +776,8 @@ def _pole_records(config: ExperimentConfig, n_values: Tuple[int, ...], m: int,
                     out.add(trial, values, degenerate=True, reason="degenerate_system")
                     continue
                 pending.append((out.add(trial, values), pair.q, r_m))
-        for (slot, q, r_m), q_roots in zip(pending, find_roots_batch([q for _, q, _ in pending])):
+        denominators = _roots_with_retry([q for _, q, _ in pending], config.precision)
+        for (slot, q, r_m), q_roots in zip(pending, denominators):
             if isinstance(q_roots, NonConvergence):
                 out.excluded[slot], out.reason[slot] = True, "nonconvergence"
                 continue

@@ -11,22 +11,28 @@ Conventions used throughout the package:
 The root finder is the Aberth-Ehrlich simultaneous iteration with initial
 guesses on Newton-polygon radii at golden-angle phases.  For |z| > 1 the
 Newton ratio p/p' is evaluated through the reversed polynomial at w = 1/z,
-which keeps Horner finite at any start radius and any degree.  Horner runs
-once per sweep over every active iterate: a (d+1, 2B) table holds the B
+which keeps every power finite at any start radius and any degree.  One
+evaluation pass per sweep covers every active iterate: a table holds the B
 forward coefficient columns next to the B reversed ones, and each iterate
-reads the forward column at z or the reversed column at 1/z.  For real
-coefficients _aberth iterates one root of each conjugate pair, and one
-exactly real root per sign change of p on a real grid.
-find_roots_batch iterates a (B, d) stack of same-degree polynomials at once,
-sharing the Python-level Horner loop; find_roots is its B = 1 call.
-precision="extended" continues each row's double iterates in mpmath at
-EXTENDED_DPS digits until they settle there.
+reads the forward column at z or the reversed column at 1/z.  Below degree
+_BLOCKED_FROM the pass is Horner's rule; from there on it is blocked
+(Paterson-Stockmeyer, baby-step/giant-step): p = sum_b y^b q_b with
+y = x^s, s = ceil(sqrt(d+1)), the inner sums q_b taken by one np.einsum per
+column, so a sweep makes about 2 sqrt(d) Python-level steps, not d + 1.
+An iterate settles on a tiny Aberth step and Newton ratio, or on the
+backward-error stop |p| <= k eps sum_j |c_j| |x|^j with k from the pass's
+error bound (_Table.noise).  For real coefficients _aberth iterates one
+root of each conjugate pair, and one exactly real root per sign change of p
+on a real grid.  find_roots_batch iterates a (B, d) stack of same-degree
+polynomials at once, sharing the Python-level steps; find_roots is its
+B = 1 call.  precision="extended" continues each row's double iterates in
+mpmath at EXTENDED_DPS digits until they settle there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -160,20 +166,97 @@ def truncated_product(f, g, order: int) -> Polynomial:
 # stable evaluation helpers
 
 
-def _horner_table(C: np.ndarray) -> np.ndarray:
-    """(d+1, 2B) Horner table of a (B, d+1) coefficient stack: column b holds
-    polynomial b and column B + b its reversal, both low-to-high."""
-    return np.concatenate([C.T, C.T[::-1]], axis=1)
+@dataclass(frozen=True)
+class _Table:
+    """Evaluation table of a (B, d+1) coefficient stack, for _horner_steps.
+
+    ``coef`` is the (d+1, 2B) table: column b holds polynomial b and column
+    B + b its reversal, both low-to-high.  p is evaluated in nb blocks of s
+    coefficients, block b holding c_{bs} .. c_{bs+s-1} (zero-padded to
+    nb*s): s = 1, Horner's rule, below degree _BLOCKED_FROM and
+    s = ceil(sqrt(d+1)) from there on.  Then ``blocks[i, b, 0, c]`` is
+    c_{bs+i} of column c and ``blocks[i, b, 1, c]`` the same entry of its
+    derivative's table, whose entry k-1 is k c_k, and ``mags[i, b, c]`` is
+    |c_{bs+i}|; with s = 1 ``blocks`` is None and ``mags`` is |coef|.
+    ``mass[c]`` is sum_j |c_j| and ``has_imag[c]`` tells whether column c
+    has an imaginary part.
+    """
+
+    coef: np.ndarray
+    s: int
+    nb: int
+    blocks: Optional[np.ndarray]
+    mags: np.ndarray
+    mass: np.ndarray
+    has_imag: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return len(self.coef) - 1
+
+    @property
+    def B(self) -> int:
+        return self.coef.shape[1] // 2
+
+    @property
+    def noise(self) -> float:
+        """k eps with |fl(p(x)) - p(x)| <= k eps sum_j |c_j| |x|^j for the
+        kernel of _horner_steps at |x| <= 1.  In units u = eps/2, to first
+        order, term j = bs + i of p picks up at most: 3(i-1)u from the i-1
+        complex multiplies of x^i (each within 2 sqrt(2) u, FMA or not), u
+        from its real coefficient, sqrt(2)(s-1)u from the componentwise
+        inner sum (none of these three when s = 1), and (3s + 1)u from each
+        of its b outer steps (y = x^s carries 3(s-1)u, the multiply 3u, the
+        add u).  With bs <= d and b < nb, below (3d + nb + 6s)u."""
+        return (1.5 * self.d + 0.5 * self.nb + 3 * self.s) * np.finfo(float).eps
 
 
-def _fold(table: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray]):
-    """Point, table column and outer mask for one Horner pass over z.
+# From this degree on p and p' are evaluated in blocks of s = ceil(sqrt(d+1))
+# coefficients whose inner sums take one np.einsum per column in use; below
+# it s = 1 and the kernel is Horner's rule.  Call-count model of one pass
+# over the points: Horner makes 4 ufunc calls per coefficient, 4(d + 1); the
+# blocked form makes an einsum call per column in use, and a batch of
+# same-degree rows has up to 2 _BATCH_ELEMS / d = 8192 / d columns, plus
+# about 3(s + nb) ~ 6 sqrt(d) calls for the powers and the outer steps:
+# 4d = 8192/d + 6 sqrt(d) at d ~ 55.  An einsum call costs several ufunc
+# calls, and timing both forms on full same-degree batches puts the
+# crossover between d = 100 and 128.  Every row of a batch shares d, so the
+# choice never depends on the batch.
+_BLOCKED_FROM = 120
+
+
+def _blocked(table: np.ndarray, s: int) -> np.ndarray:
+    """The (s, nb, ...) blocks of s rows of a (d+1, ...) table, zero-padded."""
+    nb = -(-len(table) // s)
+    padded = np.zeros((nb * s,) + table.shape[1:], dtype=table.dtype)
+    padded[:len(table)] = table
+    return np.ascontiguousarray(np.moveaxis(padded.reshape((nb, s) + table.shape[1:]), 1, 0))
+
+
+def _horner_table(C: np.ndarray) -> _Table:
+    """The _Table of a (B, d+1) coefficient stack C."""
+    coef = np.concatenate([C.T, C.T[::-1]], axis=1)
+    d = len(coef) - 1
+    mags = np.abs(coef)
+    table = _Table(coef, 1, d + 1, None, mags, mags.sum(axis=0), coef.imag.any(axis=0))
+    if d < _BLOCKED_FROM:
+        return table
+    s = math.isqrt(d) + 1  # ceil(sqrt(d + 1))
+    deriv = np.zeros_like(coef)
+    deriv.real[:d], deriv.imag[:d] = (part[1:] * np.arange(1, d + 1)[:, None]
+                                      for part in (coef.real, coef.imag))
+    return replace(table, s=s, nb=-(-(d + 1) // s),
+                   blocks=_blocked(np.stack([coef, deriv], axis=1), s), mags=_blocked(mags, s))
+
+
+def _fold(table: _Table, z: np.ndarray, rows: Optional[np.ndarray]):
+    """Point, table column and outer mask for one evaluation pass over z.
 
     Points with |z| > 1 are evaluated at w = 1/z on the reversed column, the
     rest at z on the forward one.  ``rows`` gives each point's polynomial;
     None means polynomial 0 for every point.
     """
-    B = table.shape[1] // 2
+    B = table.B
     outer = np.abs(z) > 1.0
     x = z.copy()
     x[outer] = 1.0 / z[outer]
@@ -181,78 +264,155 @@ def _fold(table: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray]):
     return x, cols, outer
 
 
-# Entries per expanded coefficient block in Horner: a block holds
-# _HORNER_ELEMS // n table rows for n points (8 at n = 4,096), so it stays
-# within 512 KB up to 32,768 points.
+# Complex entries per chunk of points in the blocked kernels: a chunk holds
+# _HORNER_ELEMS // (s + 2 nb) points (240 at degree 2048), and Horner's rule
+# expands blocks of _HORNER_ELEMS // n table rows for n points, so the
+# temporaries stay within 512 KB at any degree.
 _HORNER_ELEMS = 32768
 
 
-def _horner_pair(table: np.ndarray, x: np.ndarray, cols: np.ndarray):
-    """p(x) and p'(x), point x[i] evaluated on table column cols[i].
+def _block_sums(T: np.ndarray, cc: np.ndarray, V: np.ndarray, w: int) -> np.ndarray:
+    """S[r, w i + c] = sum_j T[j, r, cc[i]] V[j, w i + c] for the sorted
+    columns cc of one chunk of points: one np.einsum per column in use.  T
+    is an (s, rows, columns) real block table and V is (s, w m), w = 2 for
+    complex powers viewed as floats.  np.einsum accumulates each entry over
+    j in order from zero with separate multiplies and adds, whatever the
+    number of points, so each point sees the same floating-point operations
+    however many points or columns share the call (a BLAS matmul does not,
+    nor a 3-D einsum padded across columns)."""
+    m = len(cc)
+    S = np.empty((T.shape[1], w * m))
+    used, first = np.unique(cc, return_index=True)
+    for c, a, e in zip(used.tolist(), (w * first).tolist(), (w * np.r_[first[1:], m]).tolist()):
+        np.einsum("jb,jm->bm", T[:, :, c], V[:, a:e], out=S[:, a:e])
+    return S
 
-    The points are visited sorted by column, so each coefficient addend is a
-    contiguous row of np.repeat(table[lo:hi], counts, axis=1): a block of at
-    most _HORNER_ELEMS // len(x) table rows, expanded once per block rather
-    than gathered per coefficient.  The steps write into reused buffers and
-    the results are scattered back to the input order.  Each element sees
-    the same sequence of floating-point operations however many points share
-    the call.  Every multiply writes to a buffer distinct from its inputs:
-    numpy's in-place complex multiply rounds a one-element array differently
-    from a longer one.  The in-place adds are exact.
-    """
-    return _horner_steps(table, x, cols, True)
+
+def _powers(x: np.ndarray, s: int) -> np.ndarray:
+    """The (s, m) powers x^0 .. x^(s-1), one multiply each into its own row."""
+    X = np.empty((s, len(x)), dtype=x.dtype)
+    X[0] = 1.0
+    X[1:2] = x
+    for i in range(2, s):
+        np.multiply(X[i - 1], x, out=X[i])
+    return X
 
 
-def _horner(table: np.ndarray, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _horner_pair(table: _Table, x: np.ndarray, cols: np.ndarray):
+    """p(x) and p'(x), point x[i] (|x[i]| <= 1) evaluated on table column
+    cols[i], by _horner_steps."""
+    return _horner_steps(table, x, cols, "pair")
+
+
+def _horner(table: _Table, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """p(x) alone, by the same steps as _horner_pair."""
-    return _horner_steps(table, x, cols, False)
+    return _horner_steps(table, x, cols, "p")[0]
 
 
-def _horner_steps(table: np.ndarray, x: np.ndarray, cols: np.ndarray, deriv: bool):
-    """The Horner loop of _horner_pair and _horner; p' is carried only when
-    ``deriv``."""
+def _bound(table: _Table, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum_j |c_j| |x|^j by the same steps on |c| at |x|, in real
+    arithmetic."""
+    return _horner_steps(table, x, cols, "bound")[0]
+
+
+def _horner_steps(table: _Table, x: np.ndarray, cols: np.ndarray, what: str):
+    """p(x) = sum_b y^b q_b(x), y = x^s, q_b(x) = sum_i c_{bs+i} x^i, by
+    Horner's rule in y: p alone (``what`` "p"), p and p' ("pair") or the
+    bound on |c| at |x| ("bound"), as a (1 or 2, n) array.  The points are
+    visited sorted by column and the results scattered back to the input
+    order.
+
+    With s = 1 (q_b = c_b) each step is p' <- p' x + p, p <- p x + c_b on
+    the table rows expanded to the points, a block of rows at a time.  With
+    s > 1 (Paterson-Stockmeyer) the points go in chunks of _HORNER_ELEMS //
+    (s + 2 nb): the powers x^0..x^(s-1) and y take s multiplies, and
+    _block_sums gives every q_b from the real parts (of the k c_k table's
+    too for p'), plus a second share from the imaginary parts for the points
+    of a column with complex coefficients.  Each of the nb outer steps is
+    one multiply and one add over p and p' side by side.  Every multiply
+    writes to a 1-D buffer distinct from its inputs: numpy's in-place
+    complex multiply, or one on a (1, m) array, can round a short array
+    differently from a longer one.
+    """
     order = np.argsort(cols, kind="stable")
-    counts = np.bincount(cols, minlength=table.shape[1])
-    xs = x[order]
-    p, u = np.zeros_like(xs), np.empty_like(xs)
-    dp, t = (np.zeros_like(xs), np.empty_like(xs)) if deriv else (None, None)
-    step = max(1, _HORNER_ELEMS // max(len(xs), 1))
-    for hi in range(len(table), 0, -step):
-        for ek in np.repeat(table[max(0, hi - step):hi], counts, axis=1)[::-1]:
-            if deriv:
-                np.multiply(dp, xs, out=t)
-                np.add(t, p, out=t)
-                dp, t = t, dp
-            np.multiply(p, xs, out=u)
-            np.add(u, ek, out=u)
-            p, u = u, p
-    out = np.empty_like(p)
-    out[order] = p
-    if not deriv:
-        return out
-    dout = np.empty_like(dp)
-    dout[order] = dp
-    return out, dout
+    xs, cs = x[order], cols[order]
+    if what == "bound":
+        xs = np.abs(xs)
+    s, nb, n, k = table.s, table.nb, len(xs), 2 if what == "pair" else 1
+    if s == 1:
+        counts = np.bincount(cs, minlength=table.coef.shape[1])
+        p, u = np.zeros_like(xs), np.empty_like(xs)
+        dp, t = (np.zeros_like(xs), np.empty_like(xs)) if k == 2 else (None, None)
+        step = max(1, _HORNER_ELEMS // max(n, 1))
+        rows = table.mags if what == "bound" else table.coef
+        for hi in range(nb, 0, -step):
+            for ek in np.repeat(rows[max(0, hi - step):hi], counts, axis=1)[::-1]:
+                if k == 2:
+                    np.multiply(dp, xs, out=t)
+                    np.add(t, p, out=t)
+                    dp, t = t, dp
+                np.multiply(p, xs, out=u)
+                np.add(u, ek, out=u)
+                p, u = u, p
+        vals = np.stack([p, dp][:k])
+    else:
+        vals = np.empty((k, n), dtype=xs.dtype)
+        step = max(1, _HORNER_ELEMS // (s + 2 * nb))
+        T = table.mags if what == "bound" else table.blocks[:, :, :k].reshape(s, nb * k, -1)
+        for lo in range(0, n, step):
+            xc, cc = xs[lo:lo + step], cs[lo:lo + step]
+            m = len(xc)
+            X = _powers(xc, s)
+            if what == "bound":
+                Q = _block_sums(T, cc, X, 1)
+            else:
+                Qf = _block_sums(T.real, cc, X.view(float), 2)
+                hi = table.has_imag[cc]
+                if hi.any():
+                    # (a + ib) x^i: the imaginary table's sums t enter as i t
+                    t = _block_sums(T.imag, cc[hi], np.ascontiguousarray(X[:, hi]).view(float), 2)
+                    Q2, t = Qf.reshape(nb * k, m, 2), t.reshape(nb * k, -1, 2)
+                    Q2[:, hi, 0] -= t[..., 1]
+                    Q2[:, hi, 1] += t[..., 0]
+                Q = Qf.view(complex).reshape(nb, k * m)
+            y = np.tile(X[s - 1] * xc, k)
+            acc, tmp = Q[nb - 1].copy(), np.empty_like(y)
+            for b in range(nb - 2, -1, -1):
+                np.multiply(acc, y, out=tmp)
+                np.add(tmp, Q[b], out=acc)
+            vals[:, lo:lo + m] = acc.reshape(k, m)
+    out = np.empty_like(vals)
+    out[:, order] = vals
+    return out
 
 
-def _newton_ratio(table: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-    """p(z)/p'(z), through the reversed polynomial for |z| > 1.
+def _newton_ratio(table: _Table, z: np.ndarray, rows: Optional[np.ndarray] = None):
+    """p(z)/p'(z), through the reversed polynomial for |z| > 1, and whether
+    |p| is within the evaluation's error bound: |p(x)| <= table.noise
+    sum_j |c_j| |x|^j at the folded point x.  The bound is at most
+    sum_j |c_j| in the unit disk, so it is evaluated only at the points
+    where |p| <= 2 table.noise sum_j |c_j| (the 2 covers the rounding of
+    both sums); the flags are those of evaluating it at every point.
 
     With w = 1/z:  p(z) = z^d p_rev(w)  and
     p/p' = z * p_rev(w) / (d * p_rev(w) - w * p_rev'(w)).
     ``table`` and ``rows`` are as in _horner_table and _fold.
     """
-    d = len(table) - 1
+    d = table.d
     x, cols, outer = _fold(table, z, rows)
     p, dp = _horner_pair(table, x, cols)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.where(outer, z * p / (d * p - x * dp), p / dp)
+        ratio = np.where(outer, z * p / (d * p - x * dp), p / dp)
+    noise = np.abs(p) <= 2 * table.noise * table.mass[cols]
+    if noise.any():
+        noise[noise] = np.abs(p[noise]) <= table.noise * _bound(table, x[noise], cols[noise])
+    return ratio, noise
 
 
-def _log_abs_eval(table: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+def _log_abs_eval(table: _Table, z: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
     """log|p(z)| through the direct or reversed polynomial, overflow-free.
     ``table`` and ``rows`` are as in _horner_table and _fold."""
-    d = len(table) - 1
+    d = table.d
     x, cols, outer = _fold(table, z, rows)
     p = _horner(table, x, cols)
     with np.errstate(divide="ignore"):
@@ -357,8 +517,8 @@ def _start_points(c: np.ndarray, offset: float, real: Optional[np.ndarray] = Non
     return np.concatenate([upper, upper.conj(), real])
 
 
-def _real_brackets(table: np.ndarray, rows: np.ndarray) -> List[np.ndarray]:
-    """Per real row of the Horner table named by ``rows``, the (3, r) array
+def _real_brackets(table: _Table, rows: np.ndarray) -> List[np.ndarray]:
+    """Per real row of the evaluation table named by ``rows``, the (3, r) array
     of lower ends, upper ends and midpoints (in u) of the brackets where p
     changes sign on a grid of u in [-2, 2]: x = u for |u| <= 1, else
     1/(sign(u)(2-|u|)) on the reversed column, log-spaced toward x = +-1 with
@@ -366,7 +526,7 @@ def _real_brackets(table: np.ndarray, rows: np.ndarray) -> List[np.ndarray]:
     has no certain sign and is skipped, so every bracket holds a real root;
     the ends x = +-inf are exact (c_d) and kept, so r has the parity of d.
     """
-    B, d = table.shape[1] // 2, len(table) - 1
+    B, d = table.B, table.d
     g = np.geomspace(1.0, 0.25 / d, max(16, min(64, d // 4)))
     u = np.unique(np.outer([-1.0, 1.0], np.r_[1.0 - g, 1.0 + g, 1.0]))
     outer = np.abs(u) > 1.0
@@ -376,7 +536,8 @@ def _real_brackets(table: np.ndarray, rows: np.ndarray) -> List[np.ndarray]:
     w = np.where(outer, np.sign(u) * (2.0 - np.abs(u)), u)
     vals = _horner(table, np.tile(w + 0j, len(rows)),
                    (rows[:, None] + B * outer).ravel()).real.reshape(len(rows), len(u))
-    tol = 4 * d * np.finfo(float).eps * np.abs(np.ascontiguousarray(table[:, rows].T)).sum(axis=1)
+    mags = np.abs(np.ascontiguousarray(table.coef[:, rows].T))
+    tol = 4 * d * np.finfo(float).eps * mags.sum(axis=1)
     sign = np.where((np.abs(vals) > tol[:, None]) | (np.abs(u) == 2.0), np.sign(vals), 0.0)
     sign *= np.where(outer, np.sign(u) ** d, 1.0)
     x, brackets = to_x(u), []
@@ -404,8 +565,8 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
     Every row keeps its own start points, Cauchy radius, per-root active
     flags, collision kicks and unfold, and its repulsion sums run over its
     own iterates only, so each row's iterates are bitwise those of a B = 1
-    call: batching shares the Python-level Horner loop, not the arithmetic.
-    The Horner table is built once for the whole stack.
+    call: batching shares the Python-level evaluation steps, not the
+    arithmetic.  The evaluation table is built once for the whole stack.
     Returns the (B, d) iterates and a per-row flag telling whether every
     root of that row settled within max_iter sweeps.
     """
@@ -430,7 +591,7 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
         if rows.size == 0:
             break
         z = Z[rows, cols]
-        s = _newton_ratio(table, z, rows)
+        s, noise = _newton_ratio(table, z, rows)
         S = np.empty_like(z)
         bounds = np.searchsorted(rows, np.arange(B + 1))
         for b in np.flatnonzero(bounds[1:] > bounds[:-1]):
@@ -441,9 +602,10 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
         bad = ~np.isfinite(corr)
         if bad.any():
             # derivative hit a saddle or two iterates collided: kick those
-            # points deterministically and keep going
+            # points deterministically and keep going, except an iterate
+            # within its evaluation error, which settles where it is
             kick = 1e-3 * radius[rows[bad]] * np.exp(1j * _GOLDEN_ANGLE * (it + cols[bad]))
-            corr[bad] = -kick
+            corr[bad] = np.where(noise[bad], 0.0, -kick)
         real = on_axis[rows, cols]
         x, (a, e), step = z[real].real, ends[:, rows[real], cols[real]], (z - corr)[real].real
         new = np.where(step <= a, 0.5 * (x + a), np.where(step >= e, 0.5 * (x + e), step))
@@ -452,9 +614,11 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
         on_axis[rows[real][lost], cols[real][lost]] = False
         z -= corr
         Z[rows, cols] = z
-        # settled means both the Aberth step and the Newton ratio are tiny;
-        # the ratio check keeps collided pairs (tiny step, large ratio) alive
-        done = (np.abs(corr) <= _STEP_REL * (1.0 + np.abs(z))) & (
+        # settled means |p| was within its evaluation error (a root of a
+        # polynomial table.noise away: the backward-error stop), or both the
+        # Aberth step and the Newton ratio are tiny; the ratio check keeps
+        # collided pairs (tiny step, large ratio) alive
+        done = noise | (np.abs(corr) <= _STEP_REL * (1.0 + np.abs(z))) & (
             np.abs(s) <= 1e-12 * (1.0 + np.abs(z))
         )
         active[rows[done], cols[done]] = False
@@ -520,7 +684,7 @@ def _sorted_roots(roots: np.ndarray) -> np.ndarray:
 
 
 # Cap on B*d, the number of iterates one batched Aberth run holds: it bounds
-# the Horner temporaries, while repulsion stays per polynomial.
+# the evaluation temporaries, while repulsion stays per polynomial.
 _BATCH_ELEMS = 4096
 
 
@@ -539,40 +703,75 @@ def find_roots_batch(
     gives.  A polynomial that does not converge yields its NonConvergence
     (carrying the partial RootSet) in place of a RootSet rather than raising.
     Degree < 1 or malformed coefficients raise DegenerateInput for the call.
+    precision="extended" continues each row's double iterates, sorted as in
+    the partial RootSet, in mpmath (continue_extended does the same from
+    the partials of a double call).
     """
     if precision not in ("double", "extended"):
         raise ValueError("precision must be 'double' or 'extended'")
-    full: List[np.ndarray] = []
+    split = [_split_origin(p) for p in polys]
+    full = [c for c, _ in split]
     roots: List[np.ndarray] = []
     by_degree: Dict[int, List[int]] = {}
-    for i, p in enumerate(polys):
-        p = _as_poly(p)
-        deg = p.degree
-        if deg < 1:
-            raise DegenerateInput("root finding needs degree >= 1")
-        c = np.asarray(p.coeffs[: deg + 1], dtype=complex)
-        thresh = p.zero_threshold
-        k0 = 0
-        while k0 < deg and abs(c[k0]) <= thresh:
-            k0 += 1
-        full.append(c)
+    for i, (c, k0) in enumerate(split):
         roots.append(np.zeros(k0, dtype=complex))
-        if deg - k0 == 1:
+        if len(c) - k0 == 2:
             roots[i] = np.concatenate([roots[i], [-c[k0] / c[k0 + 1]]])
-        elif deg - k0 > 1:
-            by_degree.setdefault(deg - k0, []).append(i)
+        elif len(c) - k0 > 2:
+            by_degree.setdefault(len(c) - 1 - k0, []).append(i)
     settled = [True] * len(full)
     for d, members in by_degree.items():
         for chunk in _chunks(members, d):
             C = np.stack([full[i][-d - 1:] for i in chunk])
             Z, row_ok = _aberth(C, max_iter, start_offset)
             if precision == "extended":
-                Z, row_ok = zip(*(_aberth_extended(c, z, max_iter) for c, z in zip(C, Z)))
+                Z, row_ok = zip(*(_aberth_extended(c, _sorted_roots(z), max_iter)
+                                  for c, z in zip(C, Z)))
             for i, z, ok in zip(chunk, Z, row_ok):
                 roots[i] = np.concatenate([roots[i], z])
                 settled[i] = bool(ok)
+    return _root_sets(full, roots, settled, tol, max_iter)
+
+
+def continue_extended(polys: Sequence, partials: Sequence[RootSet], tol: float = 1e-10,
+                      max_iter: int = 150) -> List[Union[RootSet, NonConvergence]]:
+    """find_roots_batch(polys, tol, max_iter, "extended", offset) given the
+    partial RootSets that find_roots_batch(polys, tol, max_iter, "double",
+    offset) returned: each row's double iterates continue in mpmath from the
+    partial, bit for bit as that call would, without repeating its double
+    phase."""
+    full, roots, settled = [], [], []
+    for p, rs in zip(polys, partials):
+        c, k0 = _split_origin(p)
+        z, ok = rs.roots, True
+        if len(c) - k0 > 2:
+            z, ok = _aberth_extended(c[k0:], z[k0:], max_iter)
+            z = np.concatenate([np.zeros(k0, dtype=complex), z])
+        full.append(c)
+        roots.append(z)
+        settled.append(bool(ok))
+    return _root_sets(full, roots, settled, tol, max_iter)
+
+
+def _split_origin(p):
+    """The coefficients of p through its numerical degree, as complex, and
+    the number of zeros at the origin split off exactly."""
+    p = _as_poly(p)
+    deg = p.degree
+    if deg < 1:
+        raise DegenerateInput("root finding needs degree >= 1")
+    c = np.asarray(p.coeffs[: deg + 1], dtype=complex)
+    thresh = p.zero_threshold
+    k0 = 0
+    while k0 < deg and abs(c[k0]) <= thresh:
+        k0 += 1
+    return c, k0
+
+
+def _root_sets(full, roots, settled, tol, max_iter) -> List[Union[RootSet, NonConvergence]]:
+    """RootSets (or NonConvergences carrying them) of the full polynomials,
+    origin zeros included, with their residuals."""
     roots = [_sorted_roots(r) for r in roots]
-    # residuals of the full polynomials, origin zeros included
     log_res = [0.0] * len(full)
     by_length: Dict[int, List[int]] = {}
     for i, c in enumerate(full):

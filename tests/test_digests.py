@@ -17,11 +17,11 @@ from padeclust import experiments as ex
 PINNED = {
     ex.ET_CLUSTERING: (
         dict(trials=4),
-        "b25ea70c511cf7a1cc87835749dea320f53d1ba463a8ec8965045b5da16c16a6",
+        "8878ed54d943a8d8692444510871d74257bb3488d739629573854f1acdc55997",
     ),
     ex.DISCRETE_EXAMPLE: (
         dict(trials=3),
-        "036e0db97a426ce3a1c797c8f5b377c86876918376ba2d093b1c1fc1ae5051b0",
+        "5de8377a82bcb5b154a32caa0c85bb330bee2c1c4f261c4a92bdea1bd61f9881",
     ),
     ex.ANTICONCENTRATION: (
         dict(trials=200),
@@ -33,11 +33,11 @@ PINNED = {
     ),
     ex.ZERO_RADIUS: (
         dict(trials=2, N=256),
-        "06a65f6530b5aa8d1a8b95b5c449bc5f68212a757f2dc6f2ff54346c2fc7c5bc",
+        "eae5ade0f12b3c20085b81c886e72d3c091fb1000535f384d4ce6dc3623511fa",
     ),
     ex.POLE_CLUSTERING: (
         dict(trials=2, N=256),
-        "334797960d23a51270653ac096eb57fbccc35287624231ae0e60ff2d4d0dde7d",
+        "35ab6944e914603e58990630ad67536e28b514111945895e82b3fae9f01980f5",
     ),
 }
 
@@ -47,8 +47,8 @@ SUMMARY_PINNED = {
     ex.DISCRETE_EXAMPLE: "9819b25b6baf970807885190a4144949df3001c563293c57bedfff5a6a3059fd",
     ex.ANTICONCENTRATION: "bc32e457fbd03839df8ee6f89e552a4174d5404e9a2d3122d4696016dd159876",
     ex.DET_GROWTH: "bf31539b5cb7fceaeea26da2df57fe9c1a0d44a65ab77ac0ca7cbe40b4396ebd",
-    ex.ZERO_RADIUS: "c7dc2474a769f1bc46e036b78679e343d3e1cc74b935a3a8df0d63adcfd152b8",
-    ex.POLE_CLUSTERING: "169b030324e35f06613085a027c280929da2944df1309f2f7344c02019213b56",
+    ex.ZERO_RADIUS: "99ebf26c9b1484c4a2c314346bf01130e542dada49ffd843e4ddfbdb93acd100",
+    ex.POLE_CLUSTERING: "e0a0383c62bc26dc0acc9a39bca21eb73047cb268c735be2d38e92f0a6b5fa21",
 }
 
 

@@ -356,24 +356,34 @@ def test_root_protocols_do_not_depend_on_workers_or_blocks(name, overrides, tmp_
 def _inject_series_failures(monkeypatch, config, failing):
     """Wrap ex.find_roots_batch so that the series of the trials in
     failing[tier] come back as NonConvergence in that tier (tier 0: offset
-    0, tier 1: offset 0.37); returns the log of series calls as
-    (kwargs, trials of the rows)."""
-    real = ex.find_roots_batch
+    0, tier 1: offset 0.37), and log ex.continue_extended; returns the log
+    of series calls as (kwargs, trials of the rows), the extended
+    continuation's kwargs being "continue_extended"."""
+    real, real_extended = ex.find_roots_batch, ex.continue_extended
     trial_of = {sample(config.spec, config.N, config.seed, t).coeffs.tobytes(): t
                 for t in range(config.trials)}
     calls = []
 
-    def wrapped(polys, **kwargs):
-        out = real(polys, **kwargs)
+    def log(kwargs, polys):
         trials = [trial_of.get(p.coeffs.tobytes()) for p in polys]
         if any(t is not None for t in trials):
             calls.append((kwargs, trials))
+        return trials
+
+    def wrapped(polys, **kwargs):
+        out = real(polys, **kwargs)
+        trials = log(kwargs, polys)
         tier = {0.0: 0, 0.37: 1}.get(kwargs.get("start_offset", 0.0))
         fail = failing.get(tier, ()) if kwargs.get("precision", "double") == "double" else ()
         return [NonConvergence("injected", partial=r) if t in fail else r
                 for t, r in zip(trials, out)]
 
+    def extended(polys, partials):
+        log("continue_extended", polys)
+        return real_extended(polys, partials)
+
     monkeypatch.setattr(ex, "find_roots_batch", wrapped)
+    monkeypatch.setattr(ex, "continue_extended", extended)
     return calls
 
 
@@ -393,7 +403,7 @@ def test_series_retry_tiers(name, overrides, retry_fails, precision, monkeypatch
 
     expected = [({}, list(range(config.trials))), ({"start_offset": 0.37}, chosen)]
     if retry_fails and precision == "extended":
-        expected.append(({"precision": "extended", "start_offset": 0.37}, chosen))
+        expected.append(("continue_extended", chosen))
     assert calls == expected
     assert block.trial == clean.trial
     for i, trial in enumerate(block.trial):
@@ -412,6 +422,63 @@ def test_series_retry_tiers(name, overrides, retry_fails, precision, monkeypatch
                 assert (value is None) == (col[i] is None), key
                 if value is not None:
                     assert value == pytest.approx(col[i], rel=1e-6, abs=1e-9), key
+
+
+def test_extended_tier_continues_the_rotated_iterates(monkeypatch):
+    """The extended tier continues the rotated tier's partial iterates in
+    mpmath: bit for bit the result of a fresh extended call from the rotated
+    starts, with one double Aberth run fewer per failing row."""
+    from padeclust import poly
+
+    config = ex.default_config(ex.ZERO_RADIUS, N=16, r_schedule=(0.9,), s_list=(4,),
+                               trials=7, seed=3, precision="extended")
+    polys = [poly.Polynomial(sample(config.spec, config.N, config.seed, t).coeffs)
+             for t in range(config.trials)]
+    chosen = [1, 4, 5]
+    want = poly.find_roots_batch([polys[i] for i in chosen], precision="extended",
+                                 start_offset=0.37)
+    _inject_series_failures(monkeypatch, config, {0: chosen, 1: chosen})
+    real_aberth, rows = poly._aberth, []
+
+    def counted(C, *args):
+        rows.append(len(C))
+        return real_aberth(C, *args)
+
+    monkeypatch.setattr(poly, "_aberth", counted)
+    found = ex._roots_with_retry(polys, "extended")
+    # tier 0 runs every row, tier 1 the failing ones, the extended tier none
+    assert sum(rows) == len(polys) + len(chosen)
+    for i, w in zip(chosen, want):
+        assert found[i].roots.tobytes() == w.roots.tobytes()
+        assert found[i].residual == w.residual and found[i].converged == w.converged
+
+
+def test_pole_denominators_retry_from_rotated_starts(monkeypatch):
+    # a denominator that does not settle from the first start points is
+    # solved again from rotated ones, as the series are
+    config = ex.default_config(ex.POLE_CLUSTERING, N=24, n=(2, 4), trials=5, seed=2)
+    clean = ex.RUNNERS[ex.POLE_CLUSTERING](config)[1]
+    real, calls = ex.find_roots_batch, []
+
+    def denominators_fail_first(polys, **kwargs):
+        out = real(polys, **kwargs)
+        short = [len(p.coeffs) <= 5 for p in polys]
+        if any(short):
+            calls.append((kwargs, sum(short)))
+        if kwargs:
+            return out
+        return [NonConvergence("injected", partial=r) if s else r for s, r in zip(short, out)]
+
+    monkeypatch.setattr(ex, "find_roots_batch", denominators_fail_first)
+    block = ex.RUNNERS[ex.POLE_CLUSTERING](config)[1]
+    pending = sum(not (d or e) for d, e in zip(clean.degenerate, clean.excluded))
+    assert calls == [({}, pending), ({"start_offset": 0.37}, pending)]
+    assert block.reason == clean.reason and "nonconvergence" not in block.reason
+    for key, col in clean.values.items():
+        got = block.values[key]
+        assert [v is None for v in got] == [v is None for v in col], key
+        assert [v for v in got if v is not None] == pytest.approx(
+            [v for v in col if v is not None], rel=1e-6, abs=1e-9), key
 
 
 def test_et_style_numerators_retry_from_rotated_starts(monkeypatch):

@@ -180,14 +180,31 @@ def test_find_roots_nonconvergence_carries_partial():
     assert partial is not None and len(partial) == 3 and not partial.converged
 
 
-@pytest.mark.xfail(strict=True, raises=NonConvergence, reason=(
-    "multiple root: the residual reaches 3.4e-17 but |p/p'| never drops below the "
-    "step rule's 1e-12*(1+|z|); ROADMAP item 4's backward-error stop makes this pass"))
 def test_find_roots_multiple_root():
+    # |p/p'| never drops below the step rule's 1e-12*(1+|z|) at an 8-fold
+    # root; the iterates settle on the backward-error stop instead
     rs = find_roots(np.poly(np.ones(8))[::-1])  # (z - 1)**8
     assert rs.converged and len(rs) == 8
     # an 8-fold root is conditioned to about eps**(1/8)
     assert np.abs(rs.roots - 1.0).max() < 0.1
+
+
+@pytest.mark.parametrize("seed, trials, trial, m", [(0, 200, 103, 100), (7, 25, 24, 200)])
+def test_find_roots_settles_close_real_pairs_at_the_noise_floor(seed, trials, trial, m):
+    """Two et-clustering numerators (n = 1, m up to 400) whose close real
+    root pairs (0.40710 and 0.40759 in the first) fell into a 2-cycle at the
+    step rule's noise floor from both retry offsets: criterion 6's trial 103
+    at m = 100, and et-sweep seed 7's trial 24 at m = 200.  The
+    backward-error stop settles both from the first start points."""
+    from padeclust import experiments as ex
+    from padeclust.pade import pade
+
+    cfg = ex.default_config(ex.ET_CLUSTERING, m=(50, 100, 200, 400), n=1, trials=trials,
+                            seed=seed)
+    coeffs = sample(cfg.spec, 402, cfg.seed, trial).coeffs
+    (rs,) = find_roots_batch([pade(coeffs[:m + 3], m, 1).p])
+    assert not isinstance(rs, NonConvergence) and rs.converged
+    assert len(rs) == m
 
 
 def test_find_roots_degenerate_input():
@@ -319,6 +336,27 @@ def test_find_roots_extended_continues_unsettled_double_iterates():
     rs = find_roots(c, max_iter=8, precision="extended")
     assert rs.converged and len(rs) == 40
     assert match_distance(rs.roots, find_roots(c).roots) < 1e-12
+
+
+def test_continue_extended_matches_a_fresh_extended_call():
+    # 2 sweeps leave these unsettled in either precision (origin zeros
+    # included), so the order in which the continuation visits the iterates
+    # shows; continuing their partial root sets in mpmath gives the bits of
+    # a fresh extended call from the same start points
+    from padeclust.poly import continue_extended
+
+    rng = np.random.default_rng(0)
+    polys = [rng.standard_normal(41), np.r_[0.0, 0.0, rng.standard_normal(31)],
+             rng.standard_normal(21) + 1j * rng.standard_normal(21)]
+    double = find_roots_batch(polys, max_iter=2, start_offset=0.37)
+    assert all(isinstance(r, NonConvergence) for r in double)
+    got = continue_extended(polys, [r.partial for r in double], max_iter=2)
+    want = find_roots_batch(polys, max_iter=2, precision="extended", start_offset=0.37)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        g, w = getattr(g, "partial", g), getattr(w, "partial", w)
+        assert g.roots.tobytes() == w.roots.tobytes()
+        assert g.residual == w.residual and g.converged == w.converged
 
 
 def test_find_roots_tiny_leading_coefficient_keeps_the_real_count_parity():

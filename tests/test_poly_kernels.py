@@ -1,13 +1,18 @@
 """Bitwise oracles for the inner kernels of the Aberth iteration.
 
-The reference kernels below are the straightforward forms the package used
-before its kernels were restructured for speed: repulsion by numpy's complex
-division in fixed 256-row chunks, and the Newton ratio and log|p| as two
-Horner passes, one over |z| <= 1 on the forward coefficients and one over
-|z| > 1 on the reversed coefficients at w = 1/z.  The pinned trials.csv
-digests depend on every iterate keeping its bits, so the production kernels
-must agree with these to the last bit, not to a tolerance.
+The reference kernels below are the straightforward forms of what the
+package computes: repulsion by numpy's complex division in fixed 256-row
+chunks, and p, p' and the bound sum_j |c_j| |x|^j by the blocked
+(baby-step/giant-step) scheme written out one power and one block at a
+time with elementwise numpy operations, so each point's value plainly
+depends on that point alone.  The Newton ratio and log|p| apply them over
+|z| <= 1 on the forward coefficients and over |z| > 1 on the reversed
+coefficients at w = 1/z.  The pinned trials.csv digests depend on every
+iterate keeping its bits, so the production kernels must agree with these
+to the last bit, not to a tolerance.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -29,30 +34,106 @@ def ref_repulsion(z, idx, chunk=256):
     return S
 
 
-def ref_horner_pair(c, z, rows=None):
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for ck in c[::-1]:
-        dp = dp * z + p
-        p = p * z + (ck if rows is None else ck[rows])
-    return p, dp
+def ref_blocked(c, x, rows=None):
+    """p(x), p'(x) and sum_j |c_j| |x|^j, one block and one power at a time.
+
+    Below degree P._BLOCKED_FROM they come from Horner's rule, p' <- p' x + p
+    and p <- p x + c_k.  From there on, in nb blocks of s = ceil(sqrt(d+1))
+    coefficients: q_b(x) = sum_i c_{bs+i} x^i summed from zero in i, real and
+    imaginary coefficient parts apart (the imaginary share only for a column
+    with an imaginary part), then Horner in y = x^s; p' is the same on the
+    k c_k table.  The bound is the same on |c| at |x|, in real arithmetic,
+    in either case.  c is one coefficient
+    vector (rows None) or a (d+1, K) column table, point j read from column
+    rows[j]."""
+    if rows is None:
+        c, rows = c.reshape(len(c), -1), np.zeros(len(x), dtype=np.intp)
+    C = c[:, rows].astype(complex)
+    complex_pt = (c.imag != 0).any(axis=0)[rows]
+    d, n = len(C) - 1, len(x)
+    s = math.isqrt(d) + 1
+    nb = -(-(d + 1) // s)
+
+    def powers(v):
+        V = [np.ones(n, dtype=v.dtype), v.copy()][:s]
+        while len(V) < s:
+            V.append(V[-1] * v)
+        return V
+
+    def horner_in_y(T, X):
+        T = np.concatenate([T, np.zeros((nb * s - len(T), n), dtype=complex)])
+        q = []
+        for b in range(nb):
+            re, im, re2, im2 = (np.zeros(n) for _ in range(4))
+            for i in range(s):
+                t = T[b * s + i]
+                re, im = re + t.real * X[i].real, im + t.real * X[i].imag
+                re2, im2 = re2 + t.imag * X[i].real, im2 + t.imag * X[i].imag
+            v = np.empty(n, dtype=complex)
+            v.real = np.where(complex_pt, re - im2, re)
+            v.imag = np.where(complex_pt, im + re2, im)
+            q.append(v)
+        acc = q[-1]
+        y = X[s - 1] * x
+        for b in range(nb - 2, -1, -1):
+            acc = acc * y + q[b]
+        return acc
+
+    if d >= P._BLOCKED_FROM:
+        k = np.arange(1, d + 1)[:, None]
+        deriv = np.zeros_like(C)
+        deriv.real[:d], deriv.imag[:d] = C.real[1:] * k, C.imag[1:] * k
+        X = powers(x)
+        p, dp = horner_in_y(C, X), horner_in_y(deriv, X)
+    else:
+        p, dp = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        for ck in C[::-1]:
+            dp = dp * x + p
+            p = p * x + ck
+    ax = np.abs(x)
+    if d < P._BLOCKED_FROM:
+        bound = np.zeros(n)
+        for mk in np.abs(C)[::-1]:
+            bound = bound * ax + mk
+        return p, dp, bound
+    A = powers(ax)
+    M = np.concatenate([np.abs(C), np.zeros((nb * s - d - 1, n))])
+    qa = []
+    for b in range(nb):
+        acc = np.zeros(n)
+        for i in range(s):
+            acc = acc + M[b * s + i] * A[i]
+        qa.append(acc)
+    bound, ay = qa[-1], A[s - 1] * ax
+    for b in range(nb - 2, -1, -1):
+        bound = bound * ay + qa[b]
+    return p, dp, bound
+
+
+def noise_factor(d):
+    s = math.isqrt(d) + 1 if d >= P._BLOCKED_FROM else 1
+    return (1.5 * d + 0.5 * -(-(d + 1) // s) + 3 * s) * np.finfo(float).eps
 
 
 def ref_newton_ratio(c, z, rows=None):
-    """c is one coefficient vector (rows None) or a (d+1, B) column stack."""
+    """c is one coefficient vector (rows None) or a (d+1, B) column stack;
+    returns the ratio and the backward-error flag |p| <= k eps bound."""
     d = len(c) - 1
     out = np.empty_like(z)
+    noise = np.empty(len(z), dtype=bool)
     inner = np.abs(z) <= 1.0
     if inner.any():
-        p, dp = ref_horner_pair(c, z[inner], None if rows is None else rows[inner])
+        p, dp, bound = ref_blocked(c, z[inner], None if rows is None else rows[inner])
         out[inner] = p / dp
+        noise[inner] = np.abs(p) <= noise_factor(d) * bound
     outer = ~inner
     if outer.any():
         zo = z[outer]
         w = 1.0 / zo
-        pr, dpr = ref_horner_pair(c[::-1], w, None if rows is None else rows[outer])
+        pr, dpr, bound = ref_blocked(c[::-1], w, None if rows is None else rows[outer])
         out[outer] = zo * pr / (d * pr - w * dpr)
-    return out
+        noise[outer] = np.abs(pr) <= noise_factor(d) * bound
+    return out, noise
 
 
 def ref_log_abs_eval(c, z, rows=None):
@@ -60,12 +141,12 @@ def ref_log_abs_eval(c, z, rows=None):
     out = np.empty(z.shape, dtype=float)
     inner = np.abs(z) <= 1.0
     if inner.any():
-        p, _ = ref_horner_pair(c, z[inner], None if rows is None else rows[inner])
+        p = ref_blocked(c, z[inner], None if rows is None else rows[inner])[0]
         out[inner] = np.log(np.abs(p))
     outer = ~inner
     if outer.any():
         zo = z[outer]
-        pr, _ = ref_horner_pair(c[::-1], 1.0 / zo, None if rows is None else rows[outer])
+        pr = ref_blocked(c[::-1], 1.0 / zo, None if rows is None else rows[outer])[0]
         out[outer] = d * np.log(np.abs(zo)) + np.log(np.abs(pr))
     return out
 
@@ -184,26 +265,41 @@ def mixed_points(rng, k):
     return z[rng.permutation(len(z))]
 
 
+def assert_ratio(got, want):
+    """The Newton ratio bit for bit and the backward-error flags exactly."""
+    assert_bitwise(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.fixture(params=["horner", "blocked"])
+def form(request, monkeypatch):
+    """Runs a kernel case with Horner's rule and, with _BLOCKED_FROM at 0,
+    with the blocked form at every degree."""
+    if request.param == "blocked":
+        monkeypatch.setattr(P, "_BLOCKED_FROM", 0)
+    return request.param
+
+
 @pytest.mark.parametrize("d", [2, 17, 64])
-def test_one_pass_horner_matches_two_passes_single_polynomial(d):
+def test_one_pass_horner_matches_two_passes_single_polynomial(d, form):
     rng = np.random.default_rng(d)
     c = gaussian_points(rng, d + 1)
     table = P._horner_table(c[None, :])
     z = mixed_points(rng, 12)
     with np.errstate(all="ignore"):
         ratio, logp = ref_newton_ratio(c, z), ref_log_abs_eval(c, z)
-    assert_bitwise(P._newton_ratio(table, z), ratio)
-    assert_bitwise(P._newton_ratio(table, z, np.zeros(len(z), dtype=np.intp)), ratio)
+    assert_ratio(P._newton_ratio(table, z), ratio)
+    assert_ratio(P._newton_ratio(table, z, np.zeros(len(z), dtype=np.intp)), ratio)
     assert_bitwise(P._log_abs_eval(table, z), logp)
     # one point per call, as the last active root of a polynomial sees it:
-    # an in-place complex multiply in Horner rounds such a call differently
+    # an in-place complex multiply rounds such a call differently
     for i in range(len(z)):
-        assert_bitwise(P._newton_ratio(table, z[i:i + 1]), ratio[i:i + 1])
+        assert_ratio(P._newton_ratio(table, z[i:i + 1]), (ratio[0][i:i + 1], ratio[1][i:i + 1]))
         assert_bitwise(P._log_abs_eval(table, z[i:i + 1]), logp[i:i + 1])
 
 
 @pytest.mark.parametrize("B", [2, 5])
-def test_one_pass_horner_matches_two_passes_batched(B):
+def test_one_pass_horner_matches_two_passes_batched(B, form):
     rng = np.random.default_rng(B)
     d = 30
     C = gaussian_points(rng, B * (d + 1)).reshape(B, d + 1)
@@ -213,35 +309,40 @@ def test_one_pass_horner_matches_two_passes_batched(B):
     with np.errstate(all="ignore"):
         ratio = ref_newton_ratio(C.T, z, rows)
         logp = ref_log_abs_eval(C.T, z, rows)
-    assert_bitwise(P._newton_ratio(table, z, rows), ratio)
+    assert_ratio(P._newton_ratio(table, z, rows), ratio)
     assert_bitwise(P._log_abs_eval(table, z, rows), logp)
     # a batched row must match its own B = 1 evaluation
     for b in range(B):
         own = rows == b
         single = P._horner_table(C[b][None, :])
-        assert_bitwise(P._newton_ratio(single, z[own]), ratio[own])
+        assert_ratio(P._newton_ratio(single, z[own]), (ratio[0][own], ratio[1][own]))
         for i in np.flatnonzero(own):
-            assert_bitwise(P._newton_ratio(table, z[i:i + 1], rows[i:i + 1]), ratio[i:i + 1])
+            assert_ratio(P._newton_ratio(table, z[i:i + 1], rows[i:i + 1]),
+                         (ratio[0][i:i + 1], ratio[1][i:i + 1]))
+
+
+def kernel_values(table, x, cols):
+    """p, p' and sum_j |c_j| |x|^j from the production kernel."""
+    return (*P._horner_pair(table, x, cols), P._bound(table, x, cols))
 
 
 def assert_horner_matches_reference(table, z, rows):
     """_horner_pair on the folded points, and the Newton ratio and log|p|
-    built on it, against the per-coefficient gather of the reference."""
-    B = table.shape[1] // 2
+    built on it, against the per-point blocked reference."""
+    B = table.B
     x, cols, _ = P._fold(table, z, rows)
     with np.errstate(all="ignore"):
-        want_p, want_dp = ref_horner_pair(table, x, cols)
-        ratio = ref_newton_ratio(table[:, :B], z, rows)
-        logp = ref_log_abs_eval(table[:, :B], z, rows)
-    got_p, got_dp = P._horner_pair(table, x, cols)
-    assert_bitwise(got_p, want_p)
-    assert_bitwise(got_dp, want_dp)
-    assert_bitwise(P._horner(table, x, cols), want_p)
-    assert_bitwise(P._newton_ratio(table, z, rows), ratio)
+        want = ref_blocked(table.coef, x, cols)
+        ratio = ref_newton_ratio(table.coef[:, :B], z, rows)
+        logp = ref_log_abs_eval(table.coef[:, :B], z, rows)
+    for got, w in zip(kernel_values(table, x, cols), want):
+        assert_bitwise(got, w)
+    assert_bitwise(P._horner(table, x, cols), want[0])
+    assert_ratio(P._newton_ratio(table, z, rows), ratio)
     assert_bitwise(P._log_abs_eval(table, z, rows), logp)
 
 
-def test_horner_bitwise_on_unsorted_interleaved_columns():
+def test_horner_bitwise_on_unsorted_interleaved_columns(form):
     # unsorted polynomial rows and inner and outer points in random order,
     # so forward and reversed columns interleave in the input order
     rng = np.random.default_rng(21)
@@ -253,7 +354,7 @@ def test_horner_bitwise_on_unsorted_interleaved_columns():
     assert_horner_matches_reference(P._horner_table(C), z, rows)
 
 
-def test_horner_bitwise_on_162_column_stack():
+def test_horner_bitwise_on_162_column_stack(form):
     # B = 81 at degree 50 (the largest et-sweep stack), every column in use
     rng = np.random.default_rng(22)
     B, d = 81, 50
@@ -262,14 +363,16 @@ def test_horner_bitwise_on_162_column_stack():
     rows = np.concatenate([np.arange(B), rng.integers(0, B, size=len(z) - B)])
     perm = rng.permutation(len(z))
     table = P._horner_table(C)
-    assert table.shape[1] == 162
+    assert table.coef.shape[1] == 162
     assert_horner_matches_reference(table, z, rows[perm])
 
 
 @pytest.mark.parametrize("elems", [1, 5, 7 * 40 + 3])
-def test_horner_bitwise_with_partial_last_expansion_block(elems, monkeypatch):
-    """Expansion blocks of 1, 1 and 7 table rows for 40 points: 31 rows
-    leave a partial last block of 3 in the last case."""
+def test_horner_bitwise_with_partial_last_expansion_block(elems, form, monkeypatch):
+    """Horner's rule expands blocks of 1, 1 and 7 table rows for 40 points:
+    31 rows leave a partial last block of 3 in the last case.  Blocked
+    (s = 6, nb = 6), the 40 points go in chunks of 1, 1 and 15, the last
+    one partial."""
     monkeypatch.setattr(P, "_HORNER_ELEMS", elems)
     rng = np.random.default_rng(23)
     B, d = 2, 30
@@ -279,13 +382,110 @@ def test_horner_bitwise_with_partial_last_expansion_block(elems, monkeypatch):
 
 
 @pytest.mark.parametrize("point", [0.3 - 0.2j, 2.5 + 1.0j, 1.0, 0j])
-def test_horner_bitwise_on_a_single_point(point):
+def test_horner_bitwise_on_a_single_point(point, form):
     rng = np.random.default_rng(24)
     B, d = 3, 40
     C = gaussian_points(rng, B * (d + 1)).reshape(B, d + 1)
     z = np.array([point], dtype=complex)
     assert_horner_matches_reference(P._horner_table(C), z, np.array([2]))
     assert_horner_matches_reference(P._horner_table(C[:1]), z, None)
+
+
+def mixed_table(rng, B, d):
+    """B rows of degree d, every other one with real coefficients."""
+    C = gaussian_points(rng, B * (d + 1)).reshape(B, d + 1)
+    C[::2] = C[::2].real
+    return C
+
+
+@pytest.mark.parametrize("s, d", [(3, 8), (8, 50), (21, 400), (46, 2048)])
+def test_blocked_kernel_single_point_matches_batched(s, d, monkeypatch):
+    """Every point alone gives the bits it gets among all the others and
+    the bits of the per-point reference, blocked (s as given) and as plain
+    Horner (s = 1), with real and complex rows in the batch."""
+    rng = np.random.default_rng(s)
+    B = 4
+    C = mixed_table(rng, B, d)
+    z = mixed_points(rng, 40)
+    rows = rng.integers(0, B, size=len(z))
+    for blocked_from, want_s in ((0, s), (10**9, 1)):
+        monkeypatch.setattr(P, "_BLOCKED_FROM", blocked_from)
+        table = P._horner_table(C)
+        assert table.s == want_s
+        x, cols, _ = P._fold(table, z, rows)
+        batched = kernel_values(table, x, cols)
+        with np.errstate(all="ignore"):
+            want = ref_blocked(table.coef, x, cols)
+        for got, w in zip(batched, want):
+            assert_bitwise(got, w)
+        assert_bitwise(P._horner(table, x, cols), want[0])
+        for i in range(len(x)):
+            alone = kernel_values(table, x[i:i + 1], cols[i:i + 1])
+            for got, w in zip(alone, batched):
+                assert_bitwise(got, w[i:i + 1])
+            assert_bitwise(P._horner(table, x[i:i + 1], cols[i:i + 1]), want[0][i:i + 1])
+
+
+def _mp_eval(c, x):
+    """p(x), p'(x) and sum |c_j| |x|^j in 60-digit arithmetic."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        cm = [mp.mpc(complex(v)) for v in c[::-1]]
+        xm = mp.mpc(complex(x))
+        p, dp = mp.polyval(cm, xm, derivative=True)
+        bound = mp.polyval([abs(v) for v in cm], abs(xm))
+        dbound = mp.polyval([abs(v) * k for k, v in zip(range(len(cm) - 1, 0, -1), cm[:-1])],
+                            abs(xm)) if len(cm) > 1 else mp.mpf(0)
+        return complex(p), complex(dp), float(bound), float(dbound)
+
+
+@pytest.mark.parametrize("blocked_from", [0, 10**9])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2, 8, 63, 64, 2048])
+def test_kernel_within_its_error_bound(d, kind, blocked_from, monkeypatch):
+    """p, p' and the bound, blocked and by Horner's rule, against 60-digit
+    values at points in and on the unit disk, some of them next to a root
+    where p cancels: each error is within table.noise times the bound (for
+    p' the bound of k c_k)."""
+    monkeypatch.setattr(P, "_BLOCKED_FROM", blocked_from)
+    rng = np.random.default_rng(d)
+    c = rng.standard_normal(d + 1) + (1j * rng.standard_normal(d + 1) if kind == "complex" else 0)
+    table = P._horner_table(c[None, :].astype(complex))
+    assert table.s == (1 if blocked_from else math.isqrt(d) + 1)
+    x = 0.999 * np.exp(2j * np.pi * rng.random(6)) * rng.random(6) ** 0.2
+    near = P.find_roots(c).roots
+    near = near[np.abs(near) <= 1.0][:3]
+    x = np.r_[x, near, 1.0, -1.0, 1j]
+    p, dp, bound = kernel_values(table, x, np.zeros(len(x), dtype=np.intp))
+    for i, xi in enumerate(x):
+        want_p, want_dp, want_bound, want_dbound = _mp_eval(c, xi)
+        assert abs(p[i] - want_p) <= table.noise * want_bound
+        assert abs(dp[i] - want_dp) <= table.noise * want_dbound
+        assert abs(bound[i] - want_bound) <= table.noise * want_bound
+
+
+def test_real_grid_sign_threshold_covers_the_kernel_error():
+    """_real_brackets trusts a sign beyond 4 d eps sum |c_j|.  On real points
+    with real coefficients every complex multiply of the kernel is one real
+    multiply, so, in units u = eps/2, term bs + i of p picks up at most
+    (i - 1) + 1 + (s - 1) + b(s + 1) <= d + nb + 2s: (d + nb + 2s)/2 eps,
+    within 4 d eps at every degree; checked against 60-digit values on the
+    grid."""
+    for d in range(1, 4097):
+        s = math.isqrt(d) + 1 if d >= P._BLOCKED_FROM else 1
+        assert (d + -(-(d + 1) // s) + 2 * s) / 2 <= 4 * d
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 8, 64, 400):
+        c = rng.standard_normal(d + 1)
+        table = P._horner_table(c[None, :].astype(complex))
+        roots = P.find_roots(c).roots
+        x = np.r_[np.linspace(-1.0, 1.0, 21), roots[roots.imag == 0].real.clip(-1, 1)] + 0j
+        p = P._horner(table, x, np.zeros(len(x), dtype=np.intp))
+        tol = 4 * d * np.finfo(float).eps * np.abs(c).sum()
+        for xi, pi in zip(x, p):
+            assert pi.imag == 0.0
+            assert abs(pi.real - _mp_eval(c, xi)[0].real) <= tol
 
 
 def test_find_roots_batch_matches_reference_kernels(monkeypatch):
@@ -297,18 +497,16 @@ def test_find_roots_batch_matches_reference_kernels(monkeypatch):
     got = find_roots_batch(polys, max_iter=60)
 
     def newton(table, z, rows=None):
-        B = table.shape[1] // 2
-        C = table[:, :B]
+        C = table.coef[:, :table.B]
         with np.errstate(all="ignore"):
-            if B == 1:
+            if table.B == 1:
                 return ref_newton_ratio(C[:, 0], z)
             return ref_newton_ratio(C, z, rows)
 
     def log_abs(table, z, rows=None):
-        B = table.shape[1] // 2
-        C = table[:, :B]
+        C = table.coef[:, :table.B]
         with np.errstate(all="ignore"):
-            if B == 1:
+            if table.B == 1:
                 return ref_log_abs_eval(C[:, 0], z)
             return ref_log_abs_eval(C, z, rows)
 

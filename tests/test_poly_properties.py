@@ -89,8 +89,8 @@ def test_real_coefficient_roots_are_conjugate_symmetric(c):
     try:
         roots = find_roots(c).roots
     except NonConvergence:
-        # the double stop cannot settle a multiple root (the strict xfail
-        # test_find_roots_multiple_root); the extended stop can
+        # a sample the double iteration cannot settle must have a repeated
+        # root; the extended continuation settles it
         assert not simple.all()
         roots = find_roots(c, precision="extended").roots
     dist = np.abs(theirs[:, None] - roots[None, :])
