@@ -175,20 +175,21 @@ class _Table:
     coefficients, block b holding c_{bs} .. c_{bs+s-1} (zero-padded to
     nb*s): s = 1, Horner's rule, below degree _BLOCKED_FROM and
     s = ceil(sqrt(d+1)) from there on.  Then ``blocks[i, b, 0, c]`` is
-    c_{bs+i} of column c and ``blocks[i, b, 1, c]`` the same entry of its
-    derivative's table, whose entry k-1 is k c_k, and ``mags[i, b, c]`` is
-    |c_{bs+i}|; with s = 1 ``blocks`` is None and ``mags`` is |coef|.
-    ``mass[c]`` is sum_j |c_j| and ``has_imag[c]`` tells whether column c
-    has an imaginary part.
+    c_{bs+i} of column c, ``blocks[i, b, 1, c]`` (in a Newton table) the
+    same entry of its derivative's table, whose entry k-1 is k c_k, and
+    ``has_imag[c]`` tells whether column c has an imaginary part; with
+    s = 1 both are None.  A Newton table also holds what the stop needs:
+    ``mags[i, b, c]`` = |c_{bs+i}| (|coef| itself when s = 1) and
+    ``mass[c]`` = sum_j |c_j|; a p-only table has neither.
     """
 
     coef: np.ndarray
     s: int
     nb: int
     blocks: Optional[np.ndarray]
-    mags: np.ndarray
-    mass: np.ndarray
-    has_imag: np.ndarray
+    has_imag: Optional[np.ndarray]
+    mags: Optional[np.ndarray]
+    mass: Optional[np.ndarray]
 
     @property
     def d(self) -> int:
@@ -233,20 +234,30 @@ def _blocked(table: np.ndarray, s: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(padded.reshape((nb, s) + table.shape[1:]), 1, 0))
 
 
-def _horner_table(C: np.ndarray) -> _Table:
-    """The _Table of a (B, d+1) coefficient stack C."""
+def _horner_table(C: np.ndarray, newton: bool = True) -> _Table:
+    """The _Table of a (B, d+1) coefficient stack C: with ``newton`` for
+    p, p' and the stop, else for p alone (log|p| and the real grid's
+    signs)."""
     coef = np.concatenate([C.T, C.T[::-1]], axis=1)
     d = len(coef) - 1
-    mags = np.abs(coef)
-    table = _Table(coef, 1, d + 1, None, mags, mags.sum(axis=0), coef.imag.any(axis=0))
+    table = _Table(coef, 1, d + 1, None, None, None, None)
+    if newton:
+        # rows of a contiguous copy, so a column's sum takes the same steps
+        # in a stack of any size
+        mags = np.abs(np.concatenate([C, C[:, ::-1]]))
+        table = replace(table, mags=np.ascontiguousarray(mags.T), mass=mags.sum(axis=1))
     if d < _BLOCKED_FROM:
         return table
     s = math.isqrt(d) + 1  # ceil(sqrt(d + 1))
-    deriv = np.zeros_like(coef)
-    deriv.real[:d], deriv.imag[:d] = (part[1:] * np.arange(1, d + 1)[:, None]
-                                      for part in (coef.real, coef.imag))
-    return replace(table, s=s, nb=-(-(d + 1) // s),
-                   blocks=_blocked(np.stack([coef, deriv], axis=1), s), mags=_blocked(mags, s))
+    parts = [coef]
+    if newton:
+        deriv = np.zeros_like(coef)
+        deriv.real[:d], deriv.imag[:d] = (part[1:] * np.arange(1, d + 1)[:, None]
+                                          for part in (coef.real, coef.imag))
+        parts.append(deriv)
+        table = replace(table, mags=_blocked(table.mags, s))
+    return replace(table, s=s, nb=-(-(d + 1) // s), blocks=_blocked(np.stack(parts, axis=1), s),
+                   has_imag=coef.imag.any(axis=0))
 
 
 def _fold(table: _Table, z: np.ndarray, rows: Optional[np.ndarray]):
@@ -311,16 +322,16 @@ def _horner(table: _Table, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _bound(table: _Table, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """sum_j |c_j| |x|^j by the same steps on |c| at |x|, in real
-    arithmetic."""
+    arithmetic (a Newton table)."""
     return _horner_steps(table, x, cols, "bound")[0]
 
 
 def _horner_steps(table: _Table, x: np.ndarray, cols: np.ndarray, what: str):
     """p(x) = sum_b y^b q_b(x), y = x^s, q_b(x) = sum_i c_{bs+i} x^i, by
     Horner's rule in y: p alone (``what`` "p"), p and p' ("pair") or the
-    bound on |c| at |x| ("bound"), as a (1 or 2, n) array.  The points are
-    visited sorted by column and the results scattered back to the input
-    order.
+    bound on |c| at |x| ("bound"), as a list of 1 or 2 arrays; "pair" and
+    "bound" need a Newton table.  The points are visited sorted
+    by column and the results scattered back to the input order.
 
     With s = 1 (q_b = c_b) each step is p' <- p' x + p, p <- p x + c_b on
     the table rows expanded to the points, a block of rows at a time.  With
@@ -354,7 +365,7 @@ def _horner_steps(table: _Table, x: np.ndarray, cols: np.ndarray, what: str):
                 np.multiply(p, xs, out=u)
                 np.add(u, ek, out=u)
                 p, u = u, p
-        vals = np.stack([p, dp][:k])
+        vals = [p, dp][:k]
     else:
         vals = np.empty((k, n), dtype=xs.dtype)
         step = max(1, _HORNER_ELEMS // (s + 2 * nb))
@@ -381,18 +392,26 @@ def _horner_steps(table: _Table, x: np.ndarray, cols: np.ndarray, what: str):
                 np.multiply(acc, y, out=tmp)
                 np.add(tmp, Q[b], out=acc)
             vals[:, lo:lo + m] = acc.reshape(k, m)
-    out = np.empty_like(vals)
-    out[:, order] = vals
+    out = []
+    for v in vals:
+        out.append(np.empty_like(v))
+        out[-1][order] = v
     return out
 
 
 def _newton_ratio(table: _Table, z: np.ndarray, rows: Optional[np.ndarray] = None):
     """p(z)/p'(z), through the reversed polynomial for |z| > 1, and whether
     |p| is within the evaluation's error bound: |p(x)| <= table.noise
-    sum_j |c_j| |x|^j at the folded point x.  The bound is at most
-    sum_j |c_j| in the unit disk, so it is evaluated only at the points
-    where |p| <= 2 table.noise sum_j |c_j| (the 2 covers the rounding of
-    both sums); the flags are those of evaluating it at every point.
+    sum_j |c_j| |x|^j at the folded point x.  The flags are those of
+    evaluating the bound at every point, but it is evaluated only where two
+    cheaper tests leave the answer open.  In the unit disk the bound is at
+    most sum_j |c_j| (table.mass), so a point with |p| above twice
+    table.noise times that is out (the 2 covers the rounding of both sums).
+    And the computed bound is never below |c_0|: it adds nonnegative terms
+    to |c_0| x^0 = |c_0|, and rounding is monotone; so a point with
+    |p| <= table.noise |c_0| is in.  At a settled root |p| is mostly the
+    evaluation's own rounding, which grows like sqrt(d) and not like the
+    worst case d of table.noise, so the second test decides most of them.
 
     With w = 1/z:  p(z) = z^d p_rev(w)  and
     p/p' = z * p_rev(w) / (d * p_rev(w) - w * p_rev'(w)).
@@ -403,9 +422,12 @@ def _newton_ratio(table: _Table, z: np.ndarray, rows: Optional[np.ndarray] = Non
     p, dp = _horner_pair(table, x, cols)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(outer, z * p / (d * p - x * dp), p / dp)
-    noise = np.abs(p) <= 2 * table.noise * table.mass[cols]
+    ap = np.abs(p)
+    noise = ap <= (2 * table.noise * table.mass)[cols]
     if noise.any():
-        noise[noise] = np.abs(p[noise]) <= table.noise * _bound(table, x[noise], cols[noise])
+        open_ = noise & (ap > (table.noise * np.abs(table.coef[0]))[cols])
+        if open_.any():
+            noise[open_] = ap[open_] <= table.noise * _bound(table, x[open_], cols[open_])
     return ratio, noise
 
 
@@ -465,7 +487,8 @@ def _scaled_residual_log(C: np.ndarray, R: np.ndarray) -> np.ndarray:
     a (B, d+1) coefficient stack C and the (B, d) stack R of its roots."""
     d = C.shape[1] - 1
     rows = np.repeat(np.arange(len(C)), d)
-    vals = _log_abs_eval(_horner_table(C), R.ravel(), rows) - d * np.log1p(np.abs(R.ravel()))
+    table = _horner_table(C, newton=False)
+    vals = _log_abs_eval(table, R.ravel(), rows) - d * np.log1p(np.abs(R.ravel()))
     return vals.reshape(R.shape).max(axis=1)
 
 
@@ -536,8 +559,7 @@ def _real_brackets(table: _Table, rows: np.ndarray) -> List[np.ndarray]:
     w = np.where(outer, np.sign(u) * (2.0 - np.abs(u)), u)
     vals = _horner(table, np.tile(w + 0j, len(rows)),
                    (rows[:, None] + B * outer).ravel()).real.reshape(len(rows), len(u))
-    mags = np.abs(np.ascontiguousarray(table.coef[:, rows].T))
-    tol = 4 * d * np.finfo(float).eps * mags.sum(axis=1)
+    tol = 4 * d * np.finfo(float).eps * table.mass[rows]
     sign = np.where((np.abs(vals) > tol[:, None]) | (np.abs(u) == 2.0), np.sign(vals), 0.0)
     sign *= np.where(outer, np.sign(u) ** d, 1.0)
     x, brackets = to_x(u), []
@@ -601,11 +623,14 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
             corr = s / (1.0 - s * S)
         bad = ~np.isfinite(corr)
         if bad.any():
-            # derivative hit a saddle or two iterates collided: kick those
-            # points deterministically and keep going, except an iterate
-            # within its evaluation error, which settles where it is
+            # two iterates collided or the derivative hit a saddle: kick
+            # those points deterministically and keep them going, except a
+            # non-finite Newton ratio within the evaluation error (p' = 0 at
+            # a multiple root), which settles where it is
+            kicked = bad & ~(noise & ~np.isfinite(s))
             kick = 1e-3 * radius[rows[bad]] * np.exp(1j * _GOLDEN_ANGLE * (it + cols[bad]))
-            corr[bad] = np.where(noise[bad], 0.0, -kick)
+            corr[bad] = np.where(kicked[bad], -kick, 0.0)
+            noise &= ~kicked
         real = on_axis[rows, cols]
         x, (a, e), step = z[real].real, ends[:, rows[real], cols[real]], (z - corr)[real].real
         new = np.where(step <= a, 0.5 * (x + a), np.where(step >= e, 0.5 * (x + e), step))
@@ -616,8 +641,10 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
         Z[rows, cols] = z
         # settled means |p| was within its evaluation error (a root of a
         # polynomial table.noise away: the backward-error stop), or both the
-        # Aberth step and the Newton ratio are tiny; the ratio check keeps
-        # collided pairs (tiny step, large ratio) alive
+        # Aberth step and the Newton ratio are tiny.  The ratio check keeps
+        # close pairs (tiny step, large ratio) alive under the step rule,
+        # but the stop overrides it: two iterates in one such region settle
+        # as a multiple root of that nearby polynomial, as in MPSolve
         done = noise | (np.abs(corr) <= _STEP_REL * (1.0 + np.abs(z))) & (
             np.abs(s) <= 1e-12 * (1.0 + np.abs(z))
         )
@@ -703,9 +730,8 @@ def find_roots_batch(
     gives.  A polynomial that does not converge yields its NonConvergence
     (carrying the partial RootSet) in place of a RootSet rather than raising.
     Degree < 1 or malformed coefficients raise DegenerateInput for the call.
-    precision="extended" continues each row's double iterates, sorted as in
-    the partial RootSet, in mpmath (continue_extended does the same from
-    the partials of a double call).
+    precision="extended" hands every row's double roots (settled or not) to
+    continue_extended.
     """
     if precision not in ("double", "extended"):
         raise ValueError("precision must be 'double' or 'extended'")
@@ -722,24 +748,24 @@ def find_roots_batch(
     settled = [True] * len(full)
     for d, members in by_degree.items():
         for chunk in _chunks(members, d):
-            C = np.stack([full[i][-d - 1:] for i in chunk])
-            Z, row_ok = _aberth(C, max_iter, start_offset)
-            if precision == "extended":
-                Z, row_ok = zip(*(_aberth_extended(c, _sorted_roots(z), max_iter)
-                                  for c, z in zip(C, Z)))
+            Z, row_ok = _aberth(np.stack([full[i][-d - 1:] for i in chunk]), max_iter, start_offset)
             for i, z, ok in zip(chunk, Z, row_ok):
                 roots[i] = np.concatenate([roots[i], z])
                 settled[i] = bool(ok)
-    return _root_sets(full, roots, settled, tol, max_iter)
+    found = _root_sets(full, roots, settled, tol, max_iter)
+    if precision == "extended":
+        return continue_extended(polys, [getattr(r, "partial", r) for r in found], tol, max_iter)
+    return found
 
 
 def continue_extended(polys: Sequence, partials: Sequence[RootSet], tol: float = 1e-10,
                       max_iter: int = 150) -> List[Union[RootSet, NonConvergence]]:
-    """find_roots_batch(polys, tol, max_iter, "extended", offset) given the
-    partial RootSets that find_roots_batch(polys, tol, max_iter, "double",
-    offset) returned: each row's double iterates continue in mpmath from the
-    partial, bit for bit as that call would, without repeating its double
-    phase."""
+    """Each row's roots continued in mpmath by _aberth_extended, from the
+    RootSet (settled or partial) of a double find_roots_batch call over
+    polys: its roots other than the zeros at the origin, in their sorted
+    order.  find_roots_batch(..., precision="extended") is this after its
+    double phase; a retry holding a failed double call's partials calls it
+    directly, without repeating that phase."""
     full, roots, settled = [], [], []
     for p, rs in zip(polys, partials):
         c, k0 = _split_origin(p)
@@ -844,7 +870,7 @@ def circle_log_average(p, r: float, quad_points: Optional[int] = None) -> float:
         quad_points = min_q
     if quad_points < min_q:
         raise ValueError(f"quad_points must be >= 2*degree+16 = {min_q}")
-    table = _horner_table(np.asarray(p.coeffs[: deg + 1], dtype=complex)[None, :])
+    table = _horner_table(np.asarray(p.coeffs[: deg + 1], dtype=complex)[None, :], newton=False)
     theta = np.linspace(0.0, 2.0 * math.pi, quad_points, endpoint=False)
     vals = _log_abs_eval(table, r * np.exp(1j * theta))
     bad = ~np.isfinite(vals)

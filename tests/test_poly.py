@@ -189,6 +189,20 @@ def test_find_roots_multiple_root():
     assert np.abs(rs.roots - 1.0).max() < 0.1
 
 
+def test_colliding_iterates_on_a_simple_root_are_kicked_apart(monkeypatch):
+    # two start points on the same simple root 1, where p is exactly 0:
+    # both are within the evaluation error, but their repulsion sum is not
+    # finite.  Settling both there would return 1 twice and miss a root
+    # (the residual cannot see that); they are kicked apart instead
+    from padeclust import poly as P
+
+    roots = np.array([1.0, 2.0, -3j])
+    monkeypatch.setattr(P, "_start_points",
+                        lambda c, offset, real=None: np.array([1.0, 1.0, 0.5j]))
+    rs = find_roots(np.poly(roots)[::-1])
+    assert rs.converged and match_distance(roots, rs.roots) < 1e-12
+
+
 @pytest.mark.parametrize("seed, trials, trial, m", [(0, 200, 103, 100), (7, 25, 24, 200)])
 def test_find_roots_settles_close_real_pairs_at_the_noise_floor(seed, trials, trial, m):
     """Two et-clustering numerators (n = 1, m up to 400) whose close real
@@ -338,25 +352,30 @@ def test_find_roots_extended_continues_unsettled_double_iterates():
     assert match_distance(rs.roots, find_roots(c).roots) < 1e-12
 
 
-def test_continue_extended_matches_a_fresh_extended_call():
+def test_extended_precision_continues_the_double_roots(monkeypatch):
     # 2 sweeps leave these unsettled in either precision (origin zeros
-    # included), so the order in which the continuation visits the iterates
-    # shows; continuing their partial root sets in mpmath gives the bits of
-    # a fresh extended call from the same start points
-    from padeclust.poly import continue_extended
+    # included); the extended call runs the double iteration once and hands
+    # mpmath each row's double roots, origin zeros split off, in the sorted
+    # order of the partial RootSet the double call returns
+    from padeclust import poly as P
 
     rng = np.random.default_rng(0)
     polys = [rng.standard_normal(41), np.r_[0.0, 0.0, rng.standard_normal(31)],
              rng.standard_normal(21) + 1j * rng.standard_normal(21)]
     double = find_roots_batch(polys, max_iter=2, start_offset=0.37)
     assert all(isinstance(r, NonConvergence) for r in double)
-    got = continue_extended(polys, [r.partial for r in double], max_iter=2)
-    want = find_roots_batch(polys, max_iter=2, precision="extended", start_offset=0.37)
-    for g, w in zip(got, want):
-        assert type(g) is type(w)
-        g, w = getattr(g, "partial", g), getattr(w, "partial", w)
-        assert g.roots.tobytes() == w.roots.tobytes()
-        assert g.residual == w.residual and g.converged == w.converged
+    calls, seen = [], []
+    real_aberth, real_extended = P._aberth, P._aberth_extended
+    monkeypatch.setattr(P, "_aberth", lambda C, *a: calls.append(len(C)) or real_aberth(C, *a))
+    monkeypatch.setattr(P, "_aberth_extended",
+                        lambda c, z, n: seen.append((c, z)) or real_extended(c, z, n))
+    find_roots_batch(polys, max_iter=2, precision="extended", start_offset=0.37)
+    assert sorted(calls) == [1, 1, 1]
+    assert len(seen) == 3
+    for (c, z), p, d in zip(seen, polys, double):
+        k0 = len(p) - len(c)
+        assert c.tobytes() == np.asarray(p[k0:], dtype=complex).tobytes()
+        assert z.tobytes() == d.partial.roots[k0:].tobytes()
 
 
 def test_find_roots_tiny_leading_coefficient_keeps_the_real_count_parity():
