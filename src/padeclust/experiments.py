@@ -61,9 +61,9 @@ from .pade import EtRatio, et_bound_chain, et_ratio, pade
 from .poly import Polynomial, continue_extended, find_roots, find_roots_batch
 from .sampler import (DISCRETE, GAUSSIAN, LOGCONCAVE, DistributionSpec, distribution, sample,
                       sample_block)
-# sample, find_roots, assoc_matrix and log_abs_det are not called here any
-# more, but they stay module names: the benchmark tracer
-# (perfbench/tracer.py) wraps them here.
+# sample, find_roots, build_triple, assoc_matrix and log_abs_det are not
+# called here, but they stay module names: the benchmark tracer
+# (perfbench/tracer.py) wraps them here by name.
 from .toeplitz import WindowStack, assoc_matrix, build_triple, log_abs_det, log_abs_dets
 
 SCHEMA_VERSION = 1
@@ -441,7 +441,7 @@ def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: in
                 values["condition"] = pair.diagnostics["condition"]
                 try:
                     ratio = et_ratio(pair.p)
-                    chain = et_bound_chain(window, build_triple(window, m, n), pair)
+                    chain = et_bound_chain(window, pair)
                 except EndCoefficientZero:
                     out.add(trial, values, excluded=True, reason="end_coefficient_zero")
                     continue

@@ -4,19 +4,22 @@ roots cluster around the unit circle.
 
 For a coefficient sequence (a_j) the pair (p, q) satisfies
 coeff_j(f q - p) = 0 for 0 <= j <= m+n, with q normalized to q(0) = 1.
+
+pade checks the coefficients, builds the windows T and A, factors A and
+forms f*q once each; et_bound_chain reads T, A and log|det A| from the pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional
 
 import numpy as np
 
 from .errors import DegenerateInput, DegenerateSystem, EndCoefficientZero, InsufficientCoefficients
-from .poly import Polynomial, _as_poly, coeff_vector, truncated_product
-from .toeplitz import ToeplitzTriple, _solve_window, assoc_matrix, log_abs_det
+from .poly import Polynomial, _as_poly, coeff_vector
+from .toeplitz import ToeplitzTriple, _assoc, _denominator, _triple, log_abs_dets
 
 _LOG_OVERFLOW = 709.0
 
@@ -24,13 +27,15 @@ _LOG_OVERFLOW = 709.0
 @dataclass(frozen=True)
 class PadePair:
     """Numerator p (degree <= m, stored with m+1 coefficients), denominator q
-    with q(0) = 1, and solve diagnostics (logdet_A, condition, order_residual)."""
+    with q(0) = 1, solve diagnostics (logdet_A, condition, order_residual)
+    and the Toeplitz windows T and A of the solve."""
 
     p: Polynomial
     q: Polynomial
     m: int
     n: int
     diagnostics: Dict[str, float]
+    triple: ToeplitzTriple
 
 
 @dataclass(frozen=True)
@@ -81,45 +86,32 @@ def pade(coeffs, m: int, n: int, precision: str = "double",
 
     q comes from the normalized window solve (q = (1,) when n = 0) and p is
     the product f*q truncated to degree m.  DegenerateSystem propagates from
-    the solve.  cond_cap overrides the per-precision default condition limit;
-    the order residual stays at rounding level even for ill-conditioned
-    windows (backward-stable solve), so callers that only need the order
-    condition can raise the cap.
+    the solve; DegenerateInput is raised when f*q overflows.  cond_cap
+    overrides the per-precision default condition limit; the order residual
+    stays at rounding level even for ill-conditioned windows
+    (backward-stable solve), so callers that only need the order condition
+    can raise the cap.
     """
     arr = coeff_vector(coeffs)
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
-    if len(arr) < m + n + 1:
-        raise InsufficientCoefficients(
-            f"need at least m+n+1 = {m + n + 1} coefficients, got {len(arr)}"
-        )
-    if n == 0:
-        q_arr = np.ones(1, dtype=arr.dtype)
-        logdet, cond = 0.0, 1.0
-    else:
-        A = assoc_matrix(arr, m, n)
-        rhs = -arr[m + 1 : m + n + 1]
-        try:
-            tail, logdet, cond = _solve_window(A, rhs, precision, cond_cap)
-        except DegenerateSystem as exc:
-            raise DegenerateSystem(
-                f"coefficient window A_{m}^({n}) is singular or too ill-conditioned: {exc}"
-            ) from exc
-        q_arr = np.concatenate([np.ones(1, dtype=tail.dtype), tail])
-    q = Polynomial(q_arr)
-    p = truncated_product(Polynomial(arr[: m + n + 1]), q, m)
-    resid = _order_residual(arr, p, q, m, n)
+    triple = _triple(arr, m, n)
+    q, logdet, cond = _denominator(triple, precision, cond_cap)
+    fq = np.convolve(arr[: m + n + 1], q)
+    if not np.isfinite(fq[: m + n + 1]).all():
+        raise DegenerateInput(f"the [{m}, {n}] pair overflows: f*q has a non-finite coefficient")
+    # p is f*q through degree m, so f*q - p is f*q's coefficients m+1..m+n.
     return PadePair(
-        p=p, q=q, m=m, n=n,
-        diagnostics={"logdet_A": logdet, "condition": cond, "order_residual": resid},
+        p=Polynomial._checked(fq[: m + 1]), q=Polynomial._checked(q), m=m, n=n,
+        diagnostics={"logdet_A": logdet, "condition": cond,
+                     "order_residual": _order_residual(arr, fq[m + 1 : m + n + 1], q)},
+        triple=triple,
     )
 
 
-def _order_residual(arr: np.ndarray, p: Polynomial, q: Polynomial, m: int, n: int) -> float:
-    diff = np.convolve(arr[: m + n + 1], q.coeffs)[: m + n + 1]
-    diff[: len(p.coeffs)] = diff[: len(p.coeffs)] - p.coeffs
-    denom = (1.0 + float(np.max(np.abs(arr)))) * float(np.sum(np.abs(q.coeffs)))
-    return float(np.max(np.abs(diff)) / denom)
+def _order_residual(arr: np.ndarray, diff: np.ndarray, q: np.ndarray) -> float:
+    """validate_order's residual from diff, the coefficients of f*q - p
+    through index m+n (pade passes m+1..m+n only: the rest are exactly 0)."""
+    denom = (1.0 + float(np.abs(arr).max())) * float(np.abs(q).sum())
+    return float(np.abs(diff).max(initial=0.0) / denom)
 
 
 def validate_order(coeffs, pair: PadePair) -> float:
@@ -127,11 +119,13 @@ def validate_order(coeffs, pair: PadePair) -> float:
     coefficient of f*q - p through index m+n, divided by
     (1 + max|a_j|) * ||q||_1."""
     arr = coeff_vector(coeffs)
-    if len(arr) < pair.m + pair.n + 1:
-        raise InsufficientCoefficients(
-            f"need at least m+n+1 = {pair.m + pair.n + 1} coefficients, got {len(arr)}"
-        )
-    return _order_residual(arr, pair.p, pair.q, pair.m, pair.n)
+    k = pair.m + pair.n + 1
+    if len(arr) < k:
+        raise InsufficientCoefficients(f"need at least m+n+1 = {k} coefficients, got {len(arr)}")
+    p, q = pair.p.coeffs, pair.q.coeffs
+    diff = np.convolve(arr[:k], q)[:k]
+    diff[: len(p)] = diff[: len(p)] - p
+    return _order_residual(arr, diff, q)
 
 
 def et_ratio(p) -> EtRatio:
@@ -152,15 +146,16 @@ def et_ratio(p) -> EtRatio:
     return EtRatio(value=value, log_value=log_value, n_coeffs=len(c))
 
 
-def et_bound_chain(coeffs, triple: ToeplitzTriple, pair: PadePair) -> EtBoundChain:
+def et_bound_chain(coeffs, pair: PadePair) -> EtBoundChain:
     """Evaluate the three-step upper-bound chain for et_ratio(pair.p).
 
-    Needs the two window determinants (orders n and n+1 at offset m); raises
+    Reads the windows T, A and log|det A| from the pair and factors the
+    order n+1 window at offset m and the Gram matrix T T*; raises
     DegenerateSystem when either is singular, EndCoefficientZero when the
     numerator's coefficient at index m vanishes.
     """
     arr = coeff_vector(coeffs)
-    m, n = triple.m, triple.n
+    m, n, T = pair.m, pair.n, pair.triple.T
     a0 = abs(complex(arr[0]))
     p_m = abs(complex(pair.p.coeffs[m])) if len(pair.p.coeffs) > m else 0.0
     if a0 <= pair.p.zero_threshold or p_m <= pair.p.zero_threshold:
@@ -171,17 +166,15 @@ def et_bound_chain(coeffs, triple: ToeplitzTriple, pair: PadePair) -> EtBoundCha
     log_q1 = math.log(float(np.sum(np.abs(pair.q.coeffs))))
     log_l1 = log_q1 + log_S - 0.5 * (math.log(a0) + math.log(p_m))
 
-    det_n = log_abs_det(triple.A)
-    det_n1 = log_abs_det(assoc_matrix(arr, m, n + 1))
-    if det_n.singular or det_n1.singular:
-        raise DegenerateSystem("window determinant of order n or n+1 is singular")
-    gram = triple.T @ triple.T.conj().T
-    det_gram = log_abs_det(gram)
-    if det_gram.singular:
+    (log_n1,), (singular,) = log_abs_dets(_assoc(arr, m, n + 1)[None])
+    if singular:
+        raise DegenerateSystem("window determinant of order n+1 is singular")
+    (log_gram,), (singular,) = log_abs_dets((T @ T.conj().T)[None])
+    if singular:
         raise DegenerateSystem("order-condition window has deficient rank")
     common = log_S - 0.5 * math.log(a0) + 0.5 * math.log(n + 1) \
-        - 0.5 * (det_n.log_abs + det_n1.log_abs)
-    log_cb = common + 0.5 * det_gram.log_abs
-    entry_sum = float(np.sum(np.abs(triple.T)))
+        - 0.5 * (pair.diagnostics["logdet_A"] + float(log_n1))
+    log_cb = common + 0.5 * float(log_gram)
+    entry_sum = float(np.sum(np.abs(T)))
     log_amgm = common + (n * (math.log(entry_sum) - 0.5 * math.log(n)) if n > 0 else 0.0)
     return EtBoundChain(log_l1=log_l1, log_cauchy_binet=log_cb, log_amgm=log_amgm)

@@ -81,6 +81,14 @@ class Polynomial:
             raise DegenerateInput("empty coefficient vector")
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def _checked(cls, arr: np.ndarray) -> "Polynomial":
+        """Wrap a non-empty, finite 1-D float or complex array that the caller
+        has already checked, without checking it again."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", arr)
+        return poly
+
     @property
     def zero_threshold(self) -> float:
         m = float(np.max(np.abs(self.coeffs)))

@@ -1,11 +1,14 @@
 """Toeplitz windows of a coefficient sequence and the dense linear algebra
 used on them: pivoted-LU log-determinants, condition estimates and the
-normalized denominator solve.
+denominator solve of the [m, n] problem.
 
 Window protocols work on stacks: WindowStack holds the coefficients of a
 block of trials and hands out the (B, k, k) windows of every row as one
-strided view, and log_abs_dets factors such a stack.  log_abs_det is its
-B = 1 call, so a determinant comes out the same bits alone or in a stack.
+strided view, and log_abs_dets factors such a stack.  _lu_stack is the one
+getrf call site (log_abs_det is its B = 1 call, and the double denominator
+solve factors through it), so a determinant has the same bits alone, in a
+stack or from pade.  Public entry points reject non-finite input with
+DegenerateInput; internal callers pass arrays that are already checked.
 
 Index conventions (a_l = 0 for l < 0 throughout):
 
@@ -20,14 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack
 
-from .errors import DegenerateSystem, InsufficientCoefficients
-from .poly import EXTENDED_DPS
+from .errors import DegenerateInput, DegenerateSystem, InsufficientCoefficients
+from .poly import EXTENDED_DPS, coeff_vector
 
 COND_CAP_DOUBLE = 1e12
 COND_CAP_EXTENDED = 1e28
@@ -55,71 +58,71 @@ class DetResult:
     condition_estimate: float
 
 
-def _as_coeff_array(coeffs) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(coeffs))
-    if arr.dtype.kind not in "fc":
-        arr = arr.astype(float)
-    return arr
+def _coefficients(coeffs, entry: str) -> np.ndarray:
+    """coeff_vector(coeffs), its DegenerateInput naming the entry point."""
+    try:
+        return coeff_vector(coeffs)
+    except DegenerateInput as exc:
+        raise DegenerateInput(f"{entry}: {exc}") from exc
 
 
-def _window(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """arr[idx] with negative indices reading as zero."""
-    out = np.zeros(idx.shape, dtype=arr.dtype)
-    mask = idx >= 0
-    out[mask] = arr[idx[mask]]
-    return out
-
-
-def assoc_matrix(coeffs, m: int, k: int) -> np.ndarray:
-    """The k x k window matrix with entries a_{m+i-j}; needs len >= m+k."""
-    arr = _as_coeff_array(coeffs)
-    if k == 0:
-        return np.zeros((0, 0), dtype=arr.dtype)
-    if len(arr) < m + k:
+def _assoc(arr: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The k x k window W[i, j] = a_{m+i-j} of a checked coefficient array,
+    with a_l = 0 for l < 0."""
+    if k > 0 and len(arr) < m + k:
         raise InsufficientCoefficients(
             f"need at least {m + k} coefficients for the {k}x{k} window at m={m}, got {len(arr)}"
         )
-    i = np.arange(k)[:, None]
-    j = np.arange(k)[None, :]
-    return _window(arr, m + i - j)
+    # seg[t] = a_{m+k-1-t} for t = 0..2k-2, so W[i, j] = seg[k-1-i+j].
+    seg = np.zeros(max(2 * k - 1, 0), dtype=arr.dtype)
+    top = arr[max(m - k + 1, 0) : max(m + k, 0)][::-1]
+    seg[: len(top)] = top
+    i = np.arange(k)
+    return seg[np.add.outer(i[::-1], i)]
+
+
+def assoc_matrix(coeffs, m: int, k: int) -> np.ndarray:
+    """The k x k window matrix with entries a_{m+i-j}; needs len >= m+k.
+    A NaN or infinite coefficient raises DegenerateInput."""
+    return _assoc(_coefficients(coeffs, "assoc_matrix"), m, k)
+
+
+def _triple(arr: np.ndarray, m: int, n: int) -> ToeplitzTriple:
+    if m < 0 or n < 0:
+        raise ValueError("m and n must be >= 0")
+    # T is the (n+1) x (n+1) window at m without its first row.
+    W = _assoc(arr, m, n + 1)
+    return ToeplitzTriple(m=m, n=n, T=W[1:], A=W[1:, 1:].copy())
 
 
 def build_triple(coeffs, m: int, n: int) -> ToeplitzTriple:
-    """Build the T, A windows for the [m, n] problem."""
-    arr = _as_coeff_array(coeffs)
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
-    if len(arr) < m + n + 1:
-        raise InsufficientCoefficients(
-            f"need at least m+n+1 = {m + n + 1} coefficients, got {len(arr)}"
-        )
-    i_t = np.arange(n)[:, None]
-    j_t = np.arange(n + 1)[None, :]
-    T = _window(arr, m + 1 + i_t - j_t)
-    A = T[:, 1:].copy() if n > 0 else np.zeros((0, 0), dtype=arr.dtype)
-    return ToeplitzTriple(m=m, n=n, T=T, A=A)
+    """Build the T, A windows for the [m, n] problem.  A NaN or infinite
+    coefficient raises DegenerateInput."""
+    return _triple(_coefficients(coeffs, "build_triple"), m, n)
 
 
 def _getrf(M: np.ndarray):
-    if M.dtype.kind == "c":
-        return lapack.zgetrf(M)
-    return lapack.dgetrf(M)
+    return (lapack.zgetrf if M.dtype.kind == "c" else lapack.dgetrf)(M)
 
 
-def _gecon(lu: np.ndarray, anorm: float):
-    if lu.dtype.kind == "c":
-        rcond, _ = lapack.zgecon(lu, anorm, norm="1")
-    else:
-        rcond, _ = lapack.dgecon(lu, anorm, norm="1")
-    return rcond
+def _condition(M: np.ndarray, lu: np.ndarray) -> float:
+    """1-norm condition estimate of M from its LU factors."""
+    gecon = lapack.zgecon if lu.dtype.kind == "c" else lapack.dgecon
+    rcond, _ = gecon(lu, float(np.abs(M).sum(axis=0).max()), norm="1")
+    return float(1.0 / rcond) if rcond > 0 else math.inf
 
 
-def _getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray):
-    if lu.dtype.kind == "c":
-        x, _ = lapack.zgetrs(lu, piv, b)
-    else:
-        x, _ = lapack.dgetrs(lu, piv, b)
-    return x
+def _finite_matrices(M, entry: str) -> np.ndarray:
+    """M as a float or complex array; DegenerateInput naming the entry point
+    and the first NaN or infinite element otherwise."""
+    M = np.asarray(M)
+    if M.dtype.kind not in "fc":
+        M = M.astype(float)
+    finite = np.isfinite(M)
+    if not finite.all():
+        bad = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise DegenerateInput(f"{entry}: element {bad} is not finite ({M[bad]})")
+    return M
 
 
 class WindowStack:
@@ -182,11 +185,10 @@ def log_abs_dets(W) -> Tuple[np.ndarray, np.ndarray]:
 
     A matrix is singular when getrf reports an exactly zero pivot or its LU
     diagonal holds a zero; its log|det| is -inf.  Each entry has the bits
-    log_abs_det gives for that matrix alone.
+    log_abs_det gives for that matrix alone.  A NaN or infinite element
+    raises DegenerateInput.
     """
-    W = np.asarray(W)
-    if W.dtype.kind not in "fc":
-        W = W.astype(float)
+    W = _finite_matrices(W, "log_abs_dets")
     if W.ndim != 3 or W.shape[1] != W.shape[2]:
         raise ValueError("log_abs_dets needs a (B, k, k) stack")
     if W.shape[1] == 0:
@@ -197,10 +199,9 @@ def log_abs_dets(W) -> Tuple[np.ndarray, np.ndarray]:
 
 def log_abs_det(M) -> DetResult:
     """Partial-pivot LU determinant in log form, with a 1-norm condition
-    estimate from the same factorization.  det of the 0x0 matrix is 1."""
-    M = np.atleast_2d(np.asarray(M))
-    if M.dtype.kind not in "fc":
-        M = M.astype(float)
+    estimate from the same factorization.  det of the 0x0 matrix is 1.  A
+    NaN or infinite element raises DegenerateInput."""
+    M = _finite_matrices(np.atleast_2d(M), "log_abs_det")
     r, c = M.shape
     if r != c:
         raise ValueError("log_abs_det needs a square matrix")
@@ -217,24 +218,20 @@ def log_abs_det(M) -> DetResult:
     phase = complex(np.prod(diag / np.abs(diag))) * (-1.0) ** swaps
     if M.dtype.kind != "c":
         phase = float(np.real(phase))
-    rcond = _gecon(lu, float(np.abs(M).sum(axis=0).max()))
-    cond = float(1.0 / rcond) if rcond > 0 else math.inf
     return DetResult(log_abs=float(log_abs), sign_or_phase=phase, singular=False,
-                     condition_estimate=cond)
+                     condition_estimate=_condition(M, lu))
 
 
 def _solve_normalized(A: np.ndarray, rhs: np.ndarray):
-    """LAPACK solve of A x = rhs; returns (x, logdet, cond)."""
-    anorm = float(np.abs(A).sum(axis=0).max())
-    lu, piv, info = _getrf(A)
-    diag = np.diagonal(lu)
-    if info > 0 or np.any(diag == 0):
+    """LAPACK solve of A x = rhs; returns (x, logdet, cond), the LU and its
+    log|det| from _lu_stack and _log_abs, so logdet has log_abs_det's bits."""
+    diag, info, lu, piv = _lu_stack(A[None])
+    (logdet,), (singular,) = _log_abs(diag, info)
+    if singular:
         raise DegenerateSystem("denominator window matrix is singular")
-    rcond = _gecon(lu, anorm)
-    cond = float(1.0 / rcond) if rcond > 0 else math.inf
-    x = _getrs(lu, piv, rhs)
-    logdet = float(np.sum(np.log(np.abs(diag))))
-    return x, logdet, cond
+    getrs = lapack.zgetrs if lu.dtype.kind == "c" else lapack.dgetrs
+    x, _ = getrs(lu, piv, rhs)
+    return x, float(logdet), _condition(A, lu)
 
 
 def _solve_normalized_extended(A: np.ndarray, rhs: np.ndarray):
@@ -243,47 +240,47 @@ def _solve_normalized_extended(A: np.ndarray, rhs: np.ndarray):
     import mpmath as mp
 
     nn = A.shape[0]
-    complex_field = A.dtype.kind == "c"
+    kind = complex if A.dtype.kind == "c" else float
+    to_mp = mp.mpc if kind is complex else mp.mpf
     with mp.workdps(EXTENDED_DPS):
-        Am = mp.matrix([[mp.mpc(complex(v)) if complex_field else mp.mpf(float(v)) for v in row] for row in A])
-        bm = mp.matrix([mp.mpc(complex(v)) if complex_field else mp.mpf(float(v)) for v in rhs])
+        Am = mp.matrix([[to_mp(kind(v)) for v in row] for row in A])
+        bm = mp.matrix([to_mp(kind(v)) for v in rhs])
         try:
             x = mp.lu_solve(Am, bm)
             Ainv = Am ** -1
         except ZeroDivisionError as exc:
             raise DegenerateSystem("denominator window matrix is singular") from exc
-        det = mp.det(Am)
-        if det == 0:
-            raise DegenerateSystem("denominator window matrix is singular")
+        det = mp.det(Am)  # nonzero: the same LU just succeeded in lu_solve
         norm1 = max(sum(abs(Am[i, j]) for i in range(nn)) for j in range(nn))
         inv1 = max(sum(abs(Ainv[i, j]) for i in range(nn)) for j in range(nn))
         cond = float(norm1 * inv1)
         logdet = float(mp.log(abs(det)))
-        if complex_field:
-            out = np.array([complex(v) for v in x], dtype=complex)
-        else:
-            out = np.array([float(v) for v in x], dtype=float)
+        out = np.array([kind(v) for v in x], dtype=kind)
     return out, logdet, cond
 
 
-def _solve_window(A: np.ndarray, rhs: np.ndarray, precision: str,
-                  cond_cap: Optional[float] = None):
-    """Solve the (n >= 1) normalized window system A x = rhs at the given
-    precision; returns (x, logdet, cond).  Raises DegenerateSystem when A is
-    singular or its condition exceeds cond_cap, by default the precision's
-    cap (1e12 double, 1e28 extended)."""
+def _denominator(triple: ToeplitzTriple, precision: str, cond_cap: Optional[float]):
+    """The denominator solve of pade and solve_denominator: q (length n+1,
+    q_0 = 1) solving T q = 0, with log|det A| and A's condition.  Raises
+    DegenerateSystem when A is singular or its condition exceeds cond_cap,
+    by default the precision's cap (1e12 double, 1e28 extended)."""
     if precision == "extended":
-        x, logdet, cond = _solve_normalized_extended(A, rhs)
-        cap = COND_CAP_EXTENDED if cond_cap is None else cond_cap
+        solve, cap = _solve_normalized_extended, COND_CAP_EXTENDED
     elif precision == "double":
-        x, logdet, cond = _solve_normalized(A, rhs)
-        cap = COND_CAP_DOUBLE if cond_cap is None else cond_cap
+        solve, cap = _solve_normalized, COND_CAP_DOUBLE
     else:
         raise ValueError("precision must be 'double' or 'extended'")
+    if triple.n == 0:
+        return np.ones(1, dtype=triple.T.dtype), 0.0, 1.0
+    where = f"coefficient window A_{triple.m}^({triple.n})"
+    try:
+        tail, logdet, cond = solve(triple.A, -triple.T[:, 0])
+    except DegenerateSystem as exc:
+        raise DegenerateSystem(f"{where} is singular") from exc
+    cap = cap if cond_cap is None else cond_cap
     if cond > cap:
-        raise DegenerateSystem(
-            f"denominator window matrix condition {cond:.3e} exceeds cap {cap:.1e}")
-    return x, logdet, cond
+        raise DegenerateSystem(f"{where} has condition {cond:.3e}, above the cap {cap:.1e}")
+    return np.concatenate([np.ones(1, dtype=tail.dtype), tail]), logdet, cond
 
 
 def solve_denominator(
@@ -291,16 +288,10 @@ def solve_denominator(
     cond_cap: Optional[float] = None,
     precision: str = "double",
 ) -> np.ndarray:
-    """Denominator coefficients q (length n+1, q_0 = 1) solving T q = 0.
+    """Denominator coefficients q (length n+1, q_0 = 1, the dtype of T)
+    solving T q = 0: pade's solve step.
 
     Raises DegenerateSystem when A is singular or its condition estimate
     exceeds the cap (1e12 double, 1e28 extended).
     """
-    n = triple.n
-    dtype = triple.A.dtype if n > 0 else triple.T.dtype
-    q = np.zeros(n + 1, dtype=dtype)
-    q[0] = 1.0
-    if n == 0:
-        return q
-    q[1:] = _solve_window(triple.A, -triple.T[:, 0], precision, cond_cap)[0]
-    return q
+    return _denominator(triple, precision, cond_cap)[0].astype(triple.T.dtype, copy=False)

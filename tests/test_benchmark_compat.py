@@ -21,8 +21,10 @@ def _load_tracer():
 
 def test_traced_execute_matches_untraced(tmp_path):
     tracer = _load_tracer().Tracer()
+    # one small config per benchmark workload's protocol
     for name, overrides in ((ex.ET_CLUSTERING, dict(m=(8, 16), n=1, trials=3)),
-                            (ex.ZERO_RADIUS, dict(N=48, trials=2))):
+                            (ex.ZERO_RADIUS, dict(N=48, trials=2)),
+                            (ex.ANTICONCENTRATION, dict(n=(2, 5), trials=20))):
         cfg = ex.default_config(name, **overrides)
         ex.execute(cfg, tmp_path / name / "plain")
         with tracer.traced_execute():
@@ -33,3 +35,5 @@ def test_traced_execute_matches_untraced(tmp_path):
     metrics = tracer.metrics()
     assert metrics["poly.find_roots.nonconvergence"][0] == 0
     assert metrics["pade.pade.calls"][0] > 0
+    # the et-style stage takes its windows from the PadePair
+    assert metrics["toeplitz.build_triple.calls"][0] == 0

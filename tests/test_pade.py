@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padeclust import (
     DegenerateInput,
@@ -10,6 +13,7 @@ from padeclust import (
     InsufficientCoefficients,
     Polynomial,
     build_triple,
+    log_abs_det,
 )
 from padeclust.pade import EtBoundChain, et_bound_chain, et_ratio, pade, validate_order
 
@@ -113,11 +117,31 @@ def test_pade_diagnostics_are_recorded():
     coeffs = [1.0, 1.0, 0.5, 1.0 / 6.0]
     pair = pade(coeffs, m=1, n=1)
     triple = build_triple(coeffs, 1, 1)
-    from padeclust import log_abs_det
 
-    assert pair.diagnostics["logdet_A"] == pytest.approx(log_abs_det(triple.A).log_abs)
+    assert pair.diagnostics["logdet_A"] == log_abs_det(triple.A).log_abs
     assert pair.diagnostics["condition"] >= 1.0
     assert pair.diagnostics["order_residual"] <= 1e-14
+    np.testing.assert_array_equal(pair.triple.T, triple.T)
+    np.testing.assert_array_equal(pair.triple.A, triple.A)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([np.float64, np.float32, np.complex128]), st.integers(0, 59),
+       st.integers(0, 399), st.integers(0, 2**32 - 1))
+def test_pade_solve_determinant_is_log_abs_det_bitwise(dtype, n, m, seed):
+    # et_bound_chain reads logdet_A from the pair in place of factoring A again
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(m + n + 1)
+    if dtype is np.complex128:
+        coeffs = coeffs + 1j * rng.standard_normal(m + n + 1)
+    coeffs = coeffs.astype(dtype)
+    try:
+        pair = pade(coeffs, m, n, cond_cap=math.inf)
+    except DegenerateSystem:
+        assume(False)
+    det = log_abs_det(build_triple(coeffs, m, n).A)
+    assert pair.diagnostics["logdet_A"] == det.log_abs
+    assert pair.diagnostics["condition"] == det.condition_estimate
 
 
 # ---------------------------------------------------------------- validate_order
@@ -130,10 +154,7 @@ def test_validate_order_exact_pair_is_tiny():
 def test_validate_order_sees_perturbation_at_j0():
     coeffs = [1.0, 1.0, 1.0]
     pair = pade(coeffs, m=1, n=1)
-    perturbed = type(pair)(
-        p=Polynomial(pair.p.coeffs + np.array([1.0, 0.0])),
-        q=pair.q, m=pair.m, n=pair.n, diagnostics=dict(pair.diagnostics),
-    )
+    perturbed = replace(pair, p=Polynomial(pair.p.coeffs + np.array([1.0, 0.0])))
     denom = (1.0 + 1.0) * np.sum(np.abs(pair.q.coeffs))
     assert validate_order(coeffs, perturbed) >= 0.99 / denom
 
@@ -212,6 +233,12 @@ def test_pade_rejects_malformed_coefficients(bad, problem):
         pade(bad, 1, 1)
 
 
+def test_pade_rejects_an_overflowing_pair():
+    # A = [1e-300] is perfectly conditioned, but q_1 = -1e300 / 1e-300 = -inf
+    with pytest.raises(DegenerateInput, match="overflows"):
+        pade([1.0, 1e-300, 1e300], 1, 1)
+
+
 def test_et_ratio_of_taylor_section_closed_form():
     rng = np.random.default_rng(23)
     coeffs = rng.standard_normal(6)
@@ -251,10 +278,9 @@ def test_bound_chain_dominates_ratio_and_is_monotone():
         m = int(rng.integers(1, 13))
         n = int(rng.integers(1, 13))
         coeffs = rng.standard_normal(m + n + 1)
-        triple = build_triple(coeffs, m, n)
         try:
             pair = pade(coeffs, m, n)
-            chain = et_bound_chain(coeffs, triple, pair)
+            chain = et_bound_chain(coeffs, pair)
             ratio = et_ratio(pair.p)
         except (DegenerateSystem, EndCoefficientZero):
             continue
@@ -266,13 +292,46 @@ def test_bound_chain_dominates_ratio_and_is_monotone():
     assert evaluated >= 900
 
 
+_RNG = np.random.default_rng(5)
+_REAL = _RNG.standard_normal(12)
+_COMPLEX = _RNG.standard_normal(10) + 1j * _RNG.standard_normal(10)
+
+
+@pytest.mark.parametrize("coeffs, m, n, expected", [
+    ([3.0, 5.0, 7.0, 2.0], 1, 1, ("0x1.4232d1faa1763p+1", "0x1.43f3b99b26b43p+1", "0x1.6e8f57f895ea3p+1")),
+    (_REAL, 6, 3, ("0x1.4e162b94c54aap+1", "0x1.67cb450771a21p+1", "0x1.bf8590713a0fap+2")),
+    (_REAL, 4, 5, ("0x1.caae6ab51eecfp+1", "0x1.d220c15f2fe35p+1", "0x1.c3b62eb52fceep+3")),
+    (_REAL, 9, 0, ("0x1.e9f083071fe11p+0", "0x1.e9f083071fe12p+0", "0x1.e9f083071fe12p+0")),
+    (_COMPLEX, 5, 4, ("0x1.63a64fea2fd80p+1", "0x1.6b5efbbe937cap+1", "0x1.3639745daeca8p+3")),
+])
+def test_bound_chain_keeps_its_values_on_fixed_windows(coeffs, m, n, expected):
+    # reading log|det A| from the pair must not move a bit of the chain
+    chain = et_bound_chain(coeffs, pade(coeffs, m, n))
+    assert (chain.log_l1, chain.log_cauchy_binet, chain.log_amgm) == \
+        tuple(float.fromhex(h) for h in expected)
+
+
+def test_et_style_unit_factors_each_window_once(monkeypatch):
+    # pade factors A; et_bound_chain factors A_{n+1} and T T* and reads A's
+    # log|det| from the pair
+    from padeclust import experiments as ex
+    from padeclust import toeplitz
+
+    shapes = []
+    getrf = toeplitz._getrf
+    monkeypatch.setattr(toeplitz, "_getrf", lambda M: shapes.append(M.shape) or getrf(M))
+    cfg = ex.default_config(ex.ET_CLUSTERING, m=(8, 16), n=2, trials=3)
+    _, _, block, _ = ex._run_et_style(cfg, 1, 0)
+    assert set(block.reason) <= {"", "nonconvergence"}
+    assert shapes == [(2, 2), (3, 3), (2, 2)] * len(block.reason)
+
+
 def test_bound_chain_requires_nonsingular_windows():
     coeffs = [1.0, 1.0, 1.0]
-    triple = build_triple(coeffs, 1, 1)
     pair = pade(coeffs, 1, 1)
     # A_1^(2) = [[1,1],[1,1]] is singular for the all-ones sequence
     with pytest.raises((DegenerateSystem, EndCoefficientZero)):
-        et_bound_chain(coeffs, triple, pair)
+        et_bound_chain(coeffs, pair)
 
 
 def test_bound_chain_values_overflow_to_inf():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from padeclust import (
+    DegenerateInput,
     DegenerateSystem,
     InsufficientCoefficients,
     assoc_matrix,
     build_triple,
     log_abs_det,
+    log_abs_dets,
     solve_denominator,
 )
 
@@ -80,6 +82,38 @@ def test_assoc_matrix_only_needs_leading_coefficients():
     assert full.shape == (3, 3)
     with pytest.raises(InsufficientCoefficients):
         assoc_matrix(coeffs, m=2, k=3)
+
+
+# ---------------------------------------------------------------- non-finite input
+# Each public entry point raises DegenerateInput naming itself; NaN or inf
+# would otherwise come back as a log|det| of nan or inf flagged non-singular.
+
+def test_assoc_matrix_rejects_non_finite_coefficients():
+    with pytest.raises(DegenerateInput, match="assoc_matrix: coefficient 1 is not finite"):
+        assoc_matrix([1.0, math.nan, 2.0, 3.0], 1, 2)
+
+
+def test_build_triple_rejects_non_finite_coefficients():
+    with pytest.raises(DegenerateInput, match="build_triple: coefficient 2 is not finite"):
+        build_triple([1.0, 2.0, math.nan, 3.0], 1, 1)
+
+
+def test_log_abs_det_rejects_non_finite_entries():
+    with pytest.raises(DegenerateInput, match=r"log_abs_det: element \(0, 0\) is not finite"):
+        log_abs_det([[math.inf, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_log_abs_dets_rejects_non_finite_entries_at_every_position(k, bad):
+    rng = np.random.default_rng(k)
+    for dtype in (float, complex):
+        for i in range(k):
+            for j in range(k):
+                W = rng.standard_normal((3, k, k)).astype(dtype)
+                W[1, i, j] = bad
+                with pytest.raises(DegenerateInput, match=rf"log_abs_dets: element \(1, {i}, {j}\)"):
+                    log_abs_dets(W)
 
 
 # ---------------------------------------------------------------- log_abs_det
