@@ -13,7 +13,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -59,30 +59,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config: Dict
-    version: str
-    seed: int
-    started: str
-    ended: str
-    digests: Dict[str, str]
-
-    @staticmethod
-    def load(run_dir) -> "RunManifest":
-        path = Path(run_dir) / "manifest.json"
-        if not path.is_file():
-            raise MissingData(f"no manifest.json under {run_dir}")
-        d = json.loads(path.read_text())
-        try:
-            return RunManifest(
-                config=d["config"], version=d["version"], seed=d["seed"],
-                started=d["started"], ended=d["ended"], digests=d["digests"],
-            )
-        except KeyError as exc:
-            raise MissingData(f"manifest.json under {run_dir} lacks field {exc}") from exc
 
 
 def _parse_value(tok: str):

@@ -2,6 +2,10 @@
 masses, the radial / sector-discrepancy / bounded-Lipschitz bounds, and the
 zero-radius statistics used by the random-series experiments.
 
+clustering_report evaluates every bound in the form that holds for each
+polynomial with nonzero end coefficients, so a false flag is a bug; the
+experiment runner enforces exactly its flags.
+
 Conventions: Arg is mapped to [0, 2*pi); sectors are half-open (theta, phi]
 with the lower boundary ray excluded; annuli are open.
 """
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,26 +78,16 @@ def sector_mass(mu: EmpiricalMeasure, theta: float, phi: float) -> float:
     return float(count) / mu.N
 
 
-def radial_bound_check(mu: EmpiricalMeasure, et: EtRatio, rho: float) -> RadialCheck:
-    """Mass defect outside the unit annulus of relative width rho against its
-    theoretical ceiling log(L) / (rho N)."""
-    if not (0.0 < rho <= 1.0):
-        raise ValueError("rho must lie in (0, 1]")
-    defect = 1.0 - annulus_mass(mu, 1.0, rho)
-    bound = et.log_value / (rho * mu.N)
-    return RadialCheck(defect=defect, bound=bound, holds=bool(defect <= bound + 1e-12))
-
-
 def radial_two_sided_check(mu: EmpiricalMeasure, et: EtRatio, rho: float) -> RadialCheck:
-    """Like radial_bound_check but with the ceiling 2 log(L) / (N log(1+rho)).
+    """Mass defect outside the unit annulus of relative width rho against the
+    ceiling 2 log(L) / (N log(1+rho)).
 
-    The sharper ceiling log(L)/(rho N) can fail when the end coefficients are
-    very unbalanced: z^N - c with small c > 0 puts every root at modulus
-    c^(1/N) while log L ~ -log(c)/2, half of what the one-sided zero count
-    needs.  Applying Jensen's formula from both ends of the coefficient vector
-    charges the inside and outside zero counts to log L together, which gives
-    this weaker ceiling for every polynomial with nonzero end coefficients.
-    Use this form when a violation should be treated as a bug.
+    Jensen's formula, applied from both ends of the coefficient vector,
+    charges the inside and outside zero counts to log L together, so this
+    ceiling holds for every polynomial with nonzero end coefficients.  The
+    sharper log(L) / (rho N) is no theorem: z^N - c with small c > 0 puts
+    every root at modulus c^(1/N) while log L ~ -log(c)/2, half of what the
+    one-sided zero count needs.
     """
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
@@ -204,12 +198,15 @@ def clustering_report(
     grid_size: int = DEFAULT_GRID,
     family_size: int = DEFAULT_FAMILY,
 ) -> ClusteringReport:
-    """Evaluate every deterministic clustering inequality for one measure."""
+    """Evaluate every deterministic clustering inequality for one measure:
+    the radial defect per rho against radial_two_sided_check's ceiling, the
+    sector discrepancy against 16 sqrt(log L / N) and the bounded-Lipschitz
+    estimate against bl_upper."""
     defects: Dict[float, float] = {}
     bounds: Dict[float, float] = {}
     flags: Dict[str, bool] = {}
     for rho in rhos:
-        chk = radial_bound_check(mu, et, rho)
+        chk = radial_two_sided_check(mu, et, rho)
         defects[rho] = chk.defect
         bounds[rho] = chk.bound
         flags[f"radial_{rho:g}"] = chk.holds

@@ -5,8 +5,8 @@ roots cluster around the unit circle.
 For a coefficient sequence (a_j) the pair (p, q) satisfies
 coeff_j(f q - p) = 0 for 0 <= j <= m+n, with q normalized to q(0) = 1.
 
-pade checks the coefficients, builds the windows T and A, factors A and
-forms f*q once each; et_bound_chain reads T, A and log|det A| from the pair.
+pade checks the coefficients, builds the windows W, T and A, factors A and
+forms f*q once each; et_bound_chain reads W, T and log|det A| from the pair.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInput, DegenerateSystem, EndCoefficientZero, InsufficientCoefficients
 from .poly import Polynomial, _as_poly, coeff_vector
-from .toeplitz import ToeplitzTriple, _assoc, _denominator, _triple, log_abs_dets
+from .toeplitz import ToeplitzTriple, _denominator, _triple, log_abs_dets
 
 _LOG_OVERFLOW = 709.0
 
@@ -28,7 +28,7 @@ _LOG_OVERFLOW = 709.0
 class PadePair:
     """Numerator p (degree <= m, stored with m+1 coefficients), denominator q
     with q(0) = 1, solve diagnostics (logdet_A, condition, order_residual)
-    and the Toeplitz windows T and A of the solve."""
+    and the Toeplitz windows W, T and A of the solve."""
 
     p: Polynomial
     q: Polynomial
@@ -149,8 +149,8 @@ def et_ratio(p) -> EtRatio:
 def et_bound_chain(coeffs, pair: PadePair) -> EtBoundChain:
     """Evaluate the three-step upper-bound chain for et_ratio(pair.p).
 
-    Reads the windows T, A and log|det A| from the pair and factors the
-    order n+1 window at offset m and the Gram matrix T T*; raises
+    Reads the windows W, T and log|det A| from the pair and factors W (the
+    order n+1 window at offset m) and the Gram matrix T T*; raises
     DegenerateSystem when either is singular, EndCoefficientZero when the
     numerator's coefficient at index m vanishes.
     """
@@ -166,7 +166,7 @@ def et_bound_chain(coeffs, pair: PadePair) -> EtBoundChain:
     log_q1 = math.log(float(np.sum(np.abs(pair.q.coeffs))))
     log_l1 = log_q1 + log_S - 0.5 * (math.log(a0) + math.log(p_m))
 
-    (log_n1,), (singular,) = log_abs_dets(_assoc(arr, m, n + 1)[None])
+    (log_n1,), (singular,) = log_abs_dets(pair.triple.W[None])
     if singular:
         raise DegenerateSystem("window determinant of order n+1 is singular")
     (log_gram,), (singular,) = log_abs_dets((T @ T.conj().T)[None])

@@ -1,5 +1,5 @@
-"""Polynomials with complex coefficients: evaluation, truncated products,
-simultaneous root finding, and circle averages of log|p|.
+"""Polynomials with complex coefficients: evaluation, simultaneous root
+finding, and circle averages of log|p|.
 
 Conventions used throughout the package:
 
@@ -155,19 +155,6 @@ def evaluate(p, z):
     for ck in p.coeffs[::-1]:
         acc = acc * zs + ck
     return acc[0] if scalar else acc
-
-
-def truncated_product(f, g, order: int) -> Polynomial:
-    """Coefficients of f*g through z**order, zero-padded to length order+1."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    f = _as_poly(f)
-    g = _as_poly(g)
-    full = np.convolve(f.coeffs, g.coeffs)
-    out = np.zeros(order + 1, dtype=full.dtype)
-    k = min(order + 1, full.size)
-    out[:k] = full[:k]
-    return Polynomial(out)
 
 
 # ---------------------------------------------------------------------------

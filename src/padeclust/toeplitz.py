@@ -12,7 +12,8 @@ DegenerateInput; internal callers pass arrays that are already checked.
 
 Index conventions (a_l = 0 for l < 0 throughout):
 
-* ``T`` is  n    x (n+1) with T[i][j] = a_{m+1+i-j}     (order conditions)
+* ``W`` is (n+1) x (n+1) with W[i][j] = a_{m+i-j}
+* ``T`` is  n    x (n+1) with T[i][j] = a_{m+1+i-j}, i.e. rows 2..n+1 of W
 * ``A`` is  n    x  n    with A[i][j] = a_{m+i-j}, i.e. columns 2..n+1 of T
 
 The denominator solve fixes q_0 = 1 and solves
@@ -42,6 +43,7 @@ class ToeplitzTriple:
     n: int
     T: np.ndarray
     A: np.ndarray
+    W: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,8 @@ def assoc_matrix(coeffs, m: int, k: int) -> np.ndarray:
 def _triple(arr: np.ndarray, m: int, n: int) -> ToeplitzTriple:
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    # T is the (n+1) x (n+1) window at m without its first row.
     W = _assoc(arr, m, n + 1)
-    return ToeplitzTriple(m=m, n=n, T=W[1:], A=W[1:, 1:].copy())
+    return ToeplitzTriple(m=m, n=n, T=W[1:], A=W[1:, 1:].copy(), W=W)
 
 
 def build_triple(coeffs, m: int, n: int) -> ToeplitzTriple:

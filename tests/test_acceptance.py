@@ -116,7 +116,11 @@ def test_criterion_03_deterministic_inequality_suite(capsys):
             rep = clustering_report(EmpiricalMeasure(roots), et,
                                     rhos=(0.05, 0.1, 0.2),
                                     grid_size=256, family_size=16)
-            if not all(rep.inequality_flags.values()):
+            # the report enforces the two-sided radial ceiling; the sharper
+            # one-sided log L / (rho N) is checked here too
+            one_sided = all(d <= et.log_value / (rho * len(roots)) + 1e-12
+                            for rho, d in rep.radial_defect.items())
+            if not (all(rep.inequality_flags.values()) and one_sided):
                 violations += 1
             try:
                 pair = pade(coeffs, 8, 4)

@@ -35,5 +35,6 @@ def test_traced_execute_matches_untraced(tmp_path):
     metrics = tracer.metrics()
     assert metrics["poly.find_roots.nonconvergence"][0] == 0
     assert metrics["pade.pade.calls"][0] > 0
+    assert metrics["cluster.clustering_report.calls"][0] > 0
     # the et-style stage takes its windows from the PadePair
     assert metrics["toeplitz.build_triple.calls"][0] == 0

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from padeclust import cli, svgplot
-from padeclust.errors import DegenerateInput, MissingData
+from padeclust.cluster import EmpiricalMeasure, radial_two_sided_check
+from padeclust.errors import DegenerateInput
+from padeclust.pade import et_ratio
+from padeclust.poly import Polynomial, find_roots
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +79,20 @@ def test_cluster_report_flags(capsys):
     assert payload["sector"]["max_discrepancy"] <= payload["sector"]["bound"]
 
 
+def test_cluster_report_flags_are_the_enforced_ceiling(capsys):
+    # z^32 - 0.72^32: every root at modulus 0.72, so the defect at rho = 0.2
+    # is 1.0; the runner accepts it under the two-sided ceiling
+    coeffs = [-(0.72 ** 32)] + [0.0] * 31 + [1.0]
+    code, out, _ = run_cli(capsys, "cluster-report", "--coeffs=" + ",".join(map(repr, coeffs)))
+    assert code == 0
+    payload = json.loads(out)
+    assert all(payload["flags"].values())
+    poly = Polynomial(coeffs)
+    expected = radial_two_sided_check(EmpiricalMeasure(find_roots(poly)), et_ratio(poly), 0.2)
+    assert payload["radial"]["0.2"] == {"defect": 1.0, "bound": expected.bound}
+    assert expected.bound == pytest.approx(1.8018, abs=1e-4)
+
+
 def test_cluster_report_non_finite_coeffs_exit_2(capsys):
     code, out, err = run_cli(capsys, "cluster-report", "--coeffs", "1,nan,1")
     assert code == 2
@@ -92,20 +109,20 @@ def test_experiment_run_round_trip(capsys, tmp_path):
     assert code == 0, err
     payload = json.loads(out)
     assert payload["summary"]["trials"] == 6
-    manifest = cli.RunManifest.load(out_a)
-    assert manifest.config["trials"] == 6
-    assert manifest.config["seed"] == 42
-    assert manifest.seed == 42
+    manifest = json.loads((out_a / "manifest.json").read_text())
+    assert manifest["config"]["trials"] == 6
+    assert manifest["config"]["seed"] == 42
+    assert manifest["seed"] == 42
 
     # manifest echo -> re-run reproduces identical digests
     out_b = tmp_path / "b"
     cfg2 = tmp_path / "cfg2.json"
-    cfg2.write_text(json.dumps(manifest.config))
+    cfg2.write_text(json.dumps(manifest["config"]))
     code, out, err = run_cli(capsys, "experiment", "run", "et-clustering",
                              "--config", str(cfg2), "--out", str(out_b))
     assert code == 0, err
-    again = cli.RunManifest.load(out_b)
-    assert again.digests["trials.csv"] == manifest.digests["trials.csv"]
+    again = json.loads((out_b / "manifest.json").read_text())
+    assert again["digests"]["trials.csv"] == manifest["digests"]["trials.csv"]
     assert (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
 
 
@@ -178,11 +195,6 @@ def test_plot_empty_directory_exit_2(capsys, tmp_path):
     assert code == 2
     code, out, err = run_cli(capsys, "plot", str(tmp_path / "missing"))
     assert code == 2
-
-
-def test_run_manifest_load_missing(tmp_path):
-    with pytest.raises(MissingData):
-        cli.RunManifest.load(tmp_path)
 
 
 def test_svg_scatter_empty_rejected():

@@ -12,7 +12,6 @@ from padeclust.cluster import (
     bl_lower_estimate,
     bl_upper,
     clustering_report,
-    radial_bound_check,
     radial_two_sided_check,
     radius_R_s,
     sector_discrepancy,
@@ -93,7 +92,7 @@ def test_radial_bound_binomial_has_zero_defect():
     N = 32
     mu = EmpiricalMeasure(find_roots(Polynomial([1.0] + [0.0] * (N - 1) + [1.0])))
     et = et_ratio(Polynomial([1.0] + [0.0] * (N - 1) + [1.0]))
-    chk = radial_bound_check(mu, et, 0.05)
+    chk = radial_two_sided_check(mu, et, 0.05)
     assert chk.defect == 0.0
     assert chk.holds
 
@@ -101,12 +100,15 @@ def test_radial_bound_binomial_has_zero_defect():
 def test_radial_bound_worst_case_is_vacuous():
     mu = EmpiricalMeasure([100.0, 0.001])
     et = ratio_like(float(mu.N))
-    chk = radial_bound_check(mu, et, 0.5)
-    assert chk.bound >= 1.0 / 0.5 - 1e-12
+    chk = radial_two_sided_check(mu, et, 0.5)
+    one_sided = et.log_value / (0.5 * mu.N)
+    assert one_sided >= 1.0 / 0.5 - 1e-12
+    assert chk.bound >= one_sided
     assert chk.holds
 
 
 def test_radial_bound_holds_on_gaussian_polynomials():
+    # both the enforced ceiling and the sharper one-sided log L / (rho N)
     rng = np.random.default_rng(5)
     for _ in range(60):
         coeffs = rng.standard_normal(65)
@@ -114,24 +116,35 @@ def test_radial_bound_holds_on_gaussian_polynomials():
         mu = EmpiricalMeasure(find_roots(poly))
         et = et_ratio(poly)
         for rho in (0.05, 0.1, 0.2):
-            assert radial_bound_check(mu, et, rho).holds
+            chk = radial_two_sided_check(mu, et, rho)
+            assert chk.holds
+            assert chk.defect <= et.log_value / (rho * mu.N) + 1e-12
+
+
+def _end_unbalanced(N=32, c=0.72):
+    # z^N - c^N: all roots at modulus c, first coefficient tiny
+    poly = Polynomial([-(c ** N)] + [0.0] * (N - 1) + [1.0])
+    return EmpiricalMeasure(find_roots(poly)), et_ratio(poly)
 
 
 def test_radial_two_sided_survives_end_unbalanced_polynomial():
-    # z^32 - 0.72^32: all roots at modulus 0.72, first coefficient tiny.
     # The one-sided ceiling log L / (rho N) is smaller than the defect here,
     # the symmetric ceiling 2 log L / (N log(1+rho)) is not.
-    N = 32
-    coeffs = [-(0.72 ** N)] + [0.0] * (N - 1) + [1.0]
-    poly = Polynomial(coeffs)
-    mu = EmpiricalMeasure(find_roots(poly))
-    et = et_ratio(poly)
-    one = radial_bound_check(mu, et, 0.2)
+    mu, et = _end_unbalanced()
     two = radial_two_sided_check(mu, et, 0.2)
-    assert one.defect == 1.0
-    assert not one.holds
     assert two.defect == 1.0
+    assert two.defect > et.log_value / (0.2 * mu.N)
     assert two.holds
+
+
+def test_clustering_report_holds_on_end_unbalanced_polynomial():
+    mu, et = _end_unbalanced()
+    rep = clustering_report(mu, et)
+    assert all(rep.inequality_flags.values())
+    for rho in (0.05, 0.1, 0.2):
+        chk = radial_two_sided_check(mu, et, rho)
+        assert (rep.radial_defect[rho], rep.radial_bound[rho]) == (chk.defect, chk.bound)
+    assert rep.radial_bound[0.2] == pytest.approx(1.8018, abs=1e-4)
 
 
 def test_radial_two_sided_is_weaker_everywhere():
@@ -141,10 +154,9 @@ def test_radial_two_sided_is_weaker_everywhere():
         mu = EmpiricalMeasure(find_roots(poly))
         et = et_ratio(poly)
         for rho in (0.05, 0.2, 0.8):
-            one = radial_bound_check(mu, et, rho)
             two = radial_two_sided_check(mu, et, rho)
-            assert two.bound >= one.bound
-            assert two.defect == one.defect
+            assert two.bound >= et.log_value / (rho * mu.N)
+            assert two.defect == 1.0 - annulus_mass(mu, 1.0, rho)
 
 
 def test_radial_two_sided_rejects_bad_rho():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padeclust import experiments as ex
-from padeclust.errors import InvariantViolation, NonConvergence
+from padeclust.errors import DegenerateInput, InvariantViolation, NonConvergence
 from padeclust.sampler import DISCRETE, GAUSSIAN, distribution, sample
 
 
@@ -532,15 +532,31 @@ def test_invariant_violation_aborts_run(monkeypatch):
 
 
 def test_invariant_violation_on_radial_breach(monkeypatch):
+    from padeclust import cluster
     from padeclust.cluster import RadialCheck
 
     monkeypatch.setattr(
-        ex, "radial_two_sided_check",
+        cluster, "radial_two_sided_check",
         lambda mu, et, rho: RadialCheck(defect=1.0, bound=0.0, holds=False),
     )
     cfg = ex.default_config(ex.ET_CLUSTERING, m=(6,), n=1, trials=2)
     with pytest.raises(InvariantViolation, match="radial"):
         ex.run_et_clustering(cfg)
+
+
+def test_pole_clustering_does_not_swallow_denominator_faults(monkeypatch):
+    # only an end coefficient at zero excludes a denominator from its check
+    et_ratio = ex.et_ratio
+
+    def failing_on_denominators(p):
+        if len(p.coeffs) == 5:
+            raise DegenerateInput("injected fault")
+        return et_ratio(p)
+
+    monkeypatch.setattr(ex, "et_ratio", failing_on_denominators)
+    cfg = ex.default_config(ex.POLE_CLUSTERING, N=40, n=(4,), trials=2)
+    with pytest.raises(DegenerateInput, match="injected"):
+        ex.run_pole_clustering(cfg)
 
 
 def test_unknown_protocol_in_execute():

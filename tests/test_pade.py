@@ -12,6 +12,7 @@ from padeclust import (
     EndCoefficientZero,
     InsufficientCoefficients,
     Polynomial,
+    assoc_matrix,
     build_triple,
     log_abs_det,
 )
@@ -123,6 +124,8 @@ def test_pade_diagnostics_are_recorded():
     assert pair.diagnostics["order_residual"] <= 1e-14
     np.testing.assert_array_equal(pair.triple.T, triple.T)
     np.testing.assert_array_equal(pair.triple.A, triple.A)
+    # W is the order n+1 window that et_bound_chain factors
+    np.testing.assert_array_equal(pair.triple.W, assoc_matrix(coeffs, 1, 2))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

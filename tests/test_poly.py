@@ -1,9 +1,8 @@
 """Unit tests for polynomial arithmetic, root finding and circle averages.
 
 Oracles used here are independent of the implementation under test:
-companion-matrix eigenvalues and mpmath.polyroots for roots, a brute-force
-convolution loop for products, and the two sides of Jensen's identity
-against each other.
+companion-matrix eigenvalues and mpmath.polyroots for roots, and the two
+sides of Jensen's identity against each other.
 """
 
 import math
@@ -22,7 +21,6 @@ from padeclust import (
     find_roots,
     find_roots_batch,
     jensen_rhs,
-    truncated_product,
 )
 from padeclust.poly import EXTENDED_DPS, ZERO_REL, _aberth_extended
 from padeclust.sampler import DISCRETE, GAUSSIAN, distribution, sample
@@ -37,19 +35,6 @@ def companion_roots(coeffs):
     M[1:, :-1] = np.eye(d - 1)
     M[:, -1] = -c[:-1]
     return np.linalg.eigvals(M)
-
-
-def brute_convolution(f, g, order):
-    f = np.asarray(f)
-    g = np.asarray(g)
-    out = np.zeros(order + 1, dtype=np.result_type(f, g))
-    for j in range(order + 1):
-        s = 0.0
-        for k in range(len(f)):
-            if 0 <= j - k < len(g):
-                s += f[k] * g[j - k]
-        out[j] = s
-    return out
 
 
 def match_distance(a, b):
@@ -84,31 +69,6 @@ def test_degree_thresholding():
     assert Polynomial([1.0, 1.0, 1e-20]).degree == 1
     assert Polynomial([0.0]).degree == -1
     assert Polynomial([3.0]).degree == 0
-
-
-# ---------------------------------------------------------------------------
-# truncated_product
-
-
-def test_truncated_product_examples():
-    r = truncated_product(Polynomial([1, 1]), Polynomial([1, -1]), 2)
-    np.testing.assert_allclose(r.coeffs, [1, 0, -1])
-    r = truncated_product(Polynomial([1, 1, 1, 1]), Polynomial([1, -1]), 3)
-    np.testing.assert_allclose(r.coeffs, [1, 0, 0, 0])
-    r = truncated_product(Polynomial([2]), Polynomial([3]), 5)
-    np.testing.assert_allclose(r.coeffs, [6, 0, 0, 0, 0, 0])
-
-
-def test_truncated_product_matches_brute_force():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        nf = int(rng.integers(1, 9))
-        ng = int(rng.integers(1, 9))
-        order = int(rng.integers(0, 14))
-        f = rng.standard_normal(nf) + 1j * rng.standard_normal(nf)
-        g = rng.standard_normal(ng) + 1j * rng.standard_normal(ng)
-        got = truncated_product(Polynomial(f), Polynomial(g), order).coeffs
-        np.testing.assert_allclose(got, brute_convolution(f, g, order), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
