@@ -34,7 +34,6 @@ from .toeplitz import (
     build_triple,
     log_abs_det,
     log_abs_dets,
-    solve_denominator,
 )
 from .pade import (
     EtBoundChain,
@@ -43,7 +42,6 @@ from .pade import (
     et_bound_chain,
     et_ratio,
     pade,
-    validate_order,
 )
 from .cluster import (
     ClusteringReport,
@@ -56,14 +54,12 @@ from .cluster import (
     radial_two_sided_check,
     radius_R_s,
     sector_discrepancy,
-    sector_mass,
     zero_counting_integral,
 )
 from .sampler import (
     CoefficientSample,
     DistributionSpec,
     distribution,
-    empirical_levy,
     sample,
     sample_block,
 )
@@ -101,14 +97,12 @@ __all__ = [
     "build_triple",
     "log_abs_det",
     "log_abs_dets",
-    "solve_denominator",
     "EtBoundChain",
     "EtRatio",
     "PadePair",
     "et_bound_chain",
     "et_ratio",
     "pade",
-    "validate_order",
     "ClusteringReport",
     "EmpiricalMeasure",
     "RadialCheck",
@@ -119,7 +113,6 @@ __all__ = [
     "radial_two_sided_check",
     "radius_R_s",
     "sector_discrepancy",
-    "sector_mass",
     "zero_counting_integral",
     "PROTOCOLS",
     "ExperimentConfig",
@@ -131,7 +124,6 @@ __all__ = [
     "CoefficientSample",
     "DistributionSpec",
     "distribution",
-    "empirical_levy",
     "sample",
     "sample_block",
 ]

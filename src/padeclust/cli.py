@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__, svgplot
-from .cluster import EmpiricalMeasure, clustering_report
+from .cluster import DEFAULT_FAMILY, DEFAULT_GRID, EmpiricalMeasure, clustering_report
 from .errors import (
     DegenerateInput,
     DegenerateSystem,
@@ -344,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("cluster-report",
                            help="deterministic clustering bounds for one polynomial")
     _add_coeff_flags(p_rep)
-    p_rep.add_argument("--grid", type=int, default=256)
-    p_rep.add_argument("--family", type=int, default=16)
+    p_rep.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p_rep.add_argument("--family", type=int, default=DEFAULT_FAMILY)
     p_rep.add_argument("--precision", choices=("double", "extended"), default="double")
     p_rep.set_defaults(fn=cmd_cluster_report)
 
@@ -371,6 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with '-' (--coeffs -1,0,1) as an
+    # option; the joined form --coeffs=-1,0,1 is always read as the value
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--coeffs" and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"--coeffs={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
         return args.fn(args)

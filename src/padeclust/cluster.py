@@ -24,6 +24,7 @@ from .poly import RootSet
 
 DEFAULT_GRID = 256
 DEFAULT_FAMILY = 16
+DEFAULT_RHOS = (0.05, 0.1, 0.2)
 
 _TENT_CENTERS = (0.0, 0.5, 1.0, 1.5, 2.0)
 _TENT_WIDTH = 0.5
@@ -64,16 +65,6 @@ def annulus_mass(mu: EmpiricalMeasure, r: float, rho: float) -> float:
     lo, hi = (1.0 - rho) * r, (1.0 + rho) * r
     count = np.searchsorted(mu._moduli, hi, side="left") - np.searchsorted(
         mu._moduli, lo, side="right"
-    )
-    return float(count) / mu.N
-
-
-def sector_mass(mu: EmpiricalMeasure, theta: float, phi: float) -> float:
-    """Fraction of roots in the half-open sector theta < Arg z <= phi."""
-    if not (0.0 <= theta < phi < 2.0 * np.pi):
-        raise ValueError("need 0 <= theta < phi < 2*pi")
-    count = np.searchsorted(mu._args, phi, side="right") - np.searchsorted(
-        mu._args, theta, side="right"
     )
     return float(count) / mu.N
 
@@ -194,7 +185,7 @@ class ClusteringReport:
 def clustering_report(
     mu: EmpiricalMeasure,
     et: EtRatio,
-    rhos: Sequence[float] = (0.05, 0.1, 0.2),
+    rhos: Sequence[float] = DEFAULT_RHOS,
     grid_size: int = DEFAULT_GRID,
     family_size: int = DEFAULT_FAMILY,
 ) -> ClusteringReport:

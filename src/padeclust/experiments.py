@@ -43,6 +43,9 @@ import numpy as np
 
 from . import __version__
 from .cluster import (
+    DEFAULT_FAMILY,
+    DEFAULT_GRID,
+    DEFAULT_RHOS,
     EmpiricalMeasure,
     annulus_mass,
     clustering_report,
@@ -98,9 +101,9 @@ class ExperimentConfig:
     epsilon_grid: Tuple[float, ...] = (0.01, 0.05, 0.1)
     r_schedule: Tuple[float, ...] = (0.9, 0.95, 0.99, 0.995)
     s_list: Tuple[int, ...] = (4, 8, 16, 32, 64)
-    rhos: Tuple[float, ...] = (0.05, 0.1, 0.2)
-    grid_size: int = 256
-    family_size: int = 16
+    rhos: Tuple[float, ...] = DEFAULT_RHOS
+    grid_size: int = DEFAULT_GRID
+    family_size: int = DEFAULT_FAMILY
     workers: int = 1
     precision: str = "double"
 

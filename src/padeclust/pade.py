@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import DegenerateInput, DegenerateSystem, EndCoefficientZero, InsufficientCoefficients
+from .errors import DegenerateInput, DegenerateSystem, EndCoefficientZero
 from .poly import Polynomial, _as_poly, coeff_vector
 from .toeplitz import ToeplitzTriple, _denominator, _triple, log_abs_dets
 
@@ -48,36 +48,19 @@ class EtRatio:
 @dataclass(frozen=True)
 class EtBoundChain:
     """Three nested upper bounds for the end-coefficient ratio of the
-    numerator, from coarsest derivation step to the final product-norm form:
+    numerator, from coarsest derivation step to the final product-norm form,
+    in log form (the plain values overflow for large windows):
 
-    * ``l1``: the coefficient-mass bound ``||q||_1 * sum|a_j|`` over the
+    * ``log_l1``: the coefficient-mass bound ``||q||_1 * sum|a_j|`` over the
       end-coefficient normalization of p,
-    * ``cauchy_binet``: the subdeterminant form with the Gram determinant of
-      the order-condition window,
-    * ``amgm``: the entry-sum form obtained from the singular values.
-
-    All three are carried in log form; the plain values overflow to inf for
-    large windows.
+    * ``log_cauchy_binet``: the subdeterminant form with the Gram determinant
+      of the order-condition window,
+    * ``log_amgm``: the entry-sum form obtained from the singular values.
     """
 
     log_l1: float
     log_cauchy_binet: float
     log_amgm: float
-
-    def _exp(self, v: float) -> float:
-        return math.inf if v > _LOG_OVERFLOW else math.exp(v)
-
-    @property
-    def l1(self) -> float:
-        return self._exp(self.log_l1)
-
-    @property
-    def cauchy_binet(self) -> float:
-        return self._exp(self.log_cauchy_binet)
-
-    @property
-    def amgm(self) -> float:
-        return self._exp(self.log_amgm)
 
 
 def pade(coeffs, m: int, n: int, precision: str = "double",
@@ -98,34 +81,15 @@ def pade(coeffs, m: int, n: int, precision: str = "double",
     fq = np.convolve(arr[: m + n + 1], q)
     if not np.isfinite(fq[: m + n + 1]).all():
         raise DegenerateInput(f"the [{m}, {n}] pair overflows: f*q has a non-finite coefficient")
-    # p is f*q through degree m, so f*q - p is f*q's coefficients m+1..m+n.
+    # p is f*q through degree m, so f*q - p is f*q's coefficients m+1..m+n:
+    # the order residual is their largest modulus over (1 + max|a_j|) ||q||_1.
+    residual = float(np.abs(fq[m + 1 : m + n + 1]).max(initial=0.0)
+                     / ((1.0 + float(np.abs(arr).max())) * float(np.abs(q).sum())))
     return PadePair(
         p=Polynomial._checked(fq[: m + 1]), q=Polynomial._checked(q), m=m, n=n,
-        diagnostics={"logdet_A": logdet, "condition": cond,
-                     "order_residual": _order_residual(arr, fq[m + 1 : m + n + 1], q)},
+        diagnostics={"logdet_A": logdet, "condition": cond, "order_residual": residual},
         triple=triple,
     )
-
-
-def _order_residual(arr: np.ndarray, diff: np.ndarray, q: np.ndarray) -> float:
-    """validate_order's residual from diff, the coefficients of f*q - p
-    through index m+n (pade passes m+1..m+n only: the rest are exactly 0)."""
-    denom = (1.0 + float(np.abs(arr).max())) * float(np.abs(q).sum())
-    return float(np.abs(diff).max(initial=0.0) / denom)
-
-
-def validate_order(coeffs, pair: PadePair) -> float:
-    """Scale-free residual of the defining order condition: the largest
-    coefficient of f*q - p through index m+n, divided by
-    (1 + max|a_j|) * ||q||_1."""
-    arr = coeff_vector(coeffs)
-    k = pair.m + pair.n + 1
-    if len(arr) < k:
-        raise InsufficientCoefficients(f"need at least m+n+1 = {k} coefficients, got {len(arr)}")
-    p, q = pair.p.coeffs, pair.q.coeffs
-    diff = np.convolve(arr[:k], q)[:k]
-    diff[: len(p)] = diff[: len(p)] - p
-    return _order_residual(arr, diff, q)
 
 
 def et_ratio(p) -> EtRatio:

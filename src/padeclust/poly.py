@@ -304,29 +304,14 @@ def _powers(x: np.ndarray, s: int) -> np.ndarray:
     return X
 
 
-def _horner_pair(table: _Table, x: np.ndarray, cols: np.ndarray):
-    """p(x) and p'(x), point x[i] (|x[i]| <= 1) evaluated on table column
-    cols[i], by _horner_steps."""
-    return _horner_steps(table, x, cols, "pair")
-
-
-def _horner(table: _Table, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """p(x) alone, by the same steps as _horner_pair."""
-    return _horner_steps(table, x, cols, "p")[0]
-
-
-def _bound(table: _Table, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sum_j |c_j| |x|^j by the same steps on |c| at |x|, in real
-    arithmetic (a Newton table)."""
-    return _horner_steps(table, x, cols, "bound")[0]
-
-
 def _horner_steps(table: _Table, x: np.ndarray, cols: np.ndarray, what: str):
     """p(x) = sum_b y^b q_b(x), y = x^s, q_b(x) = sum_i c_{bs+i} x^i, by
-    Horner's rule in y: p alone (``what`` "p"), p and p' ("pair") or the
-    bound on |c| at |x| ("bound"), as a list of 1 or 2 arrays; "pair" and
-    "bound" need a Newton table.  The points are visited sorted
-    by column and the results scattered back to the input order.
+    Horner's rule in y, point x[i] (|x[i]| <= 1) on table column cols[i]:
+    p alone (``what`` "p"), p and p' ("pair") or the bound
+    sum_j |c_j| |x|^j by the same steps on |c| at |x| in real arithmetic
+    ("bound"), as a list of 1 or 2 arrays; "pair" and "bound" need a Newton
+    table.  The points are visited sorted by column and the results
+    scattered back to the input order.
 
     With s = 1 (q_b = c_b) each step is p' <- p' x + p, p <- p x + c_b on
     the table rows expanded to the points, a block of rows at a time.  With
@@ -414,7 +399,7 @@ def _newton_ratio(table: _Table, z: np.ndarray, rows: Optional[np.ndarray] = Non
     """
     d = table.d
     x, cols, outer = _fold(table, z, rows)
-    p, dp = _horner_pair(table, x, cols)
+    p, dp = _horner_steps(table, x, cols, "pair")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(outer, z * p / (d * p - x * dp), p / dp)
     ap = np.abs(p)
@@ -422,7 +407,8 @@ def _newton_ratio(table: _Table, z: np.ndarray, rows: Optional[np.ndarray] = Non
     if noise.any():
         open_ = noise & (ap > (table.noise * np.abs(table.coef[0]))[cols])
         if open_.any():
-            noise[open_] = ap[open_] <= table.noise * _bound(table, x[open_], cols[open_])
+            noise[open_] = ap[open_] <= table.noise * _horner_steps(
+                table, x[open_], cols[open_], "bound")[0]
     return ratio, noise
 
 
@@ -431,7 +417,7 @@ def _log_abs_eval(table: _Table, z: np.ndarray, rows: Optional[np.ndarray] = Non
     ``table`` and ``rows`` are as in _horner_table and _fold."""
     d = table.d
     x, cols, outer = _fold(table, z, rows)
-    p = _horner(table, x, cols)
+    p = _horner_steps(table, x, cols, "p")[0]
     with np.errstate(divide="ignore"):
         log_p = np.log(np.abs(p))
         return np.where(outer, d * np.log(np.abs(z)) + log_p, log_p)
@@ -552,8 +538,9 @@ def _real_brackets(table: _Table, rows: np.ndarray) -> List[np.ndarray]:
         with np.errstate(divide="ignore"):
             return np.where(np.abs(v) > 1.0, 1.0 / (np.sign(v) * (2.0 - np.abs(v))), v)
     w = np.where(outer, np.sign(u) * (2.0 - np.abs(u)), u)
-    vals = _horner(table, np.tile(w + 0j, len(rows)),
-                   (rows[:, None] + B * outer).ravel()).real.reshape(len(rows), len(u))
+    (vals,) = _horner_steps(table, np.tile(w + 0j, len(rows)),
+                            (rows[:, None] + B * outer).ravel(), "p")
+    vals = vals.real.reshape(len(rows), len(u))
     tol = 4 * d * np.finfo(float).eps * table.mass[rows]
     sign = np.where((np.abs(vals) > tol[:, None]) | (np.abs(u) == 2.0), np.sign(vals), 0.0)
     sign *= np.where(outer, np.sign(u) ** d, 1.0)

@@ -248,29 +248,3 @@ def sample(spec: DistributionSpec, N: int, seed: int, trial_index: int) -> Coeff
     """Draw the coefficient vector (a_0..a_N) for one trial."""
     coeffs = sample_block(spec, N, seed, [int(trial_index)])[0]
     return CoefficientSample(coeffs=coeffs, seed=int(seed), trial_index=int(trial_index), spec=spec)
-
-
-def empirical_levy(
-    spec: DistributionSpec,
-    epsilon: float,
-    draws: int,
-    seed: int = 0,
-    N: int = 63,
-) -> float:
-    """Estimate sup_t P(|a - t| < eps) for the coordinate law by sliding a
-    width-2*eps window over sorted coordinate draws.
-
-    Draws come coordinate-wise from independent sample vectors of length N+1
-    (the marginal of the l1-ball kind depends on that dimension; the
-    independent kinds do not).
-    """
-    if draws < 10_000:
-        raise ValueError("draws must be >= 1e4 for a stable window estimate")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    per = N + 1
-    trials = (draws + per - 1) // per
-    xs = np.sort(sample_block(spec, N, seed, range(trials)).ravel()[:draws])
-    hi = np.searchsorted(xs, xs + 2.0 * epsilon, side="left")
-    counts = hi - np.arange(xs.size)
-    return float(np.max(counts)) / draws

@@ -261,10 +261,10 @@ def _solve_normalized_extended(A: np.ndarray, rhs: np.ndarray):
 
 
 def _denominator(triple: ToeplitzTriple, precision: str, cond_cap: Optional[float]):
-    """The denominator solve of pade and solve_denominator: q (length n+1,
-    q_0 = 1) solving T q = 0, with log|det A| and A's condition.  Raises
-    DegenerateSystem when A is singular or its condition exceeds cond_cap,
-    by default the precision's cap (1e12 double, 1e28 extended)."""
+    """pade's denominator solve: q (length n+1, q_0 = 1) solving T q = 0,
+    with log|det A| and A's condition.  Raises DegenerateSystem when A is
+    singular or its condition exceeds cond_cap, by default the precision's
+    cap (1e12 double, 1e28 extended)."""
     if precision == "extended":
         solve, cap = _solve_normalized_extended, COND_CAP_EXTENDED
     elif precision == "double":
@@ -282,17 +282,3 @@ def _denominator(triple: ToeplitzTriple, precision: str, cond_cap: Optional[floa
     if cond > cap:
         raise DegenerateSystem(f"{where} has condition {cond:.3e}, above the cap {cap:.1e}")
     return np.concatenate([np.ones(1, dtype=tail.dtype), tail]), logdet, cond
-
-
-def solve_denominator(
-    triple: ToeplitzTriple,
-    cond_cap: Optional[float] = None,
-    precision: str = "double",
-) -> np.ndarray:
-    """Denominator coefficients q (length n+1, q_0 = 1, the dtype of T)
-    solving T q = 0: pade's solve step.
-
-    Raises DegenerateSystem when A is singular or its condition estimate
-    exceeds the cap (1e12 double, 1e28 extended).
-    """
-    return _denominator(triple, precision, cond_cap)[0].astype(triple.T.dtype, copy=False)

@@ -99,6 +99,19 @@ def test_cluster_report_non_finite_coeffs_exit_2(capsys):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("pade", ("--m", "1", "--n", "1")),
+    ("roots", ()),
+    ("cluster-report", ()),
+])
+def test_coeffs_value_may_start_with_a_minus_sign(capsys, command, extra):
+    # --coeffs -1,1,1 is the same list as --coeffs=-1,1,1, not an option
+    code, spaced, err = run_cli(capsys, command, "--coeffs", "-1,1,1", *extra)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, command, "--coeffs=-1,1,1", *extra) == (0, spaced, "")
+    assert run_cli(capsys, command, *extra, "--coeffs", "-1,1,1") == (0, spaced, "")
+
+
 def test_experiment_run_round_trip(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "m": [8, 16], "n": 1, "trials": 20}))

@@ -15,7 +15,6 @@ from padeclust.cluster import (
     radial_two_sided_check,
     radius_R_s,
     sector_discrepancy,
-    sector_mass,
     zero_counting_integral,
 )
 from padeclust.pade import EtRatio, et_ratio
@@ -63,27 +62,12 @@ def test_annulus_partition_sums_to_one():
     assert total + boundary == pytest.approx(1.0)
 
 
-def test_sector_mass_examples():
+def test_sector_discrepancy_examples():
+    # eight equispaced roots off the grid fill every grid sector exactly; a
+    # triple root at Arg pi puts mass 1 in (3 pi/4, pi], of length 1/8
     mu = EmpiricalMeasure(np.exp(1j * (2.0 * np.arange(8) + 1.0) * np.pi / 8.0))
-    assert sector_mass(mu, 0.0, np.pi / 2.0) == pytest.approx(0.25)
-    assert sector_mass(mu, 0.0, 2.0 * np.pi - 1e-9) == 1.0
-    mu_neg = EmpiricalMeasure([-1.0, -1.0, -1.0])
-    assert sector_mass(mu_neg, 0.0, np.pi / 2.0) == 0.0
-
-
-def test_sector_lower_boundary_excluded_upper_included():
-    # Arg(1) = 0 exactly and Arg(i) = pi/2 exactly
-    mu = EmpiricalMeasure([1.0, 1j])
-    assert sector_mass(mu, 0.0, np.pi / 2.0) == pytest.approx(0.5)
-    assert sector_mass(mu, 0.0, np.pi / 4.0) == 0.0
-
-
-def test_sector_mass_validates_range():
-    mu = EmpiricalMeasure([1.0])
-    with pytest.raises(ValueError):
-        sector_mass(mu, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        sector_mass(mu, 0.0, 7.0)
+    assert sector_discrepancy(mu, grid_size=8) == 0.0
+    assert sector_discrepancy(EmpiricalMeasure([-1.0, -1.0, -1.0]), grid_size=8) == 0.875
 
 
 # ---------------------------------------------------------------- radial bound

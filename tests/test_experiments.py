@@ -316,7 +316,7 @@ def root_runs(draw):
     return config, budgets
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(root_runs())
 def test_root_protocol_output_is_independent_of_kernel_budgets(run):
     """trials.csv equals the run at the default batch and block budgets."""

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from padeclust import (
     build_triple,
     log_abs_det,
 )
-from padeclust.pade import EtBoundChain, et_bound_chain, et_ratio, pade, validate_order
+from padeclust.pade import et_bound_chain, et_ratio, pade
 
 
 # ---------------------------------------------------------------- oracle
@@ -128,7 +127,7 @@ def test_pade_diagnostics_are_recorded():
     np.testing.assert_array_equal(pair.triple.W, assoc_matrix(coeffs, 1, 2))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.sampled_from([np.float64, np.float32, np.complex128]), st.integers(0, 59),
        st.integers(0, 399), st.integers(0, 2**32 - 1))
 def test_pade_solve_determinant_is_log_abs_det_bitwise(dtype, n, m, seed):
@@ -147,42 +146,42 @@ def test_pade_solve_determinant_is_log_abs_det_bitwise(dtype, n, m, seed):
     assert pair.diagnostics["condition"] == det.condition_estimate
 
 
-# ---------------------------------------------------------------- validate_order
+# ---------------------------------------------------------------- order residual
 
-def test_validate_order_exact_pair_is_tiny():
+def test_order_residual_exact_pair_is_tiny():
     pair = pade([1.0, 1.0, 1.0], m=1, n=1)
-    assert validate_order([1.0, 1.0, 1.0], pair) <= 1e-14
+    assert pair.diagnostics["order_residual"] <= 1e-14
 
 
-def test_validate_order_sees_perturbation_at_j0():
-    coeffs = [1.0, 1.0, 1.0]
-    pair = pade(coeffs, m=1, n=1)
-    perturbed = replace(pair, p=Polynomial(pair.p.coeffs + np.array([1.0, 0.0])))
-    denom = (1.0 + 1.0) * np.sum(np.abs(pair.q.coeffs))
-    assert validate_order(coeffs, perturbed) >= 0.99 / denom
-
-
-def test_validate_order_zero_for_taylor_section():
+def test_order_residual_zero_for_taylor_section():
     rng = np.random.default_rng(13)
-    coeffs = rng.standard_normal(7)
-    pair = pade(coeffs, m=6, n=0)
-    assert validate_order(coeffs, pair) == 0.0
+    pair = pade(rng.standard_normal(7), m=6, n=0)
+    assert pair.diagnostics["order_residual"] == 0.0
 
 
-def test_coefficient_mass_inequality_on_random_solves():
+def random_coefficients(kind, size, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        return rng.integers(-9, 10, size)
+    coeffs = rng.standard_normal(size)
+    return coeffs + 1j * rng.standard_normal(size) if kind == "complex" else coeffs
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["real", "integer", "complex"]), st.integers(0, 40), st.integers(0, 12),
+       st.integers(0, 2**32 - 1))
+def test_order_condition_and_coefficient_mass_on_random_windows(kind, m, n, seed):
+    # coeff_j(f q - p) = 0 for j <= m+n up to rounding, and
     # ||p||_1 <= ||q||_1 * sum_{j<=m} |a_j| on every successful solve
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        m = int(rng.integers(0, 10))
-        n = int(rng.integers(0, 10))
-        coeffs = rng.standard_normal(m + n + 1)
-        try:
-            pair = pade(coeffs, m, n)
-        except DegenerateSystem:
-            continue
-        lhs = np.sum(np.abs(pair.p.coeffs))
-        rhs = np.sum(np.abs(pair.q.coeffs)) * np.sum(np.abs(coeffs[: m + 1]))
-        assert lhs <= rhs * (1 + 1e-12)
+    coeffs = random_coefficients(kind, m + n + 1, seed)
+    try:
+        pair = pade(coeffs, m, n)
+    except DegenerateSystem:
+        assume(False)
+    assert pair.diagnostics["order_residual"] <= 1e-8
+    lhs = np.sum(np.abs(pair.p.coeffs))
+    rhs = np.sum(np.abs(pair.q.coeffs)) * np.sum(np.abs(coeffs[: m + 1]))
+    assert lhs <= rhs * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------- et_ratio
@@ -335,9 +334,3 @@ def test_bound_chain_requires_nonsingular_windows():
     # A_1^(2) = [[1,1],[1,1]] is singular for the all-ones sequence
     with pytest.raises((DegenerateSystem, EndCoefficientZero)):
         et_bound_chain(coeffs, pair)
-
-
-def test_bound_chain_values_overflow_to_inf():
-    chain = EtBoundChain(log_l1=800.0, log_cauchy_binet=900.0, log_amgm=1000.0)
-    assert chain.l1 == math.inf
-    assert EtBoundChain(log_l1=0.0, log_cauchy_binet=0.0, log_amgm=1.0).amgm == pytest.approx(math.e)

@@ -323,11 +323,11 @@ def test_one_pass_horner_matches_two_passes_batched(B, form):
 
 def kernel_values(table, x, cols):
     """p, p' and sum_j |c_j| |x|^j from the production kernel."""
-    return (*P._horner_pair(table, x, cols), P._bound(table, x, cols))
+    return (*P._horner_steps(table, x, cols, "pair"), *P._horner_steps(table, x, cols, "bound"))
 
 
 def assert_horner_matches_reference(table, z, rows):
-    """_horner_pair on the folded points, and the Newton ratio and log|p|
+    """_horner_steps on the folded points, and the Newton ratio and log|p|
     built on it, against the per-point blocked reference."""
     B = table.B
     x, cols, _ = P._fold(table, z, rows)
@@ -337,7 +337,7 @@ def assert_horner_matches_reference(table, z, rows):
         logp = ref_log_abs_eval(table.coef[:, :B], z, rows)
     for got, w in zip(kernel_values(table, x, cols), want):
         assert_bitwise(got, w)
-    assert_bitwise(P._horner(table, x, cols), want[0])
+    assert_bitwise(P._horner_steps(table, x, cols, "p")[0], want[0])
     assert_ratio(P._newton_ratio(table, z, rows), ratio)
     assert_bitwise(P._log_abs_eval(table, z, rows), logp)
 
@@ -418,12 +418,13 @@ def test_blocked_kernel_single_point_matches_batched(s, d, monkeypatch):
             want = ref_blocked(table.coef, x, cols)
         for got, w in zip(batched, want):
             assert_bitwise(got, w)
-        assert_bitwise(P._horner(table, x, cols), want[0])
+        assert_bitwise(P._horner_steps(table, x, cols, "p")[0], want[0])
         for i in range(len(x)):
             alone = kernel_values(table, x[i:i + 1], cols[i:i + 1])
             for got, w in zip(alone, batched):
                 assert_bitwise(got, w[i:i + 1])
-            assert_bitwise(P._horner(table, x[i:i + 1], cols[i:i + 1]), want[0][i:i + 1])
+            (p,) = P._horner_steps(table, x[i:i + 1], cols[i:i + 1], "p")
+            assert_bitwise(p, want[0][i:i + 1])
 
 
 def _mp_eval(c, x):
@@ -481,7 +482,7 @@ def test_real_grid_sign_threshold_covers_the_kernel_error():
         table = P._horner_table(c[None, :].astype(complex))
         roots = P.find_roots(c).roots
         x = np.r_[np.linspace(-1.0, 1.0, 21), roots[roots.imag == 0].real.clip(-1, 1)] + 0j
-        p = P._horner(table, x, np.zeros(len(x), dtype=np.intp))
+        p = P._horner_steps(table, x, np.zeros(len(x), dtype=np.intp), "p")[0]
         tol = 4 * d * np.finfo(float).eps * np.abs(c).sum()
         for xi, pi in zip(x, p):
             assert pi.imag == 0.0

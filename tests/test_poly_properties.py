@@ -17,7 +17,7 @@ from padeclust import NonConvergence, circle_log_average, et_ratio, find_roots, 
 from padeclust import poly as P
 from padeclust.sampler import DISCRETE, GAUSSIAN, distribution, sample
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=200)
 
 
 @st.composite

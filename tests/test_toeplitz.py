@@ -11,7 +11,7 @@ from padeclust import (
     build_triple,
     log_abs_det,
     log_abs_dets,
-    solve_denominator,
+    pade,
 )
 
 
@@ -187,47 +187,43 @@ def test_logdet_small_integer_matrices_vs_oracle():
 
 
 # ---------------------------------------------------------------- solve
+# pade's denominator solve: q = pair.q.coeffs with q_0 = 1 solving T q = 0
 
 def test_solve_all_ones_coefficients():
-    t = build_triple([1.0, 1.0, 1.0, 1.0], m=1, n=1)
-    q = solve_denominator(t)
+    q = pade([1.0, 1.0, 1.0, 1.0], m=1, n=1).q.coeffs
     np.testing.assert_allclose(q, [1.0, -1.0], atol=1e-14)
 
 
 def test_solve_exponential_series():
-    t = build_triple([1.0, 1.0, 0.5, 1.0 / 6.0], m=1, n=1)
-    q = solve_denominator(t)
+    q = pade([1.0, 1.0, 0.5, 1.0 / 6.0], m=1, n=1).q.coeffs
     np.testing.assert_allclose(q, [1.0, -0.5], atol=1e-14)
 
 
 def test_solve_pathological_zero_pivot():
-    t = build_triple([1.0, 0.0, 1.0, 1.0], m=1, n=1)
     with pytest.raises(DegenerateSystem):
-        solve_denominator(t)
+        pade([1.0, 0.0, 1.0, 1.0], m=1, n=1)
 
 
 def test_solve_condition_cap_double_vs_extended():
     # A = [[1, 1], [1 + 1e-13, 1]] has determinant -1e-13: past the double
     # cap but fine for the extended route.
     coeffs = [1.0, 1.0, 1.0 + 1e-13, 0.25]
-    t = build_triple(coeffs, m=1, n=2)
     with pytest.raises(DegenerateSystem):
-        solve_denominator(t)
-    q = solve_denominator(t, precision="extended")
+        pade(coeffs, m=1, n=2)
+    pair = pade(coeffs, m=1, n=2, precision="extended")
+    q = pair.q.coeffs
     assert q[0] == 1.0
-    resid = t.T @ q
+    resid = pair.triple.T @ q
     assert np.max(np.abs(resid)) <= 1e-10 * (1 + np.max(np.abs(coeffs)) * np.sum(np.abs(q)))
 
 
 def test_solve_rejects_unknown_precision():
-    t = build_triple([1.0, 1.0, 1.0, 1.0], m=1, n=1)
     with pytest.raises(ValueError):
-        solve_denominator(t, precision="quad")
+        pade([1.0, 1.0, 1.0, 1.0], m=1, n=1, precision="quad")
 
 
 def test_solve_n0_returns_trivial_denominator():
-    t = build_triple([2.0, 3.0, 5.0], m=2, n=0)
-    q = solve_denominator(t)
+    q = pade([2.0, 3.0, 5.0], m=2, n=0).q.coeffs
     np.testing.assert_array_equal(q, [1.0])
 
 
@@ -238,14 +234,14 @@ def test_solve_residual_invariant_random():
         m = int(rng.integers(0, 13))
         n = int(rng.integers(1, 13))
         coeffs = rng.standard_normal(m + n + 1)
-        t = build_triple(coeffs, m, n)
         try:
-            q = solve_denominator(t)
+            pair = pade(coeffs, m, n)
         except DegenerateSystem:
             continue
         solved += 1
+        q = pair.q.coeffs
         assert q[0] == 1.0
-        resid = np.abs(t.T @ q)
+        resid = np.abs(pair.triple.T @ q)
         bound = 1e-10 * (1 + np.max(np.abs(coeffs)) * np.sum(np.abs(q)))
         assert np.max(resid) <= bound
     assert solved > 150
@@ -254,17 +250,16 @@ def test_solve_residual_invariant_random():
 def test_solve_complex_coefficients():
     rng = np.random.default_rng(19)
     coeffs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    t = build_triple(coeffs, m=3, n=4)
-    q = solve_denominator(t)
+    pair = pade(coeffs, m=3, n=4)
+    q = pair.q.coeffs
     assert q.dtype.kind == "c"
-    resid = np.abs(t.T @ q)
+    resid = np.abs(pair.triple.T @ q)
     assert np.max(resid) <= 1e-10 * (1 + np.max(np.abs(coeffs)) * np.sum(np.abs(q)))
 
 
 def test_solve_extended_matches_double_when_well_conditioned():
     rng = np.random.default_rng(23)
     coeffs = rng.standard_normal(10)
-    t = build_triple(coeffs, m=4, n=5)
-    qd = solve_denominator(t)
-    qe = solve_denominator(t, precision="extended")
+    qd = pade(coeffs, m=4, n=5).q.coeffs
+    qe = pade(coeffs, m=4, n=5, precision="extended").q.coeffs
     np.testing.assert_allclose(qe, qd, atol=1e-12)

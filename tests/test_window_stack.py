@@ -259,7 +259,7 @@ def window_runs(draw):
     return config, draw(st.integers(1, 3)), draw(st.integers(1, 400))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(window_runs())
 def test_window_protocol_output_is_independent_of_workers_and_blocks(run):
     """trials.csv equals the one-worker run at the default block budget."""
