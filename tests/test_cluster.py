@@ -70,6 +70,17 @@ def test_sector_discrepancy_examples():
     assert sector_discrepancy(EmpiricalMeasure([-1.0, -1.0, -1.0]), grid_size=8) == 0.875
 
 
+def test_sector_lower_boundary_excluded_upper_included():
+    # grid sectors are (theta_i, theta_j]: Arg(1) = 0 falls in (3 pi/2, 2 pi]
+    # and Arg(i) = pi/2 in (0, pi/2], so each pair below spans two adjacent
+    # grid sectors (0.5); the opposite convention would put both roots in
+    # one sector of length 1/4 (0.75)
+    eighth = np.exp(1j * np.pi / 4.0)
+    assert sector_discrepancy(EmpiricalMeasure([1.0, eighth]), grid_size=4) == 0.5
+    assert sector_discrepancy(EmpiricalMeasure([1j, 1j * eighth]), grid_size=4) == 0.5
+    assert sector_discrepancy(EmpiricalMeasure([eighth, 1j * eighth]), grid_size=4) == 0.5
+
+
 # ---------------------------------------------------------------- radial bound
 
 def test_radial_bound_binomial_has_zero_defect():

@@ -184,6 +184,23 @@ def test_order_condition_and_coefficient_mass_on_random_windows(kind, m, n, seed
     assert lhs <= rhs * (1 + 1e-12)
 
 
+def test_coefficient_mass_inequality_on_random_solves():
+    # the fixed-seed windows the inequality was first checked on, kept as a
+    # regression set beside the property above
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        m = int(rng.integers(0, 10))
+        n = int(rng.integers(0, 10))
+        coeffs = rng.standard_normal(m + n + 1)
+        try:
+            pair = pade(coeffs, m, n)
+        except DegenerateSystem:
+            continue
+        lhs = np.sum(np.abs(pair.p.coeffs))
+        rhs = np.sum(np.abs(pair.q.coeffs)) * np.sum(np.abs(coeffs[: m + 1]))
+        assert lhs <= rhs * (1 + 1e-12)
+
+
 # ---------------------------------------------------------------- et_ratio
 
 def test_et_ratio_examples():
