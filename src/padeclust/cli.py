@@ -122,20 +122,15 @@ def cmd_roots(args) -> int:
         (float(z.real), float(z.imag), float(abs(z)), float(np.mod(np.angle(z), 2 * np.pi)))
         for z in roots.roots
     ]
+    text = "re,im,modulus,angle\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
     out_path: Optional[Path] = None
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         out_path = out_dir / "roots.csv"
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["re", "im", "modulus", "angle"])
-            for row in rows:
-                writer.writerow([repr(v) for v in row])
+        out_path.write_text(text, newline="")
     if args.format == "csv":
-        print("re,im,modulus,angle")
-        for row in rows:
-            print(",".join(repr(v) for v in row))
+        print(text, end="")
     else:
         payload = {
             "count": len(rows),
@@ -209,6 +204,21 @@ def _medians_by(rows: List[Dict[str, str]], key_col: str, val_col: str):
     return keys, [float(np.median(np.sort(np.asarray(buckets[k])))) for k in keys]
 
 
+# The median line charts of a trials.csv: (file, title, x column, y label,
+# logx, series), each series a (label, y column) pair.  A chart is drawn
+# when one of its series has data.
+_MEDIAN_CHARTS = (
+    ("et_decay.svg", "End-coefficient ratio decay", "m", "log L / m", False,
+     (("median log L / m", "et_log_over_m"),)),
+    ("clustering_metrics.svg", "Clustering metrics vs m", "m", "median", False,
+     (("max radial defect", "max_radial_defect"), ("sector discrepancy", "sector_discrepancy"))),
+    ("pole_deviation.svg", "Denominator zeros vs target circle", "n", "deviation", False,
+     (("median |modulus - R_m|", "median_abs_dev"),)),
+    ("det_growth.svg", "Normalized determinant growth", "m", "deviation", True,
+     (("median |growth - 1|", "deviation"),)),
+)
+
+
 def _plot_trials(rows: List[Dict[str, str]], columns: Sequence[str], out: Path) -> List[Path]:
     written: List[Path] = []
 
@@ -217,23 +227,12 @@ def _plot_trials(rows: List[Dict[str, str]], columns: Sequence[str], out: Path) 
         path.write_text(svg + "\n")
         written.append(path)
 
-    if "et_log_over_m" in columns:
-        ms, meds = _medians_by(rows, "m", "et_log_over_m")
-        if ms:
-            save("et_decay.svg", svgplot.render_lines(
-                [("median log L / m", ms, meds)],
-                title="End-coefficient ratio decay", xlabel="m", ylabel="log L / m",
-            ))
-        series = []
-        for col, label in (("max_radial_defect", "max radial defect"),
-                           ("sector_discrepancy", "sector discrepancy")):
-            ms, meds = _medians_by(rows, "m", col)
-            if ms:
-                series.append((label, ms, meds))
-        if series:
-            save("clustering_metrics.svg", svgplot.render_lines(
-                series, title="Clustering metrics vs m", xlabel="m", ylabel="median",
-            ))
+    for name, title, x_col, ylabel, logx, series in _MEDIAN_CHARTS:
+        lines = [(label, *_medians_by(rows, x_col, col)) for label, col in series]
+        lines = [line for line in lines if line[1]]
+        if lines:
+            save(name, svgplot.render_lines(lines, title=title, xlabel=x_col, ylabel=ylabel,
+                                            logx=logx))
     rs_cols = [c for c in columns if c.startswith("rs_norm_s")]
     if rs_cols:
         ss, meds = [], []
@@ -247,21 +246,6 @@ def _plot_trials(rows: List[Dict[str, str]], columns: Sequence[str], out: Path) 
                 [("median (1-R_s) s / log s", ss, meds)],
                 title="Normalized radius of the s-th smallest zero",
                 xlabel="s", ylabel="(1-R_s) s / log s", logx=True,
-            ))
-    if "median_abs_dev" in columns:
-        ns, meds = _medians_by(rows, "n", "median_abs_dev")
-        if ns:
-            save("pole_deviation.svg", svgplot.render_lines(
-                [("median |modulus - R_m|", ns, meds)],
-                title="Denominator zeros vs target circle", xlabel="n", ylabel="deviation",
-            ))
-    if "deviation" in columns and "growth" in columns:
-        ms, meds = _medians_by(rows, "m", "deviation")
-        if ms:
-            save("det_growth.svg", svgplot.render_lines(
-                [("median |growth - 1|", ms, meds)],
-                title="Normalized determinant growth", xlabel="m", ylabel="deviation",
-                logx=True,
             ))
     if "det_abs_root" in columns:
         series = []

@@ -117,10 +117,14 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.precision not in ("double", "extended"):
             raise ValueError(f"precision must be 'double' or 'extended', got {self.precision!r}")
-        # a repeated schedule entry would repeat a trials.csv column or a
-        # summary key
+        # s_list entries name trials.csv columns and index sorted moduli
+        object.__setattr__(self, "s_list", _as_tuple(self.s_list, "s_list"))
+        # a fractional m or n entry would be truncated; a repeated schedule
+        # entry would repeat a trials.csv column or a summary key
         for name in ("m", "n", "r_schedule", "s_list", "epsilon_grid", "rhos"):
             values = getattr(self, name)
+            if name in ("m", "n"):
+                _as_tuple(values, name)
             if isinstance(values, (tuple, list)) and len(set(values)) != len(values):
                 raise ValueError(f"{name} has duplicate entries: {list(values)}")
 
@@ -148,11 +152,12 @@ class ExperimentConfig:
         for key in ("m", "n"):
             if key in d:
                 v = d[key]
-                kwargs[key] = tuple(v) if isinstance(v, (list, tuple)) else int(v)
-        for key, cast in (("epsilon_grid", float), ("r_schedule", float), ("rhos", float),
-                          ("s_list", int)):
+                kwargs[key] = tuple(v) if isinstance(v, (list, tuple)) else v
+        for key in ("epsilon_grid", "r_schedule", "rhos", "s_list"):
             if key in d:
-                kwargs[key] = tuple(cast(x) for x in d[key])
+                if not isinstance(d[key], (list, tuple)):
+                    raise ValueError(f"{key} takes a list, got {d[key]!r}")
+                kwargs[key] = tuple(d[key] if key == "s_list" else map(float, d[key]))
         return replace(default_config(name), **kwargs)
 
 
@@ -227,17 +232,19 @@ class RecordBlock:
 # shared plumbing
 
 
-def _as_tuple(v: Optional[IntOrList]) -> Tuple[int, ...]:
-    if v is None:
-        return ()
-    if isinstance(v, (tuple, list)):
-        return tuple(int(x) for x in v)
-    return (int(v),)
+def _as_tuple(v: Optional[IntOrList], key: str) -> Tuple[int, ...]:
+    """The entries of an int field as a tuple; ValueError naming the key for
+    an entry that is not a whole number (a fraction or a string)."""
+    values = () if v is None else tuple(v) if isinstance(v, (tuple, list)) else (v,)
+    for x in values:
+        if isinstance(x, str) or not float(x).is_integer():
+            raise ValueError(f"{key} takes whole numbers, got {x!r}")
+    return tuple(int(x) for x in values)
 
 
 def _single(config: ExperimentConfig, field: str, default: int) -> int:
     """The value of an int field that the protocol takes as one number."""
-    values = _as_tuple(getattr(config, field)) or (default,)
+    values = _as_tuple(getattr(config, field), field) or (default,)
     if len(values) != 1:
         raise ValueError(f"{config.name} takes a single {field}, got {list(values)}")
     return values[0]
@@ -346,9 +353,10 @@ def _check_clustering(et: EtRatio, mu: EmpiricalMeasure, config: ExperimentConfi
             "max_radial_defect": max(rep.radial_defect.values())}
 
 
-def _check_mass_inequality(coeffs: np.ndarray, pair, context: str) -> None:
+def _check_mass_inequality(pair, context: str) -> None:
+    """||p||_1 <= ||q||_1 sum_{j<=m} |a_j|, with the right side's sums from pade."""
     lhs = float(np.sum(np.abs(pair.p.coeffs)))
-    rhs = float(np.sum(np.abs(pair.q.coeffs)) * np.sum(np.abs(coeffs[: pair.m + 1])))
+    rhs = pair.q_l1 * pair.a_l1
     if lhs > rhs * (1.0 + 1e-12):
         raise InvariantViolation(
             f"coefficient-mass inequality broken in {context}: {lhs:.6e} > {rhs:.6e}"
@@ -424,18 +432,17 @@ def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: in
         for trial, coeffs in zip(batch, stack.coeffs):
             for m in m_values:
                 values: Dict[str, object] = {"m": m, "n": n}
-                window = coeffs[: m + n + 2]
                 try:
-                    pair = pade(window, m, n, precision=config.precision)
+                    pair = pade(coeffs[: m + n + 2], m, n, precision=config.precision)
                 except DegenerateSystem:
                     out.add(trial, values, degenerate=True, reason="degenerate_system")
                     continue
-                _check_mass_inequality(window, pair, f"trial {trial}, m={m}, n={n}")
+                _check_mass_inequality(pair, f"trial {trial}, m={m}, n={n}")
                 values["order_residual"] = pair.diagnostics["order_residual"]
                 values["condition"] = pair.diagnostics["condition"]
                 try:
                     ratio = et_ratio(pair.p)
-                    chain = et_bound_chain(window, pair)
+                    chain = et_bound_chain(pair)
                 except EndCoefficientZero:
                     out.add(trial, values, excluded=True, reason="end_coefficient_zero")
                     continue
@@ -458,7 +465,7 @@ def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: in
 
 
 def _summarize_et(config: ExperimentConfig, block: RecordBlock) -> Dict:
-    m_values = _as_tuple(config.m)
+    m_values = _as_tuple(config.m, "m")
     per_m: Dict[str, Dict] = {}
     threshold = config.delta ** 4
     degenerate, excluded = block.flags()
@@ -488,7 +495,7 @@ def _summarize_et(config: ExperimentConfig, block: RecordBlock) -> Dict:
 def _run_et_style(config: ExperimentConfig, default_n: int, min_n: int):
     """Validate an et-style config, run it and summarize it; returns the
     config with N filled in, n, the record block and the summary."""
-    m_values = _as_tuple(config.m)
+    m_values = _as_tuple(config.m, "m")
     n = _single(config, "n", default_n)
     if not m_values:
         raise ValueError(f"{config.name} needs at least one m value")
@@ -519,7 +526,7 @@ def run_discrete_example(config: ExperimentConfig):
         raise ValueError("discrete-example needs M >= 2")
     # n >= 1: the fit's abscissa is n*log(n*M)/m
     config, n, block, summary = _run_et_style(config, 10, 1)
-    m_values = _as_tuple(config.m)
+    m_values = _as_tuple(config.m, "m")
     xs, ys = [], []
     M = config.spec.M
     for m in m_values:
@@ -558,7 +565,7 @@ def _anticonc_records(config: ExperimentConfig, n: int, offset: int,
 
 
 def run_toeplitz_anticoncentration(config: ExperimentConfig):
-    n_values = _as_tuple(config.n)
+    n_values = _as_tuple(config.n, "n")
     if not n_values or min(n_values) < 1:
         raise ValueError("toeplitz-anticoncentration needs n >= 1")
     block = RecordBlock(ANTICONC_COLUMNS)
@@ -623,7 +630,7 @@ def _det_growth_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: 
 
 
 def run_det_growth(config: ExperimentConfig):
-    m_values = _as_tuple(config.m)
+    m_values = _as_tuple(config.m, "m")
     n = _single(config, "n", 2)
     if not m_values or min(m_values) < 1:
         raise ValueError("det-growth needs a schedule of m >= 1")
@@ -789,7 +796,7 @@ def _pole_records(config: ExperimentConfig, n_values: Tuple[int, ...], m: int,
 
 
 def run_pole_clustering(config: ExperimentConfig):
-    n_values = _as_tuple(config.n)
+    n_values = _as_tuple(config.n, "n")
     m = _single(config, "m", 1)
     if not n_values or min(n_values) < 1:
         raise ValueError("pole-clustering needs an n schedule of n >= 1")

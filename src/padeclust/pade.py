@@ -5,8 +5,9 @@ roots cluster around the unit circle.
 For a coefficient sequence (a_j) the pair (p, q) satisfies
 coeff_j(f q - p) = 0 for 0 <= j <= m+n, with q normalized to q(0) = 1.
 
-pade checks the coefficients, builds the windows W, T and A, factors A and
-forms f*q once each; et_bound_chain reads W, T and log|det A| from the pair.
+pade checks the coefficients, builds the windows W, T and A, factors A,
+forms f*q and takes the l1 sums ||q||_1 and sum_{j<=m} |a_j| once each;
+et_bound_chain reads W, T, log|det A| and the sums from the pair.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from .errors import DegenerateInput, DegenerateSystem, EndCoefficientZero
 from .poly import Polynomial, _as_poly, coeff_vector
 from .toeplitz import ToeplitzTriple, _denominator, _triple, log_abs_dets
 
-_LOG_OVERFLOW = 709.0
-
 
 @dataclass(frozen=True)
 class PadePair:
     """Numerator p (degree <= m, stored with m+1 coefficients), denominator q
-    with q(0) = 1, solve diagnostics (logdet_A, condition, order_residual)
-    and the Toeplitz windows W, T and A of the solve."""
+    with q(0) = 1, solve diagnostics (logdet_A, condition, order_residual),
+    the Toeplitz windows W, T and A of the solve, and the two sums of the
+    coefficient-mass inequality ||p||_1 <= q_l1 * a_l1: q_l1 = ||q||_1 and
+    a_l1 = sum_{j<=m} |a_j|."""
 
     p: Polynomial
     q: Polynomial
@@ -36,13 +37,13 @@ class PadePair:
     n: int
     diagnostics: Dict[str, float]
     triple: ToeplitzTriple
+    q_l1: float
+    a_l1: float
 
 
 @dataclass(frozen=True)
 class EtRatio:
-    value: float
     log_value: float
-    n_coeffs: int
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,8 @@ def pade(coeffs, m: int, n: int, precision: str = "double",
          cond_cap: Optional[float] = None) -> PadePair:
     """Compute the [m, n] pair of the series with the given coefficients.
 
+    The one check of the coefficients (coeff_vector) and the one pass over
+    the l1 sums of a Pade unit: callers read q_l1 and a_l1 from the pair.
     q comes from the normalized window solve (q = (1,) when n = 0) and p is
     the product f*q truncated to degree m.  DegenerateSystem propagates from
     the solve; DegenerateInput is raised when f*q overflows.  cond_cap
@@ -81,14 +84,15 @@ def pade(coeffs, m: int, n: int, precision: str = "double",
     fq = np.convolve(arr[: m + n + 1], q)
     if not np.isfinite(fq[: m + n + 1]).all():
         raise DegenerateInput(f"the [{m}, {n}] pair overflows: f*q has a non-finite coefficient")
+    q_l1 = float(np.abs(q).sum())
     # p is f*q through degree m, so f*q - p is f*q's coefficients m+1..m+n:
     # the order residual is their largest modulus over (1 + max|a_j|) ||q||_1.
     residual = float(np.abs(fq[m + 1 : m + n + 1]).max(initial=0.0)
-                     / ((1.0 + float(np.abs(arr).max())) * float(np.abs(q).sum())))
+                     / ((1.0 + float(np.abs(arr).max())) * q_l1))
     return PadePair(
         p=Polynomial._checked(fq[: m + 1]), q=Polynomial._checked(q), m=m, n=n,
         diagnostics={"logdet_A": logdet, "condition": cond, "order_residual": residual},
-        triple=triple,
+        triple=triple, q_l1=q_l1, a_l1=float(np.abs(arr[: m + 1]).sum()),
     )
 
 
@@ -106,29 +110,26 @@ def et_ratio(p) -> EtRatio:
             f"end coefficients ({a0:.3e}, {aN:.3e}) at or below threshold {thresh:.3e}"
         )
     log_value = math.log(float(np.sum(np.abs(c)))) - 0.5 * (math.log(a0) + math.log(aN))
-    value = math.inf if log_value > _LOG_OVERFLOW else math.exp(log_value)
-    return EtRatio(value=value, log_value=log_value, n_coeffs=len(c))
+    return EtRatio(log_value=log_value)
 
 
-def et_bound_chain(coeffs, pair: PadePair) -> EtBoundChain:
+def et_bound_chain(pair: PadePair) -> EtBoundChain:
     """Evaluate the three-step upper-bound chain for et_ratio(pair.p).
 
-    Reads the windows W, T and log|det A| from the pair and factors W (the
-    order n+1 window at offset m) and the Gram matrix T T*; raises
-    DegenerateSystem when either is singular, EndCoefficientZero when the
-    numerator's coefficient at index m vanishes.
+    Reads everything but two factorizations from the pair: the l1 sums
+    q_l1 and a_l1, a_0 as p_0 (= a_0 q_0 with q_0 = 1 exactly), and the
+    windows W, T and log|det A|.  Factors W (the order n+1 window at offset
+    m) and the Gram matrix T T*; raises DegenerateSystem when either is
+    singular, EndCoefficientZero when p_0 or p_m vanishes.
     """
-    arr = coeff_vector(coeffs)
     m, n, T = pair.m, pair.n, pair.triple.T
-    a0 = abs(complex(arr[0]))
-    p_m = abs(complex(pair.p.coeffs[m])) if len(pair.p.coeffs) > m else 0.0
+    a0, p_m = abs(complex(pair.p.coeffs[0])), abs(complex(pair.p.coeffs[m]))
     if a0 <= pair.p.zero_threshold or p_m <= pair.p.zero_threshold:
         raise EndCoefficientZero(
             f"numerator end coefficients ({a0:.3e}, {p_m:.3e}) below threshold"
         )
-    log_S = math.log(float(np.sum(np.abs(arr[: m + 1]))))
-    log_q1 = math.log(float(np.sum(np.abs(pair.q.coeffs))))
-    log_l1 = log_q1 + log_S - 0.5 * (math.log(a0) + math.log(p_m))
+    log_S = math.log(pair.a_l1)
+    log_l1 = math.log(pair.q_l1) + log_S - 0.5 * (math.log(a0) + math.log(p_m))
 
     (log_n1,), (singular,) = log_abs_dets(pair.triple.W[None])
     if singular:

@@ -51,21 +51,24 @@ _STEP_REL = 1e-14  # per-root stopping threshold on the Aberth step
 EXTENDED_DPS = 30  # digits of precision="extended" here and in toeplitz
 
 
-def coeff_vector(coeffs) -> np.ndarray:
-    """Coefficients as a finite 1-D float or complex array (low-to-high).
+def coeff_vector(coeffs, entry: str = "", stack: bool = False) -> np.ndarray:
+    """Coefficients as a finite 1-D float or complex array (low-to-high), or
+    with stack=True a finite float or complex array of any shape.
 
-    Raises DegenerateInput naming the problem for a non-1-D input or a NaN or
-    infinite entry; such input would otherwise surface later as a misleading
-    degree error or as a NaN statistic.
+    Raises DegenerateInput, prefixed "entry: " when entry is given, for a
+    non-1-D vector or a NaN or infinite entry; such input would otherwise
+    surface later as a misleading degree error or as a NaN statistic.
     """
     arr = np.atleast_1d(np.asarray(coeffs))
-    if arr.ndim != 1:
-        raise DegenerateInput(f"coefficients must form a 1-D vector, got shape {arr.shape}")
+    prefix = f"{entry}: " if entry else ""
+    if arr.ndim != 1 and not stack:
+        raise DegenerateInput(f"{prefix}coefficients must form a 1-D vector, got shape {arr.shape}")
     if arr.dtype.kind not in "fc":
         arr = arr.astype(float)
     if not np.isfinite(arr).all():
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise DegenerateInput(f"coefficient {bad} is not finite ({arr[bad]})")
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        where = f"element {bad}" if stack else f"coefficient {bad[0]}"
+        raise DegenerateInput(f"{prefix}{where} is not finite ({arr[bad]})")
     return arr
 
 

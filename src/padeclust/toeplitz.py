@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack
 
-from .errors import DegenerateInput, DegenerateSystem, InsufficientCoefficients
+from .errors import DegenerateSystem, InsufficientCoefficients
 from .poly import EXTENDED_DPS, coeff_vector
 
 COND_CAP_DOUBLE = 1e12
@@ -60,14 +60,6 @@ class DetResult:
     condition_estimate: float
 
 
-def _coefficients(coeffs, entry: str) -> np.ndarray:
-    """coeff_vector(coeffs), its DegenerateInput naming the entry point."""
-    try:
-        return coeff_vector(coeffs)
-    except DegenerateInput as exc:
-        raise DegenerateInput(f"{entry}: {exc}") from exc
-
-
 def _assoc(arr: np.ndarray, m: int, k: int) -> np.ndarray:
     """The k x k window W[i, j] = a_{m+i-j} of a checked coefficient array,
     with a_l = 0 for l < 0."""
@@ -86,7 +78,7 @@ def _assoc(arr: np.ndarray, m: int, k: int) -> np.ndarray:
 def assoc_matrix(coeffs, m: int, k: int) -> np.ndarray:
     """The k x k window matrix with entries a_{m+i-j}; needs len >= m+k.
     A NaN or infinite coefficient raises DegenerateInput."""
-    return _assoc(_coefficients(coeffs, "assoc_matrix"), m, k)
+    return _assoc(coeff_vector(coeffs, "assoc_matrix"), m, k)
 
 
 def _triple(arr: np.ndarray, m: int, n: int) -> ToeplitzTriple:
@@ -99,7 +91,7 @@ def _triple(arr: np.ndarray, m: int, n: int) -> ToeplitzTriple:
 def build_triple(coeffs, m: int, n: int) -> ToeplitzTriple:
     """Build the T, A windows for the [m, n] problem.  A NaN or infinite
     coefficient raises DegenerateInput."""
-    return _triple(_coefficients(coeffs, "build_triple"), m, n)
+    return _triple(coeff_vector(coeffs, "build_triple"), m, n)
 
 
 def _getrf(M: np.ndarray):
@@ -111,19 +103,6 @@ def _condition(M: np.ndarray, lu: np.ndarray) -> float:
     gecon = lapack.zgecon if lu.dtype.kind == "c" else lapack.dgecon
     rcond, _ = gecon(lu, float(np.abs(M).sum(axis=0).max()), norm="1")
     return float(1.0 / rcond) if rcond > 0 else math.inf
-
-
-def _finite_matrices(M, entry: str) -> np.ndarray:
-    """M as a float or complex array; DegenerateInput naming the entry point
-    and the first NaN or infinite element otherwise."""
-    M = np.asarray(M)
-    if M.dtype.kind not in "fc":
-        M = M.astype(float)
-    finite = np.isfinite(M)
-    if not finite.all():
-        bad = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise DegenerateInput(f"{entry}: element {bad} is not finite ({M[bad]})")
-    return M
 
 
 class WindowStack:
@@ -189,7 +168,7 @@ def log_abs_dets(W) -> Tuple[np.ndarray, np.ndarray]:
     log_abs_det gives for that matrix alone.  A NaN or infinite element
     raises DegenerateInput.
     """
-    W = _finite_matrices(W, "log_abs_dets")
+    W = coeff_vector(W, "log_abs_dets", stack=True)
     if W.ndim != 3 or W.shape[1] != W.shape[2]:
         raise ValueError("log_abs_dets needs a (B, k, k) stack")
     if W.shape[1] == 0:
@@ -202,7 +181,7 @@ def log_abs_det(M) -> DetResult:
     """Partial-pivot LU determinant in log form, with a 1-norm condition
     estimate from the same factorization.  det of the 0x0 matrix is 1.  A
     NaN or infinite element raises DegenerateInput."""
-    M = _finite_matrices(np.atleast_2d(M), "log_abs_det")
+    M = coeff_vector(np.atleast_2d(M), "log_abs_det", stack=True)
     r, c = M.shape
     if r != c:
         raise ValueError("log_abs_det needs a square matrix")

@@ -160,6 +160,16 @@ def test_experiment_negative_seed_is_a_config_error(capsys, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_experiment_fractional_config_entry_is_a_config_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": [1.5, 2]}))
+    code, out, err = run_cli(capsys, "experiment", "run", "et-clustering",
+                             "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert "config error: m takes whole numbers" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_experiment_missing_config_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "experiment", "run", "det-growth",
                              "--config", str(tmp_path / "absent.json"))
@@ -201,6 +211,24 @@ def test_plot_zero_radius_run(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "plot", str(out_dir))
     assert code == 0
     assert (out_dir / "radius_norm.svg").is_file()
+
+
+@pytest.mark.parametrize("name, config, chart, series", [
+    ("det-growth", {"m": [8, 16, 32], "trials": 3}, "det_growth.svg", 1),
+    ("pole-clustering", {"N": 40, "n": [4, 6], "trials": 2}, "pole_deviation.svg", 1),
+    ("toeplitz-anticoncentration", {"n": [2, 3], "trials": 20}, "det_cdf.svg", 2),
+])
+def test_plot_emits_the_protocol_chart(capsys, tmp_path, name, config, chart, series):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "experiment", "run", name, "--config", str(cfg),
+                           "--out", str(out_dir))
+    assert code == 0, err
+    code, out, _ = run_cli(capsys, "plot", str(out_dir))
+    assert code == 0
+    assert [p.rsplit("/", 1)[-1] for p in json.loads(out)["written"]] == [chart]
+    assert (out_dir / chart).read_text().count('class="series"') == series
 
 
 def test_plot_empty_directory_exit_2(capsys, tmp_path):

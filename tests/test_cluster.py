@@ -21,7 +21,7 @@ from padeclust.pade import EtRatio, et_ratio
 
 
 def ratio_like(log_value: float) -> EtRatio:
-    return EtRatio(value=math.exp(min(log_value, 700.0)), log_value=log_value, n_coeffs=0)
+    return EtRatio(log_value=log_value)
 
 
 def unit_roots(N: int, offset: float = 0.0) -> np.ndarray:

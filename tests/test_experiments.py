@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import tempfile
@@ -59,6 +60,29 @@ def test_config_rejects_out_of_range_fields(override, field):
         ex.default_config(ex.DET_GROWTH, **override)
     with pytest.raises(ValueError, match=field):
         ex.ExperimentConfig.from_dict({**ex.default_config(ex.DET_GROWTH).to_dict(), **override})
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: ex.ExperimentConfig.from_dict({"name": ex.ET_CLUSTERING, "m": [1.5, 2]}), r"\bm\b"),
+    (lambda: ex.default_config(ex.DET_GROWTH, n=2.7), r"\bn\b"),
+    (lambda: ex.ExperimentConfig.from_dict({"name": ex.ZERO_RADIUS, "s_list": [4.5, 8]}),
+     "s_list"),
+    (lambda: ex.ExperimentConfig.from_dict({"name": ex.ZERO_RADIUS, "r_schedule": "1"}),
+     "r_schedule"),
+], ids=["fractional-m", "fractional-n", "fractional-s", "string-for-a-list"])
+def test_config_rejects_entries_it_would_truncate_or_split(build, key):
+    # each of these used to run: m = (1, 2), n = 2, s_list = (4, 8) and
+    # r_schedule = (1.0,) read one character at a time
+    with pytest.raises(ValueError, match=key):
+        build()
+
+
+def test_whole_float_s_list_entries_are_stored_as_ints():
+    # s = 8.0 would name the column rs_norm_s8.0 and index the moduli with a float
+    cfg = ex.default_config(ex.ZERO_RADIUS, s_list=(8.0, 4), N=32, r_schedule=(0.9,), trials=2)
+    assert cfg.s_list == (8, 4) and all(type(s) is int for s in cfg.s_list)
+    columns, _, _ = ex.run_zero_radius(cfg)
+    assert columns[-2:] == ("rs_norm_s8", "rs_norm_s4")
 
 
 @pytest.mark.parametrize("name, overrides, field", [
@@ -541,6 +565,15 @@ def test_invariant_violation_on_radial_breach(monkeypatch):
     )
     cfg = ex.default_config(ex.ET_CLUSTERING, m=(6,), n=1, trials=2)
     with pytest.raises(InvariantViolation, match="radial"):
+        ex.run_et_clustering(cfg)
+
+
+def test_invariant_violation_on_mass_breach(monkeypatch):
+    # the mass check reads ||q||_1 from the pair that pade returns
+    pade = ex.pade
+    monkeypatch.setattr(ex, "pade", lambda *a, **k: dataclasses.replace(pade(*a, **k), q_l1=0.0))
+    cfg = ex.default_config(ex.ET_CLUSTERING, m=(6,), n=1, trials=2)
+    with pytest.raises(InvariantViolation, match="coefficient-mass inequality broken"):
         ex.run_et_clustering(cfg)
 
 
