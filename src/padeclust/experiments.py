@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -54,6 +55,7 @@ from .cluster import (
     zero_counting_integral,
 )
 from .errors import (
+    DegenerateInput,
     DegenerateSystem,
     EndCoefficientZero,
     InvariantViolation,
@@ -108,12 +110,26 @@ class ExperimentConfig:
     precision: str = "double"
 
     def __post_init__(self) -> None:
+        # types first, so a wrong JSON type is a ValueError naming its key
+        # before any comparison or any sampling can trip over it
+        if not isinstance(self.spec, DistributionSpec):
+            raise ValueError(f"spec takes a distribution, got {self.spec!r}")
+        for name in ("trials", "seed", "N", "grid_size", "family_size", "workers"):
+            value = getattr(self, name)
+            if not (value is None and name == "N") and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} takes an integer, got {value!r}")
+        _reals((self.delta,), "delta")
+        for name in ("epsilon_grid", "r_schedule", "rhos"):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)):
+                raise ValueError(f"{name} takes a list, got {values!r}")
+            _reals(values, name)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.precision not in ("double", "extended"):
             raise ValueError(f"precision must be 'double' or 'extended', got {self.precision!r}")
@@ -148,7 +164,15 @@ class ExperimentConfig:
         kwargs: Dict = {key: d[key] for key in ("trials", "seed", "N", "delta", "grid_size",
                                                 "family_size", "workers", "precision") if key in d}
         if "spec" in d:
-            kwargs["spec"] = DistributionSpec.from_dict(d["spec"])
+            spec = d["spec"]
+            if (not isinstance(spec, dict) or not isinstance(spec.get("kind"), str)
+                    or not (spec.get("M") is None or _is_whole(spec["M"]))):
+                raise ValueError(f"spec takes an object with a kind and an optional whole M, "
+                                 f"got {spec!r}")
+            try:
+                kwargs["spec"] = DistributionSpec.from_dict(spec)
+            except DegenerateInput as exc:
+                raise ValueError(f"spec: {exc}") from exc
         for key in ("m", "n"):
             if key in d:
                 v = d[key]
@@ -157,7 +181,7 @@ class ExperimentConfig:
             if key in d:
                 if not isinstance(d[key], (list, tuple)):
                     raise ValueError(f"{key} takes a list, got {d[key]!r}")
-                kwargs[key] = tuple(d[key] if key == "s_list" else map(float, d[key]))
+                kwargs[key] = tuple(d[key]) if key == "s_list" else _reals(d[key], key)
         return replace(default_config(name), **kwargs)
 
 
@@ -232,14 +256,30 @@ class RecordBlock:
 # shared plumbing
 
 
+def _is_whole(x) -> bool:
+    """Whether x is a whole real number (2 or 2.0), not a bool, a fraction,
+    a string or None."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and float(x).is_integer())
+
+
 def _as_tuple(v: Optional[IntOrList], key: str) -> Tuple[int, ...]:
     """The entries of an int field as a tuple; ValueError naming the key for
-    an entry that is not a whole number (a fraction or a string)."""
+    an entry that is not a whole number (a fraction, a string or None)."""
     values = () if v is None else tuple(v) if isinstance(v, (tuple, list)) else (v,)
     for x in values:
-        if isinstance(x, str) or not float(x).is_integer():
+        if not _is_whole(x):
             raise ValueError(f"{key} takes whole numbers, got {x!r}")
     return tuple(int(x) for x in values)
+
+
+def _reals(values, key: str) -> Tuple[float, ...]:
+    """The entries of a float field as floats; ValueError naming the key for
+    an entry that is not a finite real number (a string, None or NaN)."""
+    for x in values:
+        if not isinstance(x, numbers.Real) or isinstance(x, bool) or not math.isfinite(x):
+            raise ValueError(f"{key} takes finite numbers, got {x!r}")
+    return tuple(float(x) for x in values)
 
 
 def _single(config: ExperimentConfig, field: str, default: int) -> int:

@@ -86,9 +86,10 @@ def pade(coeffs, m: int, n: int, precision: str = "double",
         raise DegenerateInput(f"the [{m}, {n}] pair overflows: f*q has a non-finite coefficient")
     q_l1 = float(np.abs(q).sum())
     # p is f*q through degree m, so f*q - p is f*q's coefficients m+1..m+n:
-    # the order residual is their largest modulus over (1 + max|a_j|) ||q||_1.
+    # the order residual is their largest modulus over (1 + max_{j<=m+n}
+    # |a_j|) ||q||_1, so coefficients past a_{m+n} do not change it.
     residual = float(np.abs(fq[m + 1 : m + n + 1]).max(initial=0.0)
-                     / ((1.0 + float(np.abs(arr).max())) * q_l1))
+                     / ((1.0 + float(np.abs(arr[: m + n + 1]).max())) * q_l1))
     return PadePair(
         p=Polynomial._checked(fq[: m + 1]), q=Polynomial._checked(q), m=m, n=n,
         diagnostics={"logdet_A": logdet, "condition": cond, "order_residual": residual},

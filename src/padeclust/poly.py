@@ -27,6 +27,14 @@ on a real grid.  find_roots_batch iterates a (B, d) stack of same-degree
 polynomials at once, sharing the Python-level steps; find_roots is its
 B = 1 call.  precision="extended" continues each row's double iterates in
 mpmath at EXTENDED_DPS digits until they settle there.
+
+The repulsion sums S_i = sum_{j != i} 1/(z_i - z_j) of a sweep are taken
+per polynomial.  _repulsion forms every pair.  From degree _FAR_FROM, a
+polynomial with at least _FAR_ACTIVE active iterates in the sweep takes
+them from _far_repulsion instead: the roots of a random series cluster at
+|z| = 1, so the iterates near the circle fall into angular sectors whose
+far pairs enter through local expansions (one-level multipole), and only
+near sectors and off-circle iterates are summed pair by pair.
 """
 
 from __future__ import annotations
@@ -466,6 +474,133 @@ def _repulsion(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return S
 
 
+# Far-field repulsion (one-level multipole: Greengard and Rokhlin, J. Comput.
+# Phys. 73, 1987; Carrier, Greengard and Rokhlin, SIAM J. Sci. Stat. Comput.
+# 9, 1988).  Iterates within _FAR_BAND of |z| = 1 fall into _FAR_SECTORS
+# equal angular sectors centred at c_t = exp(i pi (2t + 1) / K) on the unit
+# circle; every such iterate is within rho = |(1 + h) e^{i pi/K} - 1| of its
+# centre.  Sectors t and t + D are far when 2 rho <= _FAR_KAPPA |c_t - c_{t+D}|,
+# which with K = 32, h = 0.02 and kappa = 0.4 leaves D = 0, +-1, +-2 near.
+# A far pair's series then shrinks by |z_j - c|/(|c_t - c_s| - rho) <= 0.21
+# per term, so _FAR_TERMS = 20 terms put the truncation below the rounding
+# (relative error in S about 2e-14 on start points and converged roots at
+# degrees 1024 and 2048; 16 terms gave 1e-11).
+#
+# The far path pays only where the pairs it saves outweigh its fixed cost
+# (moments, translation and one _repulsion call per sector with targets,
+# about 1.5 ms), so it serves a polynomial from degree _FAR_FROM with at
+# least _FAR_ACTIVE active iterates in the sweep.  Far over direct time per
+# call, best of 9, on converged roots and start points of Gaussian series:
+# at d = 768 and 400 targets 0.82x; at d = 1024 and 300, 400, 500, 1000
+# targets 0.87-0.94x, 0.95-1.04x, 1.25-1.37x, 1.9-2.05x; at d = 1536 and
+# 300 targets 1.2-1.27x; at d = 2048 and 200, 400, 1000 targets 0.98x,
+# 1.57x, 2.6x.  Both are properties of one polynomial in one sweep, so a
+# row's choice never depends on the batch.
+_FAR_FROM = 1024
+_FAR_ACTIVE = 400
+_FAR_SECTORS = 32
+_FAR_TERMS = 20
+_FAR_BAND = 0.02
+_FAR_KAPPA = 0.4
+
+
+def _far_tables(K: int, p: int, h: float, kappa: float):
+    """Sector centres, near and far sector offsets, and the (F, p, p)
+    translation table A of the far offsets D.
+
+    In a sector's rotated frame u = z conj(c) - 1, the moments of sector s
+    are m_k = sum_j u_j^k, and the local expansion of the far sectors'
+    sum_j 1/(z - z_j) about c_t is conj(c_t) sum_l (sum_D sum_k
+    A[D, l, k] m_k(t + D)) u^l, with w = e^{2 pi i/K} and
+    A[D, l, k] = (-1)^l binom(k + l, l) w^{Dk} (1 - w^D)^{-(k+l+1)}:
+    the multipole series of 1/(z - z_j) about c_s, re-expanded about c_t
+    (c_t - c_s = c_t (1 - w^D)).  Each entry is formed from its modulus and
+    its angle, an integer multiple of pi/(2K) reduced mod 2 pi in integer
+    arithmetic, not by repeated complex products."""
+    centres = np.exp(1j * math.pi * (2 * np.arange(K) + 1) / K)
+    rho = abs((1 + h) * complex(math.cos(math.pi / K), math.sin(math.pi / K)) - 1)
+    offsets = np.arange(K)
+    far = 2 * rho <= kappa * 2 * np.sin(math.pi * np.minimum(offsets, K - offsets) / K)
+    near = np.sort(np.where(offsets > K // 2, offsets - K, offsets)[~far])
+    k = np.arange(p)
+    e = k[None, :] + k[:, None] + 1  # [l, k]: k + l + 1
+    binom = np.array([[math.comb(i + j, j) for i in range(p)] for j in range(p)], dtype=float)
+    sign = np.where(k % 2, -1.0, 1.0)[:, None]
+    A = np.empty((np.count_nonzero(far), p, p), dtype=complex)
+    for a, D in enumerate(offsets[far].tolist()):
+        # 1 - w^D = 2 sin(pi D/K) e^{i (pi D/K - pi/2)}, so the angle of the
+        # entry is pi/(2K) times 4 (Dk mod K) - 2 e D + e K
+        mag = (2 * math.sin(math.pi * D / K)) ** -e.astype(float)
+        quarter = (4 * ((D * k) % K)[None, :] - 2 * e * D + e * K) % (4 * K)
+        A[a] = sign * binom * mag * np.exp(1j * (math.pi / (2 * K)) * quarter)
+    return centres, near, offsets[far], A
+
+
+_FAR_CENTRES, _FAR_NEAR, _FAR_DELTA, _FAR_M2L = _far_tables(
+    _FAR_SECTORS, _FAR_TERMS, _FAR_BAND, _FAR_KAPPA)
+
+
+def _far_repulsion(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """S_i = sum_{j != i} 1/(z_i - z_j) for i in idx, as _repulsion gives
+    it to within rounding, from a one-level far-field expansion.
+
+    Iterates off the band are sources for every target and, as targets,
+    take _repulsion over all of z.  A band target in sector t takes
+    _repulsion over the band iterates of its near sectors and the off-band
+    iterates (an exact collision there gives a non-finite S, as it does in
+    _repulsion), plus its sector's local expansion by Horner's rule in u.
+    The moments come from every band iterate of z, and the local expansion
+    of every sector is formed at fixed shapes, (K, F, p) gathered moments
+    (276 KB) against the (F, p, p) table by one np.einsum without optimize,
+    so no bit depends on BLAS threading or on which iterates are active: S_i
+    depends on z and i alone.  Each multiply writes to a buffer distinct
+    from its inputs, as in _horner_steps.
+    """
+    K, p = _FAR_SECTORS, _FAR_TERMS
+    n = len(z)
+    band = np.abs(np.abs(z) - 1.0) <= _FAR_BAND
+    sec = np.full(n, K, dtype=np.intp)
+    sec[band] = np.floor(np.angle(z[band]) * (K / (2 * math.pi))).astype(np.intp) % K
+    order = np.argsort(sec, kind="stable")
+    starts = np.searchsorted(sec[order], np.arange(K + 1))
+    zs, nb = z[order], starts[K]
+    u = np.multiply(zs[:nb], _FAR_CENTRES[sec[order[:nb]]].conj()) - 1.0
+    M = np.zeros((K, p), dtype=complex)
+    counts = np.diff(starts)
+    M[:, 0] = counts
+    full = np.flatnonzero(counts)
+    pw = u
+    for k in range(1, p):
+        M[full, k] = np.add.reduceat(pw, starts[full])
+        pw = np.multiply(pw, u)
+    L = np.einsum("tfk,flk->lt", M[(np.arange(K)[:, None] + _FAR_DELTA) % K], _FAR_M2L)
+
+    S = np.empty(len(idx), dtype=complex)
+    on = band[idx]
+    if not on.all():
+        S[~on] = _repulsion(z, idx[~on])
+    targets = idx[on]
+    tsec = sec[targets]
+    conj_c = _FAR_CENTRES[tsec].conj()
+    ut = np.multiply(z[targets], conj_c) - 1.0
+    acc = L[p - 1][tsec]
+    for l in range(p - 2, -1, -1):
+        acc = np.add(np.multiply(acc, ut), L[l][tsec])
+    far = np.multiply(acc, conj_c)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    near = np.empty(len(targets), dtype=complex)
+    off_band = zs[nb:]
+    for t in np.unique(tsec).tolist():
+        parts = [zs[starts[s]:starts[s + 1]] for s in ((t + _FAR_NEAR) % K).tolist()]
+        mine = np.flatnonzero(tsec == t)
+        at = sum(len(part) for part in parts[:np.searchsorted(_FAR_NEAR, 0)])
+        near[mine] = _repulsion(np.concatenate(parts + [off_band]),
+                                at + rank[targets[mine]] - starts[t])
+    S[on] = near + far
+    return S
+
+
 def _scaled_residual_log(C: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Per row, log of max |P(root)| / (1+|root|)**degree in log space, for
     a (B, d+1) coefficient stack C and the (B, d) stack R of its roots."""
@@ -574,6 +709,9 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
     own iterates only, so each row's iterates are bitwise those of a B = 1
     call: batching shares the Python-level evaluation steps, not the
     arithmetic.  The evaluation table is built once for the whole stack.
+    A row's repulsion sums come from _far_repulsion when d >= _FAR_FROM and
+    the row has at least _FAR_ACTIVE active iterates in the sweep, else
+    from _repulsion; either depends on the row's own iterates alone.
     Returns the (B, d) iterates and a per-row flag telling whether every
     root of that row settled within max_iter sweeps.
     """
@@ -603,7 +741,8 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
         bounds = np.searchsorted(rows, np.arange(B + 1))
         for b in np.flatnonzero(bounds[1:] > bounds[:-1]):
             lo, hi = bounds[b], bounds[b + 1]
-            S[lo:hi] = _repulsion(Z[b], cols[lo:hi])
+            far = d >= _FAR_FROM and hi - lo >= _FAR_ACTIVE
+            S[lo:hi] = (_far_repulsion if far else _repulsion)(Z[b], cols[lo:hi])
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = s / (1.0 - s * S)
         bad = ~np.isfinite(corr)

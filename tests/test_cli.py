@@ -170,6 +170,23 @@ def test_experiment_fractional_config_entry_is_a_config_error(capsys, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("entry, key", [
+    ({"trials": "5"}, "trials"),
+    ({"delta": "a"}, "delta"),
+    ({"spec": "gaussian"}, "spec"),
+    ({"epsilon_grid": [0.1, None]}, "epsilon_grid"),
+])
+def test_experiment_mistyped_config_entry_is_a_config_error(entry, key, capsys, tmp_path):
+    # a wrong JSON type is caught when the config is built, before sampling
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    code, out, err = run_cli(capsys, "experiment", "run", "et-clustering",
+                             "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert f"config error: {key} " in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_experiment_missing_config_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "experiment", "run", "det-growth",
                              "--config", str(tmp_path / "absent.json"))

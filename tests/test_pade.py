@@ -159,6 +159,18 @@ def test_order_residual_zero_for_taylor_section():
     assert pair.diagnostics["order_residual"] == 0.0
 
 
+@pytest.mark.parametrize("m, n", [(3, 2), (6, 4), (20, 3)])
+def test_order_residual_ignores_coefficients_past_m_plus_n(m, n):
+    # the scale is 1 + max_{j<=m+n} |a_j|, so a longer slice of the same
+    # series, its tail far larger than the window, gives the same residual
+    rng = np.random.default_rng(m + n)
+    coeffs = rng.standard_normal(m + n + 21)
+    coeffs[m + n + 1:] *= 1e6
+    short, long = pade(coeffs[: m + n + 1], m, n), pade(coeffs, m, n)
+    assert short.diagnostics["order_residual"] > 0.0
+    assert long.diagnostics["order_residual"] == short.diagnostics["order_residual"]
+
+
 def random_coefficients(kind, size, seed):
     rng = np.random.default_rng(seed)
     if kind == "integer":

@@ -9,7 +9,9 @@ depends on that point alone.  The Newton ratio and log|p| apply them over
 |z| <= 1 on the forward coefficients and over |z| > 1 on the reversed
 coefficients at w = 1/z.  The pinned trials.csv digests depend on every
 iterate keeping its bits, so the production kernels must agree with these
-to the last bit, not to a tolerance.
+to the last bit, not to a tolerance.  The one exception is the far-field
+repulsion of high-degree sweeps: it is checked against _repulsion to a
+relative tolerance, and for bits that depend on the iterates alone.
 """
 
 import math
@@ -525,3 +527,109 @@ def test_find_roots_batch_matches_reference_kernels(monkeypatch):
         w = getattr(w, "partial", w)
         assert_bitwise(g.roots, w.roots)
         assert g.residual == w.residual and g.converged == w.converged
+
+
+# ---------------------------------------------------------------------------
+# far-field repulsion
+
+
+@pytest.fixture(scope="module")
+def far_sets():
+    """Iterate sets at the far path's threshold degree and at 2048: the start
+    points and the converged roots of a real and a complex Gaussian series,
+    and the roots with every 16th one moved off the band around |z| = 1."""
+    rng = np.random.default_rng(2048)
+    sets = []
+    for d in (P._FAR_FROM, 2048):
+        for kind in ("real", "complex"):
+            c = rng.standard_normal(d + 1) + (1j * rng.standard_normal(d + 1) if kind == "complex"
+                                              else 0)
+            roots = P.find_roots(c).roots
+            moved = roots.copy()
+            moved[::16] *= np.where(np.arange(len(moved[::16])) % 2, 0.8, 1.25)
+            sets += [(f"{d}-{kind}-start", P._start_points(c.astype(complex), 0.0)),
+                     (f"{d}-{kind}-roots", roots), (f"{d}-{kind}-off-band", moved)]
+    return sets
+
+
+def test_far_repulsion_is_within_1e_12_of_the_direct_kernel(far_sets):
+    rng = np.random.default_rng(3)
+    for name, z in far_sets:
+        off_band = np.abs(np.abs(z) - 1.0) > P._FAR_BAND
+        if name.endswith("off-band"):
+            assert off_band.sum() >= len(z) // 16
+        for idx in (np.arange(len(z)), np.sort(rng.choice(len(z), P._FAR_ACTIVE, replace=False))):
+            want = P._repulsion(z, idx)
+            got = P._far_repulsion(z, idx)
+            rel = np.abs(got - want) / np.abs(want)
+            assert rel.max() <= 1e-12, (name, rel.max())
+            # off-band targets take the direct kernel over every iterate
+            assert_bitwise(got[off_band[idx]], want[off_band[idx]])
+
+
+def test_far_repulsion_of_a_target_does_not_depend_on_the_other_targets(far_sets):
+    z = dict(far_sets)["2048-real-off-band"]
+    full = P._far_repulsion(z, np.arange(len(z)))
+    rng = np.random.default_rng(4)
+    for idx in (np.sort(rng.choice(len(z), 500, replace=False)), np.array([7]),
+                rng.permutation(len(z))[:64]):
+        assert_bitwise(P._far_repulsion(z, idx), full[idx])
+
+
+@pytest.mark.parametrize("where", ["band", "off-band"])
+def test_far_repulsion_is_not_finite_on_an_exact_collision(where, far_sets):
+    """A collision between band iterates lies in the near field, and one
+    between off-band iterates in the direct sum: either gives a non-finite
+    S where _repulsion does, so the iteration kicks the pair."""
+    z = dict(far_sets)["2048-complex-off-band"].copy()
+    off_band = np.flatnonzero(np.abs(np.abs(z) - 1.0) > P._FAR_BAND)
+    band = np.flatnonzero(np.abs(np.abs(z) - 1.0) <= P._FAR_BAND)
+    i, j = (band if where == "band" else off_band)[[3, 40]]
+    z[j] = z[i]
+    idx = np.arange(len(z))
+    with np.errstate(all="ignore"):
+        want = P._repulsion(z, idx)
+        got = P._far_repulsion(z, idx)
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    assert not np.isfinite(got[[i, j]]).any()
+    assert np.isfinite(got).sum() == len(z) - 2
+
+
+def test_batch_takes_the_far_path_from_both_thresholds_and_keeps_its_bits(monkeypatch):
+    """find_roots_batch over three polynomials of the far path's degree is
+    bitwise find_roots on each.  Every repulsion call of the iteration with
+    at least _FAR_ACTIVE active iterates goes to _far_repulsion, and every
+    other call to _repulsion, so a row below the threshold gets
+    _repulsion's bits."""
+    rng = np.random.default_rng(1024)
+    d = P._FAR_FROM
+    polys = [rng.standard_normal(d + 1), rng.standard_normal(d + 1),
+             rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)]
+    calls, depth = [], [0]
+    far, direct = P._far_repulsion, P._repulsion
+
+    def spy(kernel, kind):
+        # records the iteration's own calls, not the far path's near field
+        def call(z, idx):
+            if depth[0] == 0:
+                calls.append((kind, len(z), len(idx)))
+            depth[0] += 1
+            try:
+                return kernel(z, idx)
+            finally:
+                depth[0] -= 1
+        return call
+
+    monkeypatch.setattr(P, "_far_repulsion", spy(far, "far"))
+    monkeypatch.setattr(P, "_repulsion", spy(direct, "direct"))
+    batch = find_roots_batch(polys)
+    monkeypatch.undo()
+    kinds = {kind for kind, _, _ in calls}
+    assert kinds == {"far", "direct"}
+    for kind, n, active in calls:
+        assert n == d
+        assert kind == ("far" if active >= P._FAR_ACTIVE else "direct")
+    for c, rs in zip(polys, batch):
+        alone = P.find_roots(c)
+        assert_bitwise(rs.roots, alone.roots)
+        assert rs.residual == alone.residual and rs.converged
