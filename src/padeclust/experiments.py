@@ -10,18 +10,18 @@ are far too large to verify directly at desk scale, and summaries say so.
 The deterministic clustering inequalities, by contrast, must hold on every
 non-degenerate trial; a single violation aborts the run.
 
-Every protocol has one runner shape: its run_* function validates the
-config, _by_range splits the trials into one contiguous range per worker,
-and _blocks samples each range in blocks of at most _BLOCK_ELEMS
-coefficients, one sample_block call per block.  The protocol's stage
-function takes a whole block one stage at a time (one find_roots_batch or
-log_abs_dets call per stage) and fills the columns of one RecordBlock in
+Every protocol has one runner shape.  The config was checked when it was
+built, so run_* only runs: _by_range splits the trials into one contiguous
+range per worker, and _blocks samples each range in blocks of at most
+_BLOCK_ELEMS coefficients, one sample_block call per block.  The protocol's
+stage function takes a whole block one stage at a time (one find_roots_batch
+or log_abs_dets call per stage) and fills the columns of one RecordBlock in
 trial order; _by_range concatenates the record blocks of the ranges.  The
-batched kernels give every polynomial's roots and every window's
-determinant bitwise as the one-at-a-time calls would, so neither the range
-split, the block size nor the batch composition reaches trials.csv.  The
-summaries read masked columns of the record block, and write_trials_csv
-formats each column once.
+batched kernels give every polynomial's roots and every window's determinant
+bitwise as the one-at-a-time calls would, so neither the range split, the
+block size nor the batch composition reaches trials.csv.  The summaries read
+masked columns of the record block, and write_trials_csv formats each column
+once.
 
 Per-trial wall times are deliberately not written to trials.csv (they would
 break byte-level reproducibility); the summary carries the aggregate.
@@ -35,7 +35,7 @@ import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -87,17 +87,17 @@ _METHOD_NOTE = (
     "the theoretical constants are too large to verify at desk scale"
 )
 
-IntOrList = Union[int, Sequence[int]]
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One protocol's config, checked in full when it is built; m, n and
+    s_list are stored as int tuples, the other lists as float tuples."""
     name: str
     spec: DistributionSpec
     trials: int = 100
     seed: int = 0
-    m: Optional[IntOrList] = None
-    n: Optional[IntOrList] = None
+    m: Tuple[int, ...] = ()
+    n: Tuple[int, ...] = ()
     N: Optional[int] = None
     delta: float = 0.5
     epsilon_grid: Tuple[float, ...] = (0.01, 0.05, 0.1)
@@ -110,6 +110,8 @@ class ExperimentConfig:
     precision: str = "double"
 
     def __post_init__(self) -> None:
+        if self.name not in PROTOCOLS:
+            raise ValueError(f"unknown experiment {self.name!r}; valid: {', '.join(PROTOCOLS)}")
         # types first, so a wrong JSON type is a ValueError naming its key
         # before any comparison or any sampling can trip over it
         if not isinstance(self.spec, DistributionSpec):
@@ -120,29 +122,20 @@ class ExperimentConfig:
                     isinstance(value, bool) or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} takes an integer, got {value!r}")
         _reals((self.delta,), "delta")
-        for name in ("epsilon_grid", "r_schedule", "rhos"):
-            values = getattr(self, name)
-            if not isinstance(values, (tuple, list)):
-                raise ValueError(f"{name} takes a list, got {values!r}")
-            _reals(values, name)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # a fractional m, n or s_list entry would be truncated; a repeated
+        # entry would repeat a trials.csv column or a summary key
+        for name in ("m", "n", "s_list", "epsilon_grid", "r_schedule", "rhos"):
+            values = (_as_tuple if name in ("m", "n", "s_list") else _reals)(
+                getattr(self, name), name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} has duplicate entries: {list(values)}")
+            object.__setattr__(self, name, values)
+        for name, low in (("trials", 1), ("workers", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.precision not in ("double", "extended"):
             raise ValueError(f"precision must be 'double' or 'extended', got {self.precision!r}")
-        # s_list entries name trials.csv columns and index sorted moduli
-        object.__setattr__(self, "s_list", _as_tuple(self.s_list, "s_list"))
-        # a fractional m or n entry would be truncated; a repeated schedule
-        # entry would repeat a trials.csv column or a summary key
-        for name in ("m", "n", "r_schedule", "s_list", "epsilon_grid", "rhos"):
-            values = getattr(self, name)
-            if name in ("m", "n"):
-                _as_tuple(values, name)
-            if isinstance(values, (tuple, list)) and len(set(values)) != len(values):
-                raise ValueError(f"{name} has duplicate entries: {list(values)}")
+        _check_protocol(self)
 
     def to_dict(self) -> Dict:
         d: Dict = {"schema_version": SCHEMA_VERSION}
@@ -156,33 +149,73 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: Dict) -> "ExperimentConfig":
+        """The config of a to_dict-shaped object; the protocol's defaults
+        fill the keys it leaves out."""
         if d.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-        name = d.get("name")
-        if name not in PROTOCOLS:
-            raise ValueError(f"unknown experiment {name!r}; valid: {', '.join(PROTOCOLS)}")
-        kwargs: Dict = {key: d[key] for key in ("trials", "seed", "N", "delta", "grid_size",
-                                                "family_size", "workers", "precision") if key in d}
-        if "spec" in d:
-            spec = d["spec"]
+        unknown = set(d) - {f.name for f in fields(ExperimentConfig)} - {"schema_version"}
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+        rest = {k: v for k, v in d.items() if k not in ("schema_version", "name")}
+        if "spec" in rest:
+            spec = rest["spec"]
             if (not isinstance(spec, dict) or not isinstance(spec.get("kind"), str)
                     or not (spec.get("M") is None or _is_whole(spec["M"]))):
                 raise ValueError(f"spec takes an object with a kind and an optional whole M, "
                                  f"got {spec!r}")
             try:
-                kwargs["spec"] = DistributionSpec.from_dict(spec)
+                rest["spec"] = DistributionSpec.from_dict(spec)
             except DegenerateInput as exc:
                 raise ValueError(f"spec: {exc}") from exc
-        for key in ("m", "n"):
-            if key in d:
-                v = d[key]
-                kwargs[key] = tuple(v) if isinstance(v, (list, tuple)) else v
-        for key in ("epsilon_grid", "r_schedule", "rhos", "s_list"):
-            if key in d:
-                if not isinstance(d[key], (list, tuple)):
-                    raise ValueError(f"{key} takes a list, got {d[key]!r}")
-                kwargs[key] = tuple(d[key]) if key == "s_list" else _reals(d[key], key)
-        return replace(default_config(name), **kwargs)
+        return default_config(d.get("name"), **rest)
+
+
+def _check_protocol(c: ExperimentConfig) -> None:
+    """The checks of c's own protocol: the schedule shape its runner reads
+    and the domains of the statements it tests (radii in (0, 1), eps > 0)."""
+    name, m, n, N = c.name, c.m, c.n, c.N
+    et_style = name in (ET_CLUSTERING, DISCRETE_EXAMPLE)
+    if (et_style or name == DET_GROWTH) and len(n) != 1:
+        raise ValueError(f"{name} takes a single n, got {list(n)}")
+    if name == POLE_CLUSTERING and len(m) != 1:
+        raise ValueError(f"{name} takes a single m, got {list(m)}")
+    if name in (ANTICONCENTRATION, POLE_CLUSTERING) and (not n or min(n) < 1):
+        raise ValueError(f"{name} needs an n schedule of n >= 1")
+    if name == DISCRETE_EXAMPLE and (c.spec.kind != DISCRETE or c.spec.M < 2):
+        raise ValueError("discrete-example needs a discrete_pm_M distribution with M >= 2")
+    if et_style:
+        # n >= 1 for discrete-example: the fit's abscissa is n*log(n*M)/m
+        min_n = int(name == DISCRETE_EXAMPLE)
+        if not m or min(m) < 1 or n[0] < min_n:
+            raise ValueError(f"{name} needs at least one m, each m >= 1, and n >= {min_n}")
+        if N is not None and N < max(m) + n[0] + 1:
+            raise ValueError("N must be at least max(m) + n + 1")
+    elif name == ANTICONCENTRATION and not all(eps > 0.0 for eps in c.epsilon_grid):
+        raise ValueError(f"{name} needs every eps in epsilon_grid > 0, got {list(c.epsilon_grid)}")
+    elif name == DET_GROWTH:
+        if not m or min(m) < 1:
+            raise ValueError("det-growth needs a schedule of m >= 1")
+        if n[0] < 0:
+            raise ValueError("det-growth needs n >= 0")
+    elif name == ZERO_RADIUS:
+        if N is None or N < 8:
+            raise ValueError("zero-radius needs a truncation degree N >= 8")
+        if not c.s_list or min(c.s_list) < 2:
+            raise ValueError("s_list needs entries, each >= 2 (normalization divides by log s)")
+        if not all(0.0 < r < 1.0 for r in c.r_schedule):
+            raise ValueError(f"{name} needs r_schedule in (0, 1), got {list(c.r_schedule)}")
+    elif name == POLE_CLUSTERING:
+        if m[0] < 0:
+            raise ValueError("pole-clustering needs m >= 0")
+        if N is None or N < m[0] + max(n) + 1:
+            raise ValueError("N must be at least m + max(n) + 1")
+    if name not in (ANTICONCENTRATION, DET_GROWTH):
+        # the fields _check_clustering reads
+        if not c.rhos or not all(0.0 < rho <= 1.0 for rho in c.rhos):
+            raise ValueError(f"{name} needs rhos, each in (0, 1], got {list(c.rhos)}")
+        for key, low in (("grid_size", 4), ("family_size", 8)):
+            if getattr(c, key) < low:
+                raise ValueError(f"{name} needs {key} >= {low}, got {getattr(c, key)}")
 
 
 _DEFAULTS: Dict[str, Dict] = {
@@ -196,11 +229,8 @@ _DEFAULTS: Dict[str, Dict] = {
 
 
 def default_config(name: str, **overrides) -> ExperimentConfig:
-    if name not in _DEFAULTS:
-        raise ValueError(f"unknown experiment {name!r}; valid: {', '.join(PROTOCOLS)}")
-    merged = dict(_DEFAULTS[name])
-    merged.update(overrides)
-    return ExperimentConfig(name=name, **merged)
+    # spec=None lets an unknown name fail in __post_init__ as a ValueError
+    return ExperimentConfig(name=name, **{"spec": None, **_DEFAULTS.get(name, {}), **overrides})
 
 
 class RecordBlock:
@@ -263,9 +293,10 @@ def _is_whole(x) -> bool:
             and float(x).is_integer())
 
 
-def _as_tuple(v: Optional[IntOrList], key: str) -> Tuple[int, ...]:
-    """The entries of an int field as a tuple; ValueError naming the key for
-    an entry that is not a whole number (a fraction, a string or None)."""
+def _as_tuple(v, key: str) -> Tuple[int, ...]:
+    """The entries of an int field (one number, a list or None) as a tuple;
+    ValueError naming the key for an entry that is not a whole number (a
+    fraction, a string or None)."""
     values = () if v is None else tuple(v) if isinstance(v, (tuple, list)) else (v,)
     for x in values:
         if not _is_whole(x):
@@ -274,33 +305,15 @@ def _as_tuple(v: Optional[IntOrList], key: str) -> Tuple[int, ...]:
 
 
 def _reals(values, key: str) -> Tuple[float, ...]:
-    """The entries of a float field as floats; ValueError naming the key for
-    an entry that is not a finite real number (a string, None or NaN)."""
+    """The entries of a float field (a list) as floats; ValueError naming the
+    key for a non-list or an entry that is not a finite real number (a
+    string, None or NaN)."""
+    if not isinstance(values, (tuple, list)):
+        raise ValueError(f"{key} takes a list, got {values!r}")
     for x in values:
         if not isinstance(x, numbers.Real) or isinstance(x, bool) or not math.isfinite(x):
             raise ValueError(f"{key} takes finite numbers, got {x!r}")
     return tuple(float(x) for x in values)
-
-
-def _single(config: ExperimentConfig, field: str, default: int) -> int:
-    """The value of an int field that the protocol takes as one number."""
-    values = _as_tuple(getattr(config, field), field) or (default,)
-    if len(values) != 1:
-        raise ValueError(f"{config.name} takes a single {field}, got {list(values)}")
-    return values[0]
-
-
-def _need_rhos(config: ExperimentConfig) -> None:
-    """Check the fields _check_clustering reads, before any sampling."""
-    if not config.rhos:
-        raise ValueError(f"{config.name} needs at least one radius in rhos")
-    if not all(0.0 < rho <= 1.0 for rho in config.rhos):
-        raise ValueError(f"{config.name} needs every rho in rhos to lie in (0, 1], "
-                         f"got {list(config.rhos)}")
-    if config.grid_size < 4:
-        raise ValueError(f"{config.name} needs grid_size >= 4, got {config.grid_size}")
-    if config.family_size < 8:
-        raise ValueError(f"{config.name} needs family_size >= 8, got {config.family_size}")
 
 
 def _by_range(config: ExperimentConfig, fn: Callable[[range], RecordBlock]) -> RecordBlock:
@@ -460,14 +473,16 @@ ET_COLUMNS = ("m", "n", "et_log", "et_log_over_m", "log_l1_bound", "log_cauchy_b
               "bl_upper", "bl_lower", "max_radial_defect")
 
 
-def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: int,
-                      trials: range) -> RecordBlock:
+def _et_style_records(config: ExperimentConfig, trials: range) -> RecordBlock:
     """Trial units (trial, m) for a contiguous trial range, one block and one
     stage at a time: pade, mass check and end-coefficient bounds for every
     unit, then one _roots_with_retry over the surviving numerators, then the
-    clustering checks.  Units come in (trial, m) order."""
+    clustering checks.  Units come in (trial, m) order.  The series runs to
+    degree N, or to max(m) + n + 1 when N is not given."""
+    m_values, n = config.m, config.n[0]
+    N = max(m_values) + n + 1 if config.N is None else config.N
     out = RecordBlock(ET_COLUMNS)
-    for batch, stack in _blocks(config, trials, config.N + 1):
+    for batch, stack in _blocks(config, trials, N + 1):
         pending: List[Tuple[int, Polynomial, EtRatio]] = []  # (slot, numerator, ratio)
         for trial, coeffs in zip(batch, stack.coeffs):
             for m in m_values:
@@ -505,14 +520,13 @@ def _et_style_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: in
 
 
 def _summarize_et(config: ExperimentConfig, block: RecordBlock) -> Dict:
-    m_values = _as_tuple(config.m, "m")
     per_m: Dict[str, Dict] = {}
     threshold = config.delta ** 4
     degenerate, excluded = block.flags()
     good = ~(degenerate | excluded)
     m_column = np.array(block.values["m"])
     ratios_all, amgm = block.floats("et_log_over_m"), block.floats("log_amgm_bound")
-    for m in m_values:
+    for m in config.m:
         sub = m_column == m
         ratios = ratios_all[sub & good]
         per_m[str(m)] = {
@@ -523,7 +537,7 @@ def _summarize_et(config: ExperimentConfig, block: RecordBlock) -> Dict:
             "fraction_exceeding_delta4": _fraction(ratios > threshold),
             "median_log_amgm_bound": _median(amgm[sub & good]),
         }
-    medians = [per_m[str(m)]["median_et_log_over_m"] for m in m_values]
+    medians = [per_m[str(m)]["median_et_log_over_m"] for m in config.m]
     return {
         "per_m": per_m,
         "delta": config.delta,
@@ -532,27 +546,9 @@ def _summarize_et(config: ExperimentConfig, block: RecordBlock) -> Dict:
     }
 
 
-def _run_et_style(config: ExperimentConfig, default_n: int, min_n: int):
-    """Validate an et-style config, run it and summarize it; returns the
-    config with N filled in, n, the record block and the summary."""
-    m_values = _as_tuple(config.m, "m")
-    n = _single(config, "n", default_n)
-    if not m_values:
-        raise ValueError(f"{config.name} needs at least one m value")
-    if min(m_values) < 1 or n < min_n:
-        raise ValueError(f"{config.name} needs m >= 1 and n >= {min_n}")
-    _need_rhos(config)
-    if config.N is None:
-        config = replace(config, N=max(m_values) + n + 1)
-    if config.N < max(m_values) + n + 1:
-        raise ValueError("N must be at least max(m) + n + 1")
-    block = _by_range(config, lambda trials: _et_style_records(config, m_values, n, trials))
-    return config, n, block, _summarize_et(config, block)
-
-
 def run_et_clustering(config: ExperimentConfig):
-    _, _, block, summary = _run_et_style(config, 1, 0)
-    return ET_COLUMNS, block, summary
+    block = _by_range(config, lambda trials: _et_style_records(config, trials))
+    return ET_COLUMNS, block, _summarize_et(config, block)
 
 
 # ---------------------------------------------------------------------------
@@ -560,16 +556,10 @@ def run_et_clustering(config: ExperimentConfig):
 
 
 def run_discrete_example(config: ExperimentConfig):
-    if config.spec.kind != DISCRETE:
-        raise ValueError("discrete-example needs a discrete_pm_M distribution")
-    if config.spec.M < 2:
-        raise ValueError("discrete-example needs M >= 2")
-    # n >= 1: the fit's abscissa is n*log(n*M)/m
-    config, n, block, summary = _run_et_style(config, 10, 1)
-    m_values = _as_tuple(config.m, "m")
+    _, block, summary = run_et_clustering(config)
+    n, M = config.n[0], config.spec.M
     xs, ys = [], []
-    M = config.spec.M
-    for m in m_values:
+    for m in config.m:
         med = summary["per_m"][str(m)]["median_et_log_over_m"]
         if math.isfinite(med):
             xs.append(n * math.log(n * M) / m)
@@ -605,12 +595,9 @@ def _anticonc_records(config: ExperimentConfig, n: int, offset: int,
 
 
 def run_toeplitz_anticoncentration(config: ExperimentConfig):
-    n_values = _as_tuple(config.n, "n")
-    if not n_values or min(n_values) < 1:
-        raise ValueError("toeplitz-anticoncentration needs n >= 1")
     block = RecordBlock(ANTICONC_COLUMNS)
     per_n: Dict[str, Dict] = {}
-    for idx, n in enumerate(n_values):
+    for idx, n in enumerate(config.n):
         offset = idx * config.trials
         part = _by_range(config, lambda trials: _anticonc_records(config, n, offset, trials))
         block.extend(part)
@@ -618,19 +605,19 @@ def run_toeplitz_anticoncentration(config: ExperimentConfig):
         cdf, bound, within = {}, {}, {}
         for eps in config.epsilon_grid:
             p_hat = float(np.searchsorted(roots_, eps, side="left")) / config.trials
-            cdf[repr(float(eps))] = p_hat
+            cdf[repr(eps)] = p_hat
             if math.isfinite(config.spec.levy_bound_K):
                 cap = n * config.spec.levy_bound_K * eps
                 se = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / config.trials) / config.trials)
-                bound[repr(float(eps))] = cap
-                within[repr(float(eps))] = bool(p_hat <= cap + 3 * se)
+                bound[repr(eps)] = cap
+                within[repr(eps)] = bool(p_hat <= cap + 3 * se)
         per_n[str(n)] = {"cdf": cdf, "bound_nK_eps": bound, "within_3se": within}
     summary: Dict = {"per_n": per_n, **_counts(block)}
-    if config.spec.kind == LOGCONCAVE and len(n_values) >= 2:
+    if config.spec.kind == LOGCONCAVE and len(config.n) >= 2:
         xs, ys = [], []
-        for n in n_values:
+        for n in config.n:
             for eps in config.epsilon_grid:
-                p_hat = per_n[str(n)]["cdf"][repr(float(eps))]
+                p_hat = per_n[str(n)]["cdf"][repr(eps)]
                 if p_hat > 0:
                     xs.append(math.log(n))
                     ys.append(math.log(p_hat) - math.log(eps))
@@ -648,11 +635,11 @@ def run_toeplitz_anticoncentration(config: ExperimentConfig):
 DET_GROWTH_COLUMNS = ("m", "n", "log_abs_det", "growth", "deviation", "singular")
 
 
-def _det_growth_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: int,
-                        trials: range) -> RecordBlock:
+def _det_growth_records(config: ExperimentConfig, trials: range) -> RecordBlock:
     """The n x n windows a_{m+i-j} (a_l = 0 for l < 0) of a trial range for
     every m, one stacked factorization per (block, m); units in (trial, m)
     order."""
+    m_values, n = config.m, config.n[0]
     out = RecordBlock(DET_GROWTH_COLUMNS)
     for batch, stack in _blocks(config, trials, max(m_values) + n, n):
         dets = [tuple(x.tolist() for x in log_abs_dets(stack.windows(m))) for m in m_values]
@@ -670,20 +657,14 @@ def _det_growth_records(config: ExperimentConfig, m_values: Tuple[int, ...], n: 
 
 
 def run_det_growth(config: ExperimentConfig):
-    m_values = _as_tuple(config.m, "m")
-    n = _single(config, "n", 2)
-    if not m_values or min(m_values) < 1:
-        raise ValueError("det-growth needs a schedule of m >= 1")
-    if n < 0:
-        raise ValueError("det-growth needs n >= 0")
-    block = _by_range(config, lambda trials: _det_growth_records(config, m_values, n, trials))
+    block = _by_range(config, lambda trials: _det_growth_records(config, trials))
     degenerate, _ = block.flags()
     m_column, deviation = np.array(block.values["m"]), block.floats("deviation")
-    devs = {m: deviation[(m_column == m) & ~degenerate] for m in m_values}
+    devs = {m: deviation[(m_column == m) & ~degenerate] for m in config.m}
     per_m = {str(m): {"median_deviation": _median(devs[m]), "count": len(devs[m])}
-             for m in m_values}
-    medians = [per_m[str(m)]["median_deviation"] for m in m_values]
-    largest = devs[max(m_values)]
+             for m in config.m}
+    medians = [per_m[str(m)]["median_deviation"] for m in config.m]
+    largest = devs[max(config.m)]
     return DET_GROWTH_COLUMNS, block, {
         "per_m": per_m,
         "medians_decreasing": bool(all(a > b for a, b in zip(medians[:-1], medians[1:]))),
@@ -697,7 +678,7 @@ def run_det_growth(config: ExperimentConfig):
 
 
 def _zero_radius_columns(config: ExperimentConfig) -> Tuple[str, ...]:
-    radii = [repr(float(r)) for r in config.r_schedule]
+    radii = [repr(r) for r in config.r_schedule]
     return ("n_roots", "roots_in_unit_disc", "min_modulus", "et_log", "sector_discrepancy",
             "bl_upper", "bl_lower", "max_radial_defect", *(f"ratio_r{r}" for r in radii),
             *(f"profile_dev_r{r}" for r in radii), *(f"rs_norm_s{s}" for s in config.s_list))
@@ -732,8 +713,8 @@ def _zero_radius_records(config: ExperimentConfig, trials: range) -> RecordBlock
                 continue
             for r in config.r_schedule:
                 zci = zero_counting_integral(roots, r)
-                values[f"ratio_r{repr(float(r))}"] = zci / (-math.log1p(-r * r))
-                values[f"profile_dev_r{repr(float(r))}"] = (
+                values[f"ratio_r{r!r}"] = zci / (-math.log1p(-r * r))
+                values[f"profile_dev_r{r!r}"] = (
                     zci - 0.5 * _log_variance_profile(r, config.N))
             for s in config.s_list:
                 if s < len(roots):
@@ -744,16 +725,11 @@ def _zero_radius_records(config: ExperimentConfig, trials: range) -> RecordBlock
 
 
 def run_zero_radius(config: ExperimentConfig):
-    if config.N is None or config.N < 8:
-        raise ValueError("zero-radius needs a truncation degree N >= 8")
-    if not config.s_list or min(config.s_list) < 2:
-        raise ValueError("s_list needs entries, each >= 2 (normalization divides by log s)")
-    _need_rhos(config)
     block = _by_range(config, lambda trials: _zero_radius_records(config, trials))
     good = ~block.flags()[1]
     per_r: Dict[str, Dict] = {}
     for r in config.r_schedule:
-        key = repr(float(r))
+        key = repr(r)
         ratios = block.floats(f"ratio_r{key}")[good]
         per_r[key] = {
             "median_ratio": _median(ratios),
@@ -785,12 +761,12 @@ def run_zero_radius(config: ExperimentConfig):
 POLE_COLUMNS = ("n", "R_m", "annulus_mass", "median_abs_dev", "q_et_log")
 
 
-def _pole_records(config: ExperimentConfig, n_values: Tuple[int, ...], m: int,
-                  trials: range) -> RecordBlock:
+def _pole_records(config: ExperimentConfig, trials: range) -> RecordBlock:
     """Units (trial, n) for a contiguous trial range, one block at a time:
     the series roots by one _roots_with_retry, the series check and R_m,
     pade for every unit, then one _roots_with_retry over all the block's
     denominators and their checks.  Units come in (trial, n) order."""
+    n_values, m = config.n, config.m[0]
     out = RecordBlock(POLE_COLUMNS)
     rho = config.rhos[-1]
     for batch, stack in _blocks(config, trials, config.N + 1):
@@ -836,16 +812,8 @@ def _pole_records(config: ExperimentConfig, n_values: Tuple[int, ...], m: int,
 
 
 def run_pole_clustering(config: ExperimentConfig):
-    n_values = _as_tuple(config.n, "n")
-    m = _single(config, "m", 1)
-    if not n_values or min(n_values) < 1:
-        raise ValueError("pole-clustering needs an n schedule of n >= 1")
-    if m < 0:
-        raise ValueError("pole-clustering needs m >= 0")
-    _need_rhos(config)
-    if config.N is None or config.N < m + max(n_values) + 1:
-        raise ValueError("N must be at least m + max(n) + 1")
-    block = _by_range(config, lambda trials: _pole_records(config, n_values, m, trials))
+    n_values, m = config.n, config.m[0]
+    block = _by_range(config, lambda trials: _pole_records(config, trials))
     degenerate, excluded = block.flags()
     good = ~(degenerate | excluded)
     n_column = np.array(block.values["n"])
@@ -886,8 +854,6 @@ RUNNERS: Dict[str, Callable] = {
 def execute(config: ExperimentConfig, out_dir: Optional[Union[str, Path]] = None) -> Dict:
     """Run one protocol; optionally persist trials.csv, summary.json and
     manifest.json under out_dir.  Returns the summary dict."""
-    if config.name not in RUNNERS:
-        raise ValueError(f"unknown experiment {config.name!r}; valid: {', '.join(PROTOCOLS)}")
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     columns, block, summary = RUNNERS[config.name](config)

@@ -21,8 +21,10 @@ def test_default_config_known_names():
         cfg = ex.default_config(name)
         assert cfg.name == name
         assert cfg.trials >= 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown experiment"):
         ex.default_config("no-such-protocol")
+    with pytest.raises(ValueError, match="unknown experiment"):
+        ex.ExperimentConfig(name="no-such-protocol", spec=distribution(GAUSSIAN))
 
 
 def test_config_json_round_trip():
@@ -69,10 +71,12 @@ def test_config_rejects_out_of_range_fields(override, field):
      "s_list"),
     (lambda: ex.ExperimentConfig.from_dict({"name": ex.ZERO_RADIUS, "r_schedule": "1"}),
      "r_schedule"),
-], ids=["fractional-m", "fractional-n", "fractional-s", "string-for-a-list"])
+    (lambda: ex.ExperimentConfig.from_dict({"name": ex.DET_GROWTH, "trails": 5}), "trails"),
+], ids=["fractional-m", "fractional-n", "fractional-s", "string-for-a-list", "unknown-key"])
 def test_config_rejects_entries_it_would_truncate_or_split(build, key):
-    # each of these used to run: m = (1, 2), n = 2, s_list = (4, 8) and
-    # r_schedule = (1.0,) read one character at a time
+    # each of these used to run: m = (1, 2), n = 2, s_list = (4, 8),
+    # r_schedule = (1.0,) read one character at a time, and a misspelt
+    # key dropped without a word
     with pytest.raises(ValueError, match=key):
         build()
 
@@ -109,15 +113,17 @@ def test_whole_float_s_list_entries_are_stored_as_ints():
     (ex.ZERO_RADIUS, dict(rhos=(0.05, 2.0)), "rhos"),
     (ex.POLE_CLUSTERING, dict(grid_size=2), "grid_size"),
     (ex.POLE_CLUSTERING, dict(rhos=(math.nan,)), "rhos"),
+    # log1p(-r^2) has no value at r >= 1, and the zero-counting integral
+    # none at r = 0
+    (ex.ZERO_RADIUS, dict(r_schedule=(1.5,)), "r_schedule"),
+    (ex.ZERO_RADIUS, dict(r_schedule=(0.0,)), "r_schedule"),
+    # P(|det A|^(1/n) < eps) <= nK eps is a statement about eps > 0
+    (ex.ANTICONCENTRATION, dict(n=(2,), epsilon_grid=(-0.1,)), "epsilon_grid"),
 ])
-def test_protocol_rejects_bad_schedule_before_sampling(name, overrides, field, monkeypatch):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the config was validated")
-
-    monkeypatch.setattr(ex, "sample", no_sampling)
-    monkeypatch.setattr(ex, "sample_block", no_sampling)
+def test_protocol_rejects_bad_schedule_before_sampling(name, overrides, field):
+    # the config is checked when it is built, so nothing can be sampled
     with pytest.raises(ValueError, match=field):
-        ex.execute(ex.default_config(name, trials=2, **overrides))
+        ex.default_config(name, trials=2, **overrides)
 
 
 def test_et_clustering_structure_and_decay():
@@ -139,9 +145,8 @@ def test_et_clustering_structure_and_decay():
 
 
 def test_et_clustering_rejects_short_series():
-    cfg = ex.default_config(ex.ET_CLUSTERING, m=(10,), n=1, trials=2, N=5)
-    with pytest.raises(ValueError):
-        ex.run_et_clustering(cfg)
+    with pytest.raises(ValueError, match="N must be"):
+        ex.default_config(ex.ET_CLUSTERING, m=(10,), n=1, trials=2, N=5)
 
 
 def test_discrete_example_runs_and_fits():
@@ -155,9 +160,8 @@ def test_discrete_example_runs_and_fits():
 
 
 def test_discrete_example_requires_discrete_spec():
-    cfg = ex.default_config(ex.DISCRETE_EXAMPLE, spec=distribution(GAUSSIAN))
-    with pytest.raises(ValueError):
-        ex.run_discrete_example(cfg)
+    with pytest.raises(ValueError, match="discrete_pm_M"):
+        ex.default_config(ex.DISCRETE_EXAMPLE, spec=distribution(GAUSSIAN))
 
 
 def test_anticoncentration_matches_scalar_law():
@@ -207,10 +211,10 @@ def test_zero_radius_columns_and_stats():
 
 
 def test_zero_radius_input_validation():
-    with pytest.raises(ValueError):
-        ex.run_zero_radius(ex.default_config(ex.ZERO_RADIUS, N=4, trials=2))
-    with pytest.raises(ValueError):
-        ex.run_zero_radius(ex.default_config(ex.ZERO_RADIUS, N=64, trials=2, s_list=(1, 4)))
+    with pytest.raises(ValueError, match="N >= 8"):
+        ex.default_config(ex.ZERO_RADIUS, N=4, trials=2)
+    with pytest.raises(ValueError, match="s_list"):
+        ex.default_config(ex.ZERO_RADIUS, N=64, trials=2, s_list=(1, 4))
 
 
 @pytest.mark.parametrize("name, overrides, partial", [
@@ -593,10 +597,10 @@ def test_pole_clustering_does_not_swallow_denominator_faults(monkeypatch):
 
 
 def test_unknown_protocol_in_execute():
+    # a config of an unknown protocol cannot be built, so execute never sees one
     cfg = ex.default_config(ex.DET_GROWTH, m=(8,), n=2, trials=2)
-    broken = ex.ExperimentConfig(**{**cfg.__dict__, "name": "mystery"})
-    with pytest.raises(ValueError):
-        ex.execute(broken)
+    with pytest.raises(ValueError, match="unknown experiment"):
+        ex.ExperimentConfig(**{**cfg.__dict__, "name": "mystery"})
 
 
 def _cell_text(value):

@@ -362,7 +362,7 @@ def test_et_style_unit_factors_each_window_once(monkeypatch):
     getrf = toeplitz._getrf
     monkeypatch.setattr(toeplitz, "_getrf", lambda M: shapes.append(M.shape) or getrf(M))
     cfg = ex.default_config(ex.ET_CLUSTERING, m=(8, 16), n=2, trials=3)
-    _, _, block, _ = ex._run_et_style(cfg, 1, 0)
+    block = ex._et_style_records(cfg, range(cfg.trials))
     assert set(block.reason) <= {"", "nonconvergence"}
     assert shapes == [(2, 2), (3, 3), (2, 2)] * len(block.reason)
 

@@ -213,7 +213,7 @@ def test_det_growth_records_match_per_trial(monkeypatch, elems, kind):
     spec = distribution(kind, M=1) if kind == DISCRETE else distribution(kind)
     config = ex.default_config(ex.DET_GROWTH, spec=spec, m=(1, 3, 8, 12), n=4,
                                trials=11, seed=2)
-    got = ex._det_growth_records(config, (1, 3, 8, 12), 4, range(3, 14))
+    got = ex._det_growth_records(config, range(3, 14))
     want = [rec for t in range(3, 14)
             for rec in _det_growth_reference(config, (1, 3, 8, 12), 4, t)]
     _assert_same_records(_as_tuples(got), want)
