@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -318,8 +319,9 @@ def _reals(values, key: str) -> Tuple[float, ...]:
 
 def _by_range(config: ExperimentConfig, fn: Callable[[range], RecordBlock]) -> RecordBlock:
     """fn over the trials split into one contiguous range per worker, its
-    record blocks concatenated in trial order."""
-    parts = min(config.workers, config.trials)
+    record blocks concatenated in trial order.  The worker count is capped
+    at the trial count and at os.cpu_count()."""
+    parts = min(config.workers, config.trials, os.cpu_count() or 1)
     if parts == 1:
         return fn(range(config.trials))
     bounds = [config.trials * k // parts for k in range(parts + 1)]

@@ -13,7 +13,9 @@ SeedSequence(entropy=(seed, t)).generate_state(2, np.uint64), counter 0.
 sample_block derives the keys of a whole block of trials in one vectorised
 pass of SeedSequence's hash and draws every row through one reused
 Generator reset to the row's key; the streams, and so every coefficient,
-are those of one SeedSequence, Philox and Generator per trial.
+are those of one SeedSequence, Philox and Generator per trial.  The reset
+state is built once per block from plain Python ints, and each row is drawn
+straight into its slot of the output block.
 """
 
 from __future__ import annotations
@@ -196,23 +198,30 @@ def _l1ball_radius(dim: int) -> float:
     return math.sqrt((dim + 1) * (dim + 2) / 2.0)
 
 
-def _draw(rng: np.random.Generator, spec: DistributionSpec, dim: int) -> np.ndarray:
-    """dim coefficients of the spec's law from rng."""
+def _draw(rng: np.random.Generator, spec: DistributionSpec, dim: int,
+          out: Optional[np.ndarray] = None) -> np.ndarray:
+    """dim coefficients of the spec's law from rng, written into out (a
+    C-contiguous float64 row of length dim) or into a fresh row; returns
+    the row."""
+    if out is None:
+        out = np.empty(dim)
     if spec.kind == GAUSSIAN:
-        return rng.standard_normal(dim)
-    if spec.kind == UNIFORM:
-        return rng.uniform(-_SQRT3, _SQRT3, dim)
-    if spec.kind == LAPLACE:
-        return rng.laplace(0.0, 1.0 / math.sqrt(2.0), dim)
-    if spec.kind == DISCRETE:
-        return rng.integers(-spec.M, spec.M + 1, dim).astype(float)
-    if spec.kind == LOGCONCAVE:
+        rng.standard_normal(out=out)
+    elif spec.kind == UNIFORM:
+        out[:] = rng.uniform(-_SQRT3, _SQRT3, dim)
+    elif spec.kind == LAPLACE:
+        out[:] = rng.laplace(0.0, 1.0 / math.sqrt(2.0), dim)
+    elif spec.kind == DISCRETE:
+        out[:] = rng.integers(-spec.M, spec.M + 1, dim)
+    elif spec.kind == LOGCONCAVE:
         # exponential-spacing construction: (g_1..g_d)/(g_1+..+g_{d+1}) with
         # random signs is uniform on the solid l1 ball
         g = rng.standard_exponential(dim + 1)
         signs = np.where(rng.random(dim) < 0.5, -1.0, 1.0)
-        return _l1ball_radius(dim) * signs * g[:dim] / np.sum(g)
-    raise DegenerateInput(f"unknown distribution kind {spec.kind!r}")
+        out[:] = _l1ball_radius(dim) * signs * g[:dim] / np.sum(g)
+    else:
+        raise DegenerateInput(f"unknown distribution kind {spec.kind!r}")
+    return out
 
 
 def sample_block(spec: DistributionSpec, N: int, seed: int, trials: Sequence[int],
@@ -222,7 +231,11 @@ def sample_block(spec: DistributionSpec, N: int, seed: int, trials: Sequence[int
 
     Row b is the stream of Philox keyed by (seed, trials[b]).  The keys of
     all rows come from one _trial_keys pass; the rows are drawn through one
-    Generator whose Philox is reset to each row's key before its draw.
+    Generator whose Philox is reset to each row's key before its draw.  The
+    reset state is held as plain Python ints, which the Philox state setter
+    takes without a per-element numpy-scalar conversion.  Each row is drawn
+    in place when out's rows are C-contiguous float64; any other out is
+    filled from a fresh block in one copy.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -232,15 +245,22 @@ def sample_block(spec: DistributionSpec, N: int, seed: int, trials: Sequence[int
         out = np.empty((len(keys), dim))
     elif out.shape != (len(keys), dim):
         raise ValueError(f"out has shape {out.shape}, expected {(len(keys), dim)}")
+    in_place = (out.dtype == np.float64 and out.flags.aligned and out.flags.writeable
+                and (dim == 1 or out.strides[1] == out.itemsize))
+    rows = out if in_place else np.empty(out.shape)
     bitgen = np.random.Philox()
     rng = np.random.Generator(bitgen)
     # a fresh Philox's state: counter 0, empty buffer, no buffered 32-bit
     # half; only the key differs from row to row
     state = bitgen.state
-    for row, key in zip(out, keys):
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
+    for row, key in zip(rows, keys.tolist()):
         state["state"]["key"] = key
         bitgen.state = state
-        row[:] = _draw(rng, spec, dim)
+        _draw(rng, spec, dim, row)
+    if not in_place:
+        out[...] = rows
     return out
 
 

@@ -7,7 +7,9 @@ block of trials and hands out the (B, k, k) windows of every row as one
 strided view, and log_abs_dets factors such a stack.  _lu_stack is the one
 getrf call site (log_abs_det is its B = 1 call, and the double denominator
 solve factors through it), so a determinant has the same bits alone, in a
-stack or from pade.  Public entry points reject non-finite input with
+stack or from pade.  It copies the stack once per slice of at most
+_LU_ELEMS elements, transposed into C order, and getrf factors each matrix
+of the copy in place.  Public entry points reject non-finite input with
 DegenerateInput; internal callers pass arrays that are already checked.
 
 Index conventions (a_l = 0 for l < 0 throughout):
@@ -95,7 +97,9 @@ def build_triple(coeffs, m: int, n: int) -> ToeplitzTriple:
 
 
 def _getrf(M: np.ndarray):
-    return (lapack.zgetrf if M.dtype.kind == "c" else lapack.dgetrf)(M)
+    """getrf of M with the overwrite flag set: a Fortran-ordered double
+    (complex) M is factored in place, any other M in f2py's copy."""
+    return (lapack.zgetrf if M.dtype.kind == "c" else lapack.dgetrf)(M, 1)
 
 
 def _condition(M: np.ndarray, lu: np.ndarray) -> float:
@@ -136,18 +140,38 @@ class WindowStack:
         return slid[:, top : (top - k if top >= k else None) : -1]
 
 
+# Elements per transposed copy in _lu_stack: a (B, k, k) stack is copied
+# and factored in slices of at most _LU_ELEMS // k**2 matrices (at least
+# one), so a large block never holds a second copy of all its windows.
+_LU_ELEMS = 1 << 15
+
+
 def _lu_stack(W: np.ndarray):
     """Partial-pivot LU of every matrix of a (B, k, k) stack, one getrf call
     each: the (B, k) LU diagonals, the info codes, and the last matrix's
     (lu, piv).  getrf works in double (complex) precision whatever the
-    input's, so the diagonals keep the precision it returns."""
+    input's, so the diagonals keep the precision it returns.
+
+    Each slice of the stack is copied once, transposed into C order, so
+    that F[b].T is the Fortran-ordered matrix W[b] and getrf factors it in
+    place; one np.diagonal per slice reads the LU diagonals.  A lone matrix
+    (pade's and log_abs_det's) is copied straight into Fortran order: the
+    slice's 3-D transposes and diagonal would cost it about 2 us a call."""
     rows, k = W.shape[:2]
-    diag = np.empty((rows, k), dtype=complex if W.dtype.kind == "c" else float)
+    dtype = complex if W.dtype.kind == "c" else float
+    diag = np.empty((rows, k), dtype=dtype)
     info = np.empty(rows, dtype=int)
+    if rows == 1:
+        lu, piv, info[0] = _getrf(np.array(W[0], dtype=dtype, order="F"))
+        diag[0] = lu.diagonal()
+        return diag, info, lu, piv
+    step = max(1, _LU_ELEMS // max(k * k, 1))
     lu = piv = None
-    for b in range(rows):
-        lu, piv, info[b] = _getrf(W[b])
-        diag[b] = lu.diagonal()
+    for lo in range(0, rows, step):
+        F = W[lo:lo + step].transpose(0, 2, 1).astype(dtype, order="C")
+        for b, M in enumerate(F.transpose(0, 2, 1), lo):
+            lu, piv, info[b] = _getrf(M)
+        diag[lo:lo + len(F)] = F.diagonal(axis1=1, axis2=2)
     return diag, info, lu, piv
 
 

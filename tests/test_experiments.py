@@ -299,6 +299,24 @@ def test_trials_csv_is_byte_identical_across_workers_and_reruns(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize("cpus, ranges", [(2, [range(0, 2), range(2, 5)]), (None, [range(0, 5)])])
+def test_by_range_caps_the_workers_at_the_cpu_count(monkeypatch, cpus, ranges):
+    """A worker count far above the machine's CPUs starts one thread per CPU
+    (one in-process range when the count is unknown), and the ranges still
+    cover the trials in order."""
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: cpus)
+    config = ex.default_config(ex.ANTICONCENTRATION, trials=5, workers=10**6)
+    seen = []
+
+    def fn(trials):
+        seen.append(trials)
+        return ex.RecordBlock(("x",), trials, {"x": list(trials)})
+
+    block = ex._by_range(config, fn)
+    assert sorted(seen, key=lambda r: r.start) == ranges
+    assert block.trial == block.values["x"] == list(range(5))
+
+
 @pytest.mark.parametrize("name, overrides", [
     (ex.ET_CLUSTERING, dict(m=(8, 16), n=1, trials=8)),
     # M=2 mixes degenerate_system and end_coefficient_zero rows into the batch
@@ -370,6 +388,7 @@ def test_root_protocols_do_not_depend_on_workers_or_blocks(name, overrides, tmp_
     """37 trials split 12/12/13 across three workers; a budget of 100
     coefficients gives blocks of 4 (N=24) or 2 (N=40) series, so the last
     block of a range is partial."""
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: 3)
     blobs = {}
     for elems in (ex._BLOCK_ELEMS, 100):
         monkeypatch.setattr(ex, "_BLOCK_ELEMS", elems)

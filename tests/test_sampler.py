@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from padeclust import DegenerateInput
+from padeclust import DegenerateInput, sampler
 from padeclust.sampler import (
     DISCRETE,
     GAUSSIAN,
@@ -155,6 +155,74 @@ def test_sample_block_fills_a_strided_out():
     assert np.all(buf[:, :3] == 0.0)
     with pytest.raises(ValueError):
         sample_block(spec, 8, 2, range(10, 13), out=out)
+
+
+def _reference_block(spec, N, seed, trials):
+    return np.array([_draw(_reference_rng(seed, t), spec, N + 1) for t in trials])
+
+
+def test_sample_block_fills_non_contiguous_and_float32_out():
+    """Rows that are not C-contiguous float64 take the values a fresh block
+    would hold: bit for bit in a strided out, rounded once in a float32 out."""
+    spec = distribution(GAUSSIAN)
+    want = _reference_block(spec, 8, 2, range(10, 14))
+    buf = np.zeros((4, 18))
+    out = buf[:, ::2]
+    assert sample_block(spec, 8, 2, range(10, 14), out=out) is out
+    assert np.array_equal(np.ascontiguousarray(out).view(np.uint64), want.view(np.uint64))
+    assert np.all(buf[:, 1::2] == 0.0)
+    out32 = np.zeros((4, 9), dtype=np.float32)
+    assert sample_block(spec, 8, 2, range(10, 14), out=out32) is out32
+    assert np.array_equal(out32.view(np.uint32), want.astype(np.float32).view(np.uint32))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.M}")
+def test_sample_block_draws_each_row_in_place(monkeypatch, spec):
+    """Each row of an out with C-contiguous float64 rows is handed to _draw
+    itself, and the rows hold the per-trial streams."""
+    rows = []
+    draw = sampler._draw
+    monkeypatch.setattr(sampler, "_draw",
+                        lambda rng, spec, dim, row=None: rows.append(row) or draw(rng, spec, dim, row))
+    buf = np.zeros((4, 12))
+    out = buf[:, 3:]
+    sample_block(spec, 8, 2, range(10, 14), out=out)
+    assert len(rows) == 4
+    assert all(np.shares_memory(row, o) for row, o in zip(rows, out))
+    want = _reference_block(spec, 8, 2, range(10, 14))
+    assert np.array_equal(np.ascontiguousarray(out).view(np.uint64), want.view(np.uint64))
+    assert np.all(buf[:, :3] == 0.0)
+
+
+def test_sample_block_resets_philox_from_plain_ints(monkeypatch):
+    """Every state handed to the Philox setter holds its counter, key and
+    buffer as lists of Python ints, which the setter reads without a
+    numpy-scalar conversion per element."""
+    base = np.random.Philox
+    seen = []
+
+    class SpyPhilox(base):
+        @property
+        def state(self):
+            return base.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            seen.append(value)
+            base.state.__set__(self, value)
+
+    monkeypatch.setattr(np.random, "Philox", SpyPhilox)
+    got = sample_block(distribution(GAUSSIAN), 5, 7, [3, 2**32, 0])
+    monkeypatch.undo()
+    assert np.array_equal(got, _reference_block(distribution(GAUSSIAN), 5, 7, [3, 2**32, 0]))
+    assert len(seen) == 3
+
+    def plain(values):
+        return isinstance(values, list) and all(type(v) is int for v in values)
+
+    for state in seen:
+        assert plain(state["state"]["counter"]) and plain(state["state"]["key"])
+        assert plain(state["buffer"])
 
 
 # ---------------------------------------------------------------- isotropy

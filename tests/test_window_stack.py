@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from padeclust import experiments as ex
+from padeclust import toeplitz
 from padeclust.errors import InsufficientCoefficients
 from padeclust.sampler import DISCRETE, GAUSSIAN, distribution, sample
 from padeclust.toeplitz import WindowStack, assoc_matrix, log_abs_det, log_abs_dets
@@ -141,6 +142,74 @@ def test_empty_windows_and_short_rows():
         log_abs_dets(np.zeros((2, 3, 4)))
 
 
+# ---------------------------------------------------------------- _lu_stack
+
+
+def _lu_bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _lu_inputs(k, rows, dtype):
+    """Stacks of `rows` k x k matrices, the first one singular (a zero first
+    column, so getrf reports info > 0): C-ordered, Fortran-ordered per
+    matrix, and for real input the strided WindowStack views at m = k - 1
+    (a_l for l >= 0 only) and m = 0 (zeros above the diagonal)."""
+    rng = np.random.default_rng(100 * k + rows)
+    plain = rng.standard_normal((rows, k, k))
+    if dtype is complex:
+        plain = plain + 1j * rng.standard_normal((rows, k, k))
+    if rows:
+        plain[0, :, 0] = 0.0
+    stacks = [plain, plain.transpose(0, 2, 1).copy().transpose(0, 2, 1)]
+    if dtype is float:
+        window = WindowStack(rows, 2 * k - 1, k)
+        window.coeffs[:] = rng.standard_normal(window.coeffs.shape)
+        if rows:
+            window.coeffs[0] = 0.0
+        stacks += [window.windows(k - 1), window.windows(0)]
+    return stacks
+
+
+@pytest.mark.parametrize("elems", [None, 1, 50])
+@pytest.mark.parametrize("rows", [0, 1, 7])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+def test_lu_stack_matches_per_matrix_getrf(monkeypatch, elems, rows, dtype, k):
+    """Bit for bit against one f2py getrf per matrix: the LU diagonals, the
+    info codes and the last matrix's (lu, piv), on slices of one matrix
+    (elems=1), of a few (elems=50) and on the default budget; the input
+    stack is left as it was."""
+    if elems is not None:
+        monkeypatch.setattr(toeplitz, "_LU_ELEMS", elems)
+    getrf = lapack.zgetrf if dtype is complex else lapack.dgetrf
+    for W in _lu_inputs(k, rows, dtype):
+        before = W.copy()
+        diag, info, lu, piv = toeplitz._lu_stack(W)
+        ref = [getrf(M) for M in W]
+        assert np.array_equal(_lu_bits(W), _lu_bits(before))
+        assert diag.shape == (rows, k) and diag.dtype == dtype
+        assert info.tolist() == [i for _, _, i in ref]
+        want = np.array([np.diagonal(f) for f, _, _ in ref], dtype=dtype).reshape(rows, k)
+        assert np.array_equal(_lu_bits(diag), _lu_bits(want))
+        if rows:
+            assert info[0] > 0
+            assert np.array_equal(_lu_bits(lu), _lu_bits(ref[-1][0]))
+            assert np.array_equal(piv, ref[-1][1])
+        else:
+            assert lu is None and piv is None
+
+
+def test_lu_stack_spans_several_slices_at_the_default_budget():
+    """3000 windows of 5 x 5 are three slices of at most _LU_ELEMS elements."""
+    assert 3000 * 25 > 2 * toeplitz._LU_ELEMS
+    (W,) = _lu_inputs(5, 3000, complex)[:1]
+    diag, info, lu, piv = toeplitz._lu_stack(W)
+    ref = [lapack.zgetrf(M) for M in W]
+    assert info.tolist() == [i for _, _, i in ref]
+    assert np.array_equal(_lu_bits(diag), _lu_bits([np.diagonal(f) for f, _, _ in ref]))
+    assert np.array_equal(_lu_bits(lu), _lu_bits(ref[-1][0])) and np.array_equal(piv, ref[-1][1])
+
+
 # ---------------------------------------------------------------- protocols
 
 
@@ -231,6 +300,7 @@ def test_window_protocols_do_not_depend_on_workers(tmp_path, monkeypatch, elems,
                                                    overrides):
     """37 trials split 12/12/13 across three workers, and into blocks that
     do not divide the worker ranges when the block budget is small."""
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: 3)
     if elems is not None:
         monkeypatch.setattr(ex, "_BLOCK_ELEMS", elems)
     out = {}
