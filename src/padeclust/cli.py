@@ -179,7 +179,8 @@ def cmd_experiment_run(args) -> int:
         cfg_dict = json.loads(cfg_path.read_text())
         if not isinstance(cfg_dict, dict):
             raise ValueError("config file must hold a JSON object")
-    cfg_dict["name"] = args.name
+    if cfg_dict.setdefault("name", args.name) != args.name:
+        raise ValueError(f"config name {cfg_dict['name']!r} is not the run's {args.name!r}")
     config = ExperimentConfig.from_dict(cfg_dict)
     overrides = {}
     for key in ("trials", "seed", "workers", "precision"):

@@ -34,6 +34,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -92,7 +93,9 @@ _METHOD_NOTE = (
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One protocol's config, checked in full when it is built; m, n and
-    s_list are stored as int tuples, the other lists as float tuples."""
+    s_list are stored as int tuples, the other lists as float tuples.  A
+    field the protocol does not read (see _READS) keeps its default, and
+    to_dict echoes only the fields the protocol reads."""
     name: str
     spec: DistributionSpec
     trials: int = 100
@@ -140,12 +143,10 @@ class ExperimentConfig:
 
     def to_dict(self) -> Dict:
         d: Dict = {"schema_version": SCHEMA_VERSION}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if f.name == "spec":
-                val = val.to_dict()
-            if val is not None:
-                d[f.name] = list(val) if isinstance(val, (tuple, list)) else val
+        for key in _READS[self.name]:
+            val = getattr(self, key)
+            d[key] = list(val) if isinstance(val, tuple) else val
+        d["spec"] = self.spec.to_dict()
         return d
 
     @staticmethod
@@ -166,58 +167,61 @@ class ExperimentConfig:
                                  f"got {spec!r}")
             try:
                 rest["spec"] = DistributionSpec.from_dict(spec)
-            except DegenerateInput as exc:
+            except (DegenerateInput, OverflowError) as exc:  # an M too large for a float
                 raise ValueError(f"spec: {exc}") from exc
         return default_config(d.get("name"), **rest)
 
 
 def _check_protocol(c: ExperimentConfig) -> None:
-    """The checks of c's own protocol: the schedule shape its runner reads
-    and the domains of the statements it tests (radii in (0, 1), eps > 0)."""
-    name, m, n, N = c.name, c.m, c.n, c.N
-    et_style = name in (ET_CLUSTERING, DISCRETE_EXAMPLE)
-    if (et_style or name == DET_GROWTH) and len(n) != 1:
+    """The checks of c's own protocol: each field it does not read (not in
+    _READS) holds its default, its runner gets the schedule shape it reads,
+    and each field lies in the domain of the statement it enters (radii in
+    (0, 1), eps > 0).  Every default lies in its domain, so each domain is
+    checked alike for every protocol."""
+    name, m, n, N, reads = c.name, c.m, c.n, c.N, _READS[c.name]
+    for f in fields(c):
+        if f.name not in reads and getattr(c, f.name) != f.default:
+            raise ValueError(f"{name} does not read {f.name}; it must keep its default "
+                             f"{f.default!r}, got {getattr(c, f.name)!r}")
+    if name in (ET_CLUSTERING, DISCRETE_EXAMPLE, DET_GROWTH) and len(n) != 1:
         raise ValueError(f"{name} takes a single n, got {list(n)}")
     if name == POLE_CLUSTERING and len(m) != 1:
         raise ValueError(f"{name} takes a single m, got {list(m)}")
-    if name in (ANTICONCENTRATION, POLE_CLUSTERING) and (not n or min(n) < 1):
-        raise ValueError(f"{name} needs an n schedule of n >= 1")
+    # n >= 1 for discrete-example: the fit's abscissa is n*log(n*M)/m
+    for key, values, low in (("m", m, int(name != POLE_CLUSTERING)),
+                             ("n", n, int(name not in (ET_CLUSTERING, DET_GROWTH)))):
+        if key in reads and (not values or min(values) < low):
+            raise ValueError(f"{name} needs a schedule of {key} >= {low}, got {list(values)}")
     if name == DISCRETE_EXAMPLE and (c.spec.kind != DISCRETE or c.spec.M < 2):
         raise ValueError("discrete-example needs a discrete_pm_M distribution with M >= 2")
-    if et_style:
-        # n >= 1 for discrete-example: the fit's abscissa is n*log(n*M)/m
-        min_n = int(name == DISCRETE_EXAMPLE)
-        if not m or min(m) < 1 or n[0] < min_n:
-            raise ValueError(f"{name} needs at least one m, each m >= 1, and n >= {min_n}")
-        if N is not None and N < max(m) + n[0] + 1:
-            raise ValueError("N must be at least max(m) + n + 1")
-    elif name == ANTICONCENTRATION and not all(eps > 0.0 for eps in c.epsilon_grid):
-        raise ValueError(f"{name} needs every eps in epsilon_grid > 0, got {list(c.epsilon_grid)}")
-    elif name == DET_GROWTH:
-        if not m or min(m) < 1:
-            raise ValueError("det-growth needs a schedule of m >= 1")
-        if n[0] < 0:
-            raise ValueError("det-growth needs n >= 0")
-    elif name == ZERO_RADIUS:
-        if N is None or N < 8:
-            raise ValueError("zero-radius needs a truncation degree N >= 8")
-        if not c.s_list or min(c.s_list) < 2:
-            raise ValueError("s_list needs entries, each >= 2 (normalization divides by log s)")
-        if not all(0.0 < r < 1.0 for r in c.r_schedule):
-            raise ValueError(f"{name} needs r_schedule in (0, 1), got {list(c.r_schedule)}")
-    elif name == POLE_CLUSTERING:
-        if m[0] < 0:
-            raise ValueError("pole-clustering needs m >= 0")
-        if N is None or N < m[0] + max(n) + 1:
-            raise ValueError("N must be at least m + max(n) + 1")
-    if name not in (ANTICONCENTRATION, DET_GROWTH):
-        # the fields _check_clustering reads
-        if not c.rhos or not all(0.0 < rho <= 1.0 for rho in c.rhos):
-            raise ValueError(f"{name} needs rhos, each in (0, 1], got {list(c.rhos)}")
-        for key, low in (("grid_size", 4), ("family_size", 8)):
-            if getattr(c, key) < low:
-                raise ValueError(f"{name} needs {key} >= {low}, got {getattr(c, key)}")
+    # the et-style series runs to max(m) + n + 1 when N is not given
+    if "N" in reads and (N is not None or name not in (ET_CLUSTERING, DISCRETE_EXAMPLE)):
+        low = 8 if name == ZERO_RADIUS else max(m) + max(n) + 1
+        if N is None or N < low:
+            raise ValueError(f"N must be a series degree N >= {low} for {name}, got {N}")
+    for key, ok, domain in (
+            ("epsilon_grid", all(eps > 0.0 for eps in c.epsilon_grid), "each > 0"),
+            ("r_schedule", all(0.0 < r < 1.0 for r in c.r_schedule), "each in (0, 1)"),
+            # the normalization of R_s divides by log s
+            ("s_list", c.s_list and min(c.s_list) >= 2, "entries, each >= 2"),
+            ("rhos", c.rhos and all(0.0 < rho <= 1.0 for rho in c.rhos), "entries in (0, 1]"),
+            ("grid_size", c.grid_size >= 4, ">= 4"), ("family_size", c.family_size >= 8, ">= 8")):
+        if not ok:
+            raise ValueError(f"{name} needs {key} {domain}, got {getattr(c, key)!r}")
 
+
+# The fields each protocol reads.  Any other field must keep its default,
+# so the config echo names only what shaped the run.
+_RUN = ("name", "spec", "trials", "seed", "workers")
+_ROOTS = ("rhos", "grid_size", "family_size", "precision")  # root finding, _check_clustering
+_READS: Dict[str, Tuple[str, ...]] = {
+    ET_CLUSTERING: (*_RUN, "m", "n", "N", "delta", *_ROOTS),
+    DISCRETE_EXAMPLE: (*_RUN, "m", "n", "N", "delta", *_ROOTS),
+    ANTICONCENTRATION: (*_RUN, "n", "epsilon_grid"),
+    DET_GROWTH: (*_RUN, "m", "n"),
+    ZERO_RADIUS: (*_RUN, "N", "r_schedule", "s_list", *_ROOTS),
+    POLE_CLUSTERING: (*_RUN, "m", "n", "N", *_ROOTS),
+}
 
 _DEFAULTS: Dict[str, Dict] = {
     ET_CLUSTERING: dict(spec=distribution(GAUSSIAN), m=(50, 100, 200, 400), n=1, trials=200),
@@ -230,8 +234,9 @@ _DEFAULTS: Dict[str, Dict] = {
 
 
 def default_config(name: str, **overrides) -> ExperimentConfig:
-    # spec=None lets an unknown name fail in __post_init__ as a ValueError
-    return ExperimentConfig(name=name, **{"spec": None, **_DEFAULTS.get(name, {}), **overrides})
+    # spec=None lets an unknown (even unhashable) name fail in __post_init__
+    defaults = _DEFAULTS[name] if name in PROTOCOLS else {}
+    return ExperimentConfig(name=name, **{"spec": None, **defaults, **overrides})
 
 
 class RecordBlock:
@@ -291,7 +296,7 @@ def _is_whole(x) -> bool:
     """Whether x is a whole real number (2 or 2.0), not a bool, a fraction,
     a string or None."""
     return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and float(x).is_integer())
+            and (isinstance(x, numbers.Integral) or float(x).is_integer()))
 
 
 def _as_tuple(v, key: str) -> Tuple[int, ...]:
@@ -308,11 +313,12 @@ def _as_tuple(v, key: str) -> Tuple[int, ...]:
 def _reals(values, key: str) -> Tuple[float, ...]:
     """The entries of a float field (a list) as floats; ValueError naming the
     key for a non-list or an entry that is not a finite real number (a
-    string, None or NaN)."""
+    string, None, NaN or an int too large for a float)."""
     if not isinstance(values, (tuple, list)):
         raise ValueError(f"{key} takes a list, got {values!r}")
     for x in values:
-        if not isinstance(x, numbers.Real) or isinstance(x, bool) or not math.isfinite(x):
+        if (not isinstance(x, numbers.Real) or isinstance(x, bool)
+                or not abs(x) <= sys.float_info.max):
             raise ValueError(f"{key} takes finite numbers, got {x!r}")
     return tuple(float(x) for x in values)
 

@@ -920,7 +920,8 @@ def _split_origin(p):
 
 def _root_sets(full, roots, settled, tol, max_iter) -> List[Union[RootSet, NonConvergence]]:
     """RootSets (or NonConvergences carrying them) of the full polynomials,
-    origin zeros included, with their residuals."""
+    origin zeros included, with their residuals.  The residual scales with
+    the coefficients, so it is held to tol * max_j |c_j|."""
     roots = [_sorted_roots(r) for r in roots]
     log_res = [0.0] * len(full)
     by_length: Dict[int, List[int]] = {}
@@ -933,15 +934,17 @@ def _root_sets(full, roots, settled, tol, max_iter) -> List[Union[RootSet, NonCo
             for i, v in zip(chunk, vals):
                 log_res[i] = float(v)
     out: List[Union[RootSet, NonConvergence]] = []
-    for r, lr, done in zip(roots, log_res, settled):
+    for c, r, lr, done in zip(full, roots, log_res, settled):
         residual = float(np.exp(min(lr, 700.0))) if np.isfinite(lr) else 0.0
-        rs = RootSet(roots=r, residual=residual, converged=done and residual <= tol)
+        scaled_tol = tol * float(np.abs(c).max())
+        rs = RootSet(roots=r, residual=residual, converged=done and residual <= scaled_tol)
         if rs.converged:
             out.append(rs)
         else:
-            why = "residual above tol" if done else "iteration did not settle"
+            why = ("settled with the residual above tol * max|c_j|" if done
+                   else f"iteration did not settle after {max_iter} iterations")
             out.append(NonConvergence(
-                f"{why} after {max_iter} iterations (residual {residual:.3e}, tol {tol:.3e})",
+                f"{why} (residual {residual:.3e}, tol * max|c_j| {scaled_tol:.3e})",
                 partial=rs,
             ))
     return out
@@ -963,8 +966,8 @@ def find_roots(
     """All roots of p, with zeros at the origin split off exactly.
 
     Raises NonConvergence (carrying the partial RootSet) if the iteration
-    budget runs out with the residual above tol; the caller may retry with a
-    different ``start_offset`` or with precision="extended".
+    budget runs out or the residual exceeds tol * max_j |c_j|; the caller
+    may retry with a different ``start_offset`` or precision="extended".
     """
     (rs,) = find_roots_batch([p], tol, max_iter, precision, start_offset)
     if isinstance(rs, NonConvergence):

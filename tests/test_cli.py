@@ -267,3 +267,48 @@ def test_svg_lines_basic_and_degenerate():
     assert svg.count('class="series"') == 1
     with pytest.raises(DegenerateInput):
         svgplot.render_lines([("a", [1.0], [float("nan")])])
+
+
+def test_roots_converge_for_large_coefficients(capsys):
+    code, out, err = run_cli(capsys, "roots", "--coeffs", "1e12,3e12,1e12")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["converged"] is True
+
+
+@pytest.mark.parametrize("name, entry, key", [
+    # fields these protocols never read
+    ("zero-radius", {"m": [5], "n": [3], "epsilon_grid": [-1.0], "N": 64}, "m"),
+    ("det-growth", {"N": 3, "r_schedule": [7.0]}, "N"),
+])
+def test_experiment_unread_config_field_is_a_config_error(name, entry, key, capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**entry, "trials": 2}))
+    code, out, err = run_cli(capsys, "experiment", "run", name, "--config", str(cfg),
+                             "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert f"config error: {name} does not read {key};" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name", ["toeplitz-anticoncentration", "det-growth"])
+def test_experiment_precision_is_a_config_error_where_unread(name, capsys, tmp_path):
+    # their LU solves and sampling never read precision
+    code, out, err = run_cli(capsys, "experiment", "run", name, "--precision", "extended",
+                             "--trials", "2", "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert "config error:" in err and "precision" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_experiment_config_name_must_match_the_run(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "det-growth", "m": [8], "n": 2, "trials": 2}))
+    code, out, err = run_cli(capsys, "experiment", "run", "et-clustering", "--config", str(cfg),
+                             "--out", str(tmp_path / "et"))
+    assert code == 1
+    assert "config error:" in err and "name" in err
+    assert not (tmp_path / "et").exists()
+    code, out, err = run_cli(capsys, "experiment", "run", "det-growth", "--config", str(cfg),
+                             "--out", str(tmp_path / "det"))
+    assert code == 0, err
+    assert json.loads((tmp_path / "det" / "manifest.json").read_text())["config"]["m"] == [8]

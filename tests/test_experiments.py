@@ -681,3 +681,114 @@ def test_write_trials_csv_rejects_cells_that_need_quoting(columns, reason, value
     with pytest.raises(ValueError, match="comma, a double quote or a line break"):
         ex.write_trials_csv(path, columns, block)
     assert not path.exists()
+
+
+# The fields each protocol reads, as the README states them; every other
+# field must keep its default and stays out of the config echo.
+_RUN_FIELDS = {"name", "spec", "trials", "seed", "workers"}
+_ROOT_FIELDS = {"rhos", "grid_size", "family_size", "precision"}
+READS = {
+    ex.ET_CLUSTERING: _RUN_FIELDS | {"m", "n", "N", "delta"} | _ROOT_FIELDS,
+    ex.DISCRETE_EXAMPLE: _RUN_FIELDS | {"m", "n", "N", "delta"} | _ROOT_FIELDS,
+    ex.ANTICONCENTRATION: _RUN_FIELDS | {"n", "epsilon_grid"},
+    ex.DET_GROWTH: _RUN_FIELDS | {"m", "n"},
+    ex.ZERO_RADIUS: _RUN_FIELDS | {"N", "r_schedule", "s_list"} | _ROOT_FIELDS,
+    ex.POLE_CLUSTERING: _RUN_FIELDS | {"m", "n", "N"} | _ROOT_FIELDS,
+}
+
+# A value off each field's default that lies in the field's domain.
+OFF_DEFAULT = dict(m=(3,), n=(2,), N=600, delta=0.25, epsilon_grid=(0.2,), r_schedule=(0.5,),
+                   s_list=(4,), rhos=(0.3,), grid_size=64, family_size=32,
+                   precision="extended")
+
+
+def test_settable_values_number_58():
+    # name picks the protocol, so it is not a settable value
+    assert sum(len(reads - {"name"}) for reads in READS.values()) == 58
+    assert sum(len(fields) - 1 for fields in ex._READS.values()) == 58
+
+
+@pytest.mark.parametrize("name", ex.PROTOCOLS)
+def test_protocol_rejects_every_field_it_does_not_read(name):
+    fields = {f.name: f.default for f in dataclasses.fields(ex.ExperimentConfig)}
+    assert set(OFF_DEFAULT) == set(fields) - _RUN_FIELDS
+    for key, value in OFF_DEFAULT.items():
+        if key in READS[name]:
+            # a field the protocol reads may fail its domain, never as unread
+            try:
+                ex.default_config(name, **{key: value})
+            except ValueError as exc:
+                assert "does not read" not in str(exc), (name, key)
+            continue
+        with pytest.raises(ValueError, match=rf"does not read {key}\b"):
+            ex.default_config(name, **{key: value})
+        with pytest.raises(ValueError, match=rf"does not read {key}\b"):
+            ex.ExperimentConfig.from_dict({"name": name, key: OFF_DEFAULT[key]})
+        assert getattr(ex.default_config(name, **{key: fields[key]}), key) == fields[key]
+
+
+@pytest.mark.parametrize("name", ex.PROTOCOLS)
+def test_config_echo_holds_the_read_fields_and_reads_back(name):
+    overrides = {ex.ZERO_RADIUS: dict(N=64, r_schedule=(0.9,), s_list=(4, 8)),
+                 ex.POLE_CLUSTERING: dict(N=64, n=(4, 8))}.get(name, {})
+    for cfg in (ex.default_config(name), ex.default_config(name, trials=2, seed=3, **overrides)):
+        echo = cfg.to_dict()
+        assert set(echo) == READS[name] | {"schema_version"}
+        assert ex.ExperimentConfig.from_dict(json.loads(json.dumps(echo))) == cfg
+
+
+def test_an_echo_of_every_field_reads_back_when_the_unread_ones_hold_defaults():
+    # a config echo written before the echo held only the read fields
+    for name in ex.PROTOCOLS:
+        cfg = ex.default_config(name)
+        full = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+        full = {k: v.to_dict() if k == "spec" else list(v) if isinstance(v, tuple) else v
+                for k, v in full.items() if v is not None}
+        assert ex.ExperimentConfig.from_dict({"schema_version": 1, **full}) == cfg
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([10**400, -10**400]),  # whole numbers too large for a float
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+# values near each key's domain, so that some configs build
+_NEAR = dict(
+    name=st.sampled_from(ex.PROTOCOLS), trials=st.integers(0, 3), seed=st.integers(-1, 3),
+    workers=st.integers(0, 3), m=st.lists(st.integers(-1, 40), max_size=3) | st.integers(-1, 40),
+    n=st.lists(st.integers(-1, 20), max_size=3) | st.integers(-1, 20),
+    N=st.none() | st.integers(0, 4096), delta=st.floats(0, 1),
+    epsilon_grid=st.lists(st.floats(-1, 1), max_size=3),
+    r_schedule=st.lists(st.floats(-1, 2), max_size=3), s_list=st.lists(st.integers(0, 64),
+                                                                       max_size=3),
+    rhos=st.lists(st.floats(-1, 2), max_size=3), grid_size=st.integers(0, 300),
+    family_size=st.integers(0, 40), precision=st.sampled_from(["double", "extended", "quad"]),
+    spec=st.fixed_dictionaries({"kind": st.sampled_from(["gaussian", "discrete_pm_M", "x"])},
+                               optional={"M": st.integers(-1, 5) | st.floats(-1, 5)}),
+    schema_version=st.sampled_from([1, 2]))
+
+
+@settings(max_examples=300)
+@given(st.fixed_dictionaries({"name": _NEAR["name"] | _JSON},
+                             optional={k: v | _JSON for k, v in _NEAR.items() if k != "name"}))
+def test_from_dict_returns_a_config_or_raises_value_error(d):
+    try:
+        cfg = ex.ExperimentConfig.from_dict(d)
+    except ValueError:
+        return
+    assert ex.ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize("key, value", [
+    ("delta", 10**400), ("rhos", [0.1, -10**400]), ("m", [8, 10**400]),
+    ("spec", {"kind": "discrete_pm_M", "M": 10**400}),
+])
+def test_numbers_past_the_float_range_are_no_overflow_error(key, value):
+    # a JSON integer has no size limit; one past the float range is a config
+    # error naming its key, or (as a whole m) a plain int
+    try:
+        ex.ExperimentConfig.from_dict({"name": ex.DISCRETE_EXAMPLE, key: value})
+    except ValueError as exc:
+        assert key in str(exc)

@@ -469,3 +469,21 @@ def test_jensen_identity_complex_coefficients():
         assert abs(lhs - rhs) < 1e-6
         checked += 1
     assert checked >= 2
+
+
+@pytest.mark.parametrize("k", [-60, 0, 40, 80])
+def test_find_roots_converges_at_any_coefficient_scale(k):
+    # the residual max|p(z)|/(1+|z|)^d scales with the coefficients, so the
+    # tolerance is held relative to max_j |c_j|
+    base = find_roots(np.array([1.0, 3.0, 1.0]))
+    rs = find_roots(np.array([1.0, 3.0, 1.0]) * 2.0**k)
+    assert rs.converged
+    assert np.abs(rs.roots - base.roots).max() <= 1e-15 * np.abs(base.roots).max()
+
+
+def test_settled_row_above_tol_names_the_scaled_tolerance():
+    # a row that settled is not reported as having used up its iterations
+    with pytest.raises(NonConvergence) as exc:
+        find_roots(Polynomial([1.0, 2.0, 3.0, 4.0]), tol=0.0)
+    assert "tol * max|c_j|" in str(exc.value)
+    assert "iterations" not in str(exc.value) and "did not settle" not in str(exc.value)
