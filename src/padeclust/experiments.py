@@ -1,27 +1,25 @@
 """Named Monte Carlo protocols over the samplers, the approximant solver and
 the clustering metrics.
 
-Each protocol maps a batch of keyed trials (pure functions of
-(seed, trial_index)) to a record block and a summary dict.  Aggregation uses
-exact counts, medians of sorted values and order-preserving maps, so results
-are bit-identical for any worker count.  Probabilistic statements are checked
-as event shapes and monotone trends: the theoretical constants behind them
-are far too large to verify directly at desk scale, and summaries say so.
-The deterministic clustering inequalities, by contrast, must hold on every
-non-degenerate trial; a single violation aborts the run.
+Every protocol is one row of _TABLE: a stage function from a range of the
+run's sample keys to a RecordBlock, and a summary of the whole block.  Key t
+draws the stream (seed, t) and is trial t, except in
+toeplitz-anticoncentration, whose key i*trials + t is trial t at the i-th n.
+The config was checked when it was built, so run only runs, alike for every
+row: _by_range splits the keys into one contiguous range per worker, and
+_blocks samples each range in blocks of at most _BLOCK_ELEMS coefficients.
+The stage function takes a block one stage at a time (one find_roots_batch
+or log_abs_dets call per stage) and fills its RecordBlock in key order.  The
+batched kernels give every root and determinant bitwise as the one-at-a-time
+calls would, and the summaries use exact counts, medians of sorted values
+and order-preserving maps, so neither the worker count, the block size nor
+the batch composition reaches trials.csv or summary.json.
 
-Every protocol has one runner shape.  The config was checked when it was
-built, so run_* only runs: _by_range splits the trials into one contiguous
-range per worker, and _blocks samples each range in blocks of at most
-_BLOCK_ELEMS coefficients, one sample_block call per block.  The protocol's
-stage function takes a whole block one stage at a time (one find_roots_batch
-or log_abs_dets call per stage) and fills the columns of one RecordBlock in
-trial order; _by_range concatenates the record blocks of the ranges.  The
-batched kernels give every polynomial's roots and every window's determinant
-bitwise as the one-at-a-time calls would, so neither the range split, the
-block size nor the batch composition reaches trials.csv.  The summaries read
-masked columns of the record block, and write_trials_csv formats each column
-once.
+Probabilistic statements are checked as event shapes and monotone trends:
+the theoretical constants behind them are far too large to verify directly
+at desk scale, and summaries say so.  The deterministic clustering
+inequalities, by contrast, must hold on every non-degenerate trial; a single
+violation aborts the run.
 
 Per-trial wall times are deliberately not written to trials.csv (they would
 break byte-level reproducibility); the summary carries the aggregate.
@@ -29,6 +27,7 @@ break byte-level reproducibility); the summary carries the aggregate.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -161,20 +160,18 @@ class ExperimentConfig:
         rest = {k: v for k, v in d.items() if k not in ("schema_version", "name")}
         if "spec" in rest:
             spec = rest["spec"]
-            if (not isinstance(spec, dict) or not isinstance(spec.get("kind"), str)
-                    or not (spec.get("M") is None or _is_whole(spec["M"]))):
-                raise ValueError(f"spec takes an object with a kind and an optional whole M, "
-                                 f"got {spec!r}")
+            if not isinstance(spec, dict):
+                raise ValueError(f"spec takes an object with a kind and an M, got {spec!r}")
             try:
                 rest["spec"] = DistributionSpec.from_dict(spec)
-            except (DegenerateInput, OverflowError) as exc:  # an M too large for a float
+            except DegenerateInput as exc:
                 raise ValueError(f"spec: {exc}") from exc
         return default_config(d.get("name"), **rest)
 
 
 def _check_protocol(c: ExperimentConfig) -> None:
     """The checks of c's own protocol: each field it does not read (not in
-    _READS) holds its default, its runner gets the schedule shape it reads,
+    _READS) holds its default, its stage function gets the schedule shape it reads,
     and each field lies in the domain of the statement it enters (radii in
     (0, 1), eps > 0).  Every default lies in its domain, so each domain is
     checked alike for every protocol."""
@@ -323,14 +320,14 @@ def _reals(values, key: str) -> Tuple[float, ...]:
     return tuple(float(x) for x in values)
 
 
-def _by_range(config: ExperimentConfig, fn: Callable[[range], RecordBlock]) -> RecordBlock:
-    """fn over the trials split into one contiguous range per worker, its
-    record blocks concatenated in trial order.  The worker count is capped
-    at the trial count and at os.cpu_count()."""
-    parts = min(config.workers, config.trials, os.cpu_count() or 1)
+def _by_range(config: ExperimentConfig, keys: int, fn: Callable) -> RecordBlock:
+    """fn (range -> RecordBlock) over the sample keys 0..keys-1 split into one contiguous range per
+    worker, its record blocks concatenated in key order.  The worker count
+    is capped at the key count and at os.cpu_count()."""
+    parts = min(config.workers, keys, os.cpu_count() or 1)
     if parts == 1:
-        return fn(range(config.trials))
-    bounds = [config.trials * k // parts for k in range(parts + 1)]
+        return fn(range(keys))
+    bounds = [keys * k // parts for k in range(parts + 1)]
     ranges = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     with ThreadPoolExecutor(max_workers=parts) as pool:
         first, *rest = pool.map(fn, ranges)
@@ -344,17 +341,15 @@ def _by_range(config: ExperimentConfig, fn: Callable[[range], RecordBlock]) -> R
 _BLOCK_ELEMS = 1 << 15
 
 
-def _blocks(config: ExperimentConfig, trials: range, length: int, k: int = 1,
-            key_offset: int = 0):
-    """The trial range in blocks, each sampled into a WindowStack of k x k
-    windows: yields (block, stack), trial t of the block drawn with key
-    key_offset + t and length coefficients (for k = 1, stack.coeffs is the
-    plain (len(block), length) array)."""
+def _blocks(config: ExperimentConfig, keys: range, length: int, k: int = 1):
+    """The key range in blocks, each sampled into a WindowStack of k x k
+    windows of rows of length coefficients: yields (block, stack); for k = 1,
+    stack.coeffs is the plain (len(block), length) array."""
     step = max(1, _BLOCK_ELEMS // length)
-    for lo in range(0, len(trials), step):
-        block = trials[lo:lo + step]
+    for lo in range(0, len(keys), step):
+        block = keys[lo:lo + step]
         stack = WindowStack(len(block), length, k)
-        sample_block(config.spec, length - 1, config.seed, key_offset + np.asarray(block),
+        sample_block(config.spec, length - 1, config.seed, np.asarray(block),
                      out=stack.coeffs)
         yield block, stack
 
@@ -385,12 +380,6 @@ def _median(values: Sequence[float]) -> float:
 def _fraction(mask: np.ndarray) -> float:
     """The share of true entries, NaN for an empty mask."""
     return int(np.count_nonzero(mask)) / len(mask) if len(mask) else math.nan
-
-
-def _counts(block: RecordBlock) -> Dict:
-    """The summary entries every protocol shares."""
-    return {"degenerate": sum(block.degenerate), "excluded": sum(block.excluded),
-            "note": _METHOD_NOTE}
 
 
 def _check_clustering(et: EtRatio, mu: EmpiricalMeasure, config: ExperimentConfig,
@@ -446,18 +435,18 @@ def _cells(column: List) -> List[str]:
     return [_CELL_FORMAT[type(v)](v) for v in column]
 
 
-def write_trials_csv(path: Path, columns: Sequence[str], block: RecordBlock) -> None:
-    """Write the block as comma-separated rows with a header, formatting one
+def write_trials_csv(path: Path, block: RecordBlock) -> None:
+    """Write the block's columns as comma-separated rows with a header, one
     column of a slice of rows at a time.  No cell is quoted: a header, reason
     or value that would need quoting (a comma, a double quote or a line
     break) raises ValueError before anything is written."""
-    header = list(BASE_COLUMNS) + list(columns)
+    header = list(BASE_COLUMNS) + list(block.values)
     texts = [",".join(header) + "\n"]
     for lo in range(0, len(block), _WRITE_ROWS):
         rows = slice(lo, lo + _WRITE_ROWS)
         cells = [_cells(block.trial[rows]), _cells(block.degenerate[rows]),
                  _cells(block.excluded[rows]), block.reason[rows]]
-        cells += [_cells(block.values[c][rows]) for c in columns]
+        cells += [_cells(column[rows]) for column in block.values.values()]
         texts.append("\n".join(map(",".join, zip(*cells))) + "\n")
     if (sum(t.count(",") for t in texts) != (len(header) - 1) * (len(block) + 1)
             or sum(t.count("\n") for t in texts) != len(block) + 1
@@ -550,21 +539,15 @@ def _summarize_et(config: ExperimentConfig, block: RecordBlock) -> Dict:
         "per_m": per_m,
         "delta": config.delta,
         "medians_strictly_decreasing": bool(all(a > b for a, b in zip(medians[:-1], medians[1:]))),
-        **_counts(block),
     }
-
-
-def run_et_clustering(config: ExperimentConfig):
-    block = _by_range(config, lambda trials: _et_style_records(config, trials))
-    return ET_COLUMNS, block, _summarize_et(config, block)
 
 
 # ---------------------------------------------------------------------------
 # protocol: discrete coefficients (atoms can make the window singular)
 
 
-def run_discrete_example(config: ExperimentConfig):
-    _, block, summary = run_et_clustering(config)
+def _summarize_discrete(config: ExperimentConfig, block: RecordBlock) -> Dict:
+    summary = _summarize_et(config, block)
     n, M = config.n[0], config.spec.M
     xs, ys = [], []
     for m in config.m:
@@ -576,8 +559,8 @@ def run_discrete_example(config: ExperimentConfig):
         slope, intercept = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
         summary["affine_model"] = {"x": "n*log(n*M)/m", "intercept": float(intercept),
                                    "slope": float(slope)}
-    summary["degenerate_fraction"] = summary["degenerate"] / len(block) if len(block) else math.nan
-    return ET_COLUMNS, block, summary
+    summary["degenerate_fraction"] = sum(block.degenerate) / len(block) if len(block) else math.nan
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -587,29 +570,29 @@ def run_discrete_example(config: ExperimentConfig):
 ANTICONC_COLUMNS = ("n", "det_abs_root", "singular")
 
 
-def _anticonc_records(config: ExperimentConfig, n: int, offset: int,
-                      trials: range) -> RecordBlock:
-    """The n x n windows a_{n-1+i-j} of a trial range (sample keys offset +
-    trial), one stacked factorization per block."""
-    roots: List[float] = []
-    singular: List[bool] = []
-    for _, stack in _blocks(config, trials, 2 * n - 1, n, offset):
-        log_abs, singular_b = log_abs_dets(stack.windows(n - 1))
-        singular_b = singular_b.tolist()
-        roots += [0.0 if s else math.exp(v / n) for v, s in zip(log_abs.tolist(), singular_b)]
-        singular += singular_b
-    return RecordBlock(ANTICONC_COLUMNS, trials,
-                       {"n": [n] * len(trials), "det_abs_root": roots, "singular": singular})
+def _anticonc_records(config: ExperimentConfig, keys: range) -> RecordBlock:
+    """The n x n windows a_{n-1+i-j} of a range of sample keys, key
+    i*trials + t being trial t at the i-th n: one stacked factorization per
+    block of each n the range overlaps.  Units come in (n, trial) order."""
+    trial, ns, roots, singular = [], [], [], []
+    for i, n in enumerate(config.n):
+        lo = i * config.trials
+        part = range(max(keys.start, lo), min(keys.stop, lo + config.trials))
+        for _, stack in _blocks(config, part, 2 * n - 1, n):
+            log_abs, singular_b = (x.tolist() for x in log_abs_dets(stack.windows(n - 1)))
+            roots += [0.0 if s else math.exp(v / n) for v, s in zip(log_abs, singular_b)]
+            singular += singular_b
+        trial += range(part.start - lo, part.stop - lo)
+        ns += [n] * len(part)
+    return RecordBlock(ANTICONC_COLUMNS, trial,
+                       {"n": ns, "det_abs_root": roots, "singular": singular})
 
 
-def run_toeplitz_anticoncentration(config: ExperimentConfig):
-    block = RecordBlock(ANTICONC_COLUMNS)
+def _summarize_anticonc(config: ExperimentConfig, block: RecordBlock) -> Dict:
+    """Per n, the cdf of |det|^(1/n) read from the n-th slice of the block."""
     per_n: Dict[str, Dict] = {}
-    for idx, n in enumerate(config.n):
-        offset = idx * config.trials
-        part = _by_range(config, lambda trials: _anticonc_records(config, n, offset, trials))
-        block.extend(part)
-        roots_ = np.sort(np.array(part.values["det_abs_root"]))
+    for i, n in enumerate(config.n):
+        roots_ = np.sort(block.values["det_abs_root"][i * config.trials:(i + 1) * config.trials])
         cdf, bound, within = {}, {}, {}
         for eps in config.epsilon_grid:
             p_hat = float(np.searchsorted(roots_, eps, side="left")) / config.trials
@@ -620,7 +603,7 @@ def run_toeplitz_anticoncentration(config: ExperimentConfig):
                 bound[repr(eps)] = cap
                 within[repr(eps)] = bool(p_hat <= cap + 3 * se)
         per_n[str(n)] = {"cdf": cdf, "bound_nK_eps": bound, "within_3se": within}
-    summary: Dict = {"per_n": per_n, **_counts(block)}
+    summary: Dict = {"per_n": per_n}
     if config.spec.kind == LOGCONCAVE and len(config.n) >= 2:
         xs, ys = [], []
         for n in config.n:
@@ -633,7 +616,7 @@ def run_toeplitz_anticoncentration(config: ExperimentConfig):
             c, logC = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
             summary["fitted_power_law"] = {"form": "P(|det A|^(1/n) < eps) ~ C * n^c * eps",
                                            "C": float(math.exp(logC)), "c": float(c)}
-    return ANTICONC_COLUMNS, block, summary
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +647,7 @@ def _det_growth_records(config: ExperimentConfig, trials: range) -> RecordBlock:
     return out
 
 
-def run_det_growth(config: ExperimentConfig):
-    block = _by_range(config, lambda trials: _det_growth_records(config, trials))
+def _summarize_det_growth(config: ExperimentConfig, block: RecordBlock) -> Dict:
     degenerate, _ = block.flags()
     m_column, deviation = np.array(block.values["m"]), block.floats("deviation")
     devs = {m: deviation[(m_column == m) & ~degenerate] for m in config.m}
@@ -673,23 +655,15 @@ def run_det_growth(config: ExperimentConfig):
              for m in config.m}
     medians = [per_m[str(m)]["median_deviation"] for m in config.m]
     largest = devs[max(config.m)]
-    return DET_GROWTH_COLUMNS, block, {
+    return {
         "per_m": per_m,
         "medians_decreasing": bool(all(a > b for a, b in zip(medians[:-1], medians[1:]))),
         "max_deviation_at_largest_m": float(largest.max()) if len(largest) else math.nan,
-        **_counts(block),
     }
 
 
 # ---------------------------------------------------------------------------
 # protocol: zeros of the truncated random series near the unit circle
-
-
-def _zero_radius_columns(config: ExperimentConfig) -> Tuple[str, ...]:
-    radii = [repr(r) for r in config.r_schedule]
-    return ("n_roots", "roots_in_unit_disc", "min_modulus", "et_log", "sector_discrepancy",
-            "bl_upper", "bl_lower", "max_radial_defect", *(f"ratio_r{r}" for r in radii),
-            *(f"profile_dev_r{r}" for r in radii), *(f"rs_norm_s{s}" for s in config.s_list))
 
 
 def _log_variance_profile(r: float, N: int) -> float:
@@ -701,7 +675,11 @@ def _zero_radius_records(config: ExperimentConfig, trials: range) -> RecordBlock
     """One unit per trial of a contiguous range, one block at a time: the
     roots of every series of the block by one _roots_with_retry, then the
     checks and columns in trial order."""
-    out = RecordBlock(_zero_radius_columns(config))
+    radii = [repr(r) for r in config.r_schedule]
+    out = RecordBlock((
+        "n_roots", "roots_in_unit_disc", "min_modulus", "et_log", "sector_discrepancy",
+        "bl_upper", "bl_lower", "max_radial_defect", *(f"ratio_r{r}" for r in radii),
+        *(f"profile_dev_r{r}" for r in radii), *(f"rs_norm_s{s}" for s in config.s_list)))
     for batch, stack in _blocks(config, trials, config.N + 1):
         polys = [Polynomial(c) for c in stack.coeffs]
         for trial, poly, roots in zip(batch, polys, _roots_with_retry(polys, config.precision)):
@@ -732,8 +710,7 @@ def _zero_radius_records(config: ExperimentConfig, trials: range) -> RecordBlock
     return out
 
 
-def run_zero_radius(config: ExperimentConfig):
-    block = _by_range(config, lambda trials: _zero_radius_records(config, trials))
+def _summarize_zero_radius(config: ExperimentConfig, block: RecordBlock) -> Dict:
     good = ~block.flags()[1]
     per_r: Dict[str, Dict] = {}
     for r in config.r_schedule:
@@ -751,13 +728,12 @@ def run_zero_radius(config: ExperimentConfig):
         per_s[str(s)] = {"median_norm": _median(vals),
                          "fraction_in_window": _fraction((0.05 <= vals) & (vals <= 20.0))}
     frac_root_in_disc = _fraction(block.floats("roots_in_unit_disc")[good] >= 1)
-    return _zero_radius_columns(config), block, {
+    return {
         "per_r": per_r,
         "per_s": per_s,
         "ratio_bracket": [0.35, 0.65],
         "rs_window": [0.05, 20.0],
         "fraction_seeds_with_root_in_disc": frac_root_in_disc,
-        **_counts(block),
     }
 
 
@@ -819,9 +795,8 @@ def _pole_records(config: ExperimentConfig, trials: range) -> RecordBlock:
     return out
 
 
-def run_pole_clustering(config: ExperimentConfig):
+def _summarize_pole(config: ExperimentConfig, block: RecordBlock) -> Dict:
     n_values, m = config.n, config.m[0]
-    block = _by_range(config, lambda trials: _pole_records(config, trials))
     degenerate, excluded = block.flags()
     good = ~(degenerate | excluded)
     n_column = np.array(block.values["n"])
@@ -835,28 +810,41 @@ def run_pole_clustering(config: ExperimentConfig):
             "cells": int(np.count_nonzero(sub & good)),
             "degenerate_cells": int(np.count_nonzero(sub & degenerate)),
         }
-    summary: Dict = {"per_n": per_n, "m": m, **_counts(block)}
+    summary: Dict = {"per_n": per_n, "m": m}
     if m >= 1:
         meds = [per_n[str(n)]["median_abs_dev"] for n in n_values]
         summary["deviation_medians_non_increasing"] = bool(
             all(a >= b - 1e-12 for a, b in zip(meds[:-1], meds[1:])))
     else:
         summary["control_arm"] = "m=0: zeros reported without clustering verdict"
-    return POLE_COLUMNS, block, summary
+    return summary
 
 
 # ---------------------------------------------------------------------------
 # dispatch and persistence
 
 
-RUNNERS: Dict[str, Callable] = {
-    ET_CLUSTERING: run_et_clustering,
-    DISCRETE_EXAMPLE: run_discrete_example,
-    ANTICONCENTRATION: run_toeplitz_anticoncentration,
-    DET_GROWTH: run_det_growth,
-    ZERO_RADIUS: run_zero_radius,
-    POLE_CLUSTERING: run_pole_clustering,
+# Each protocol's stage function, over a range of sample keys, and summary.
+_TABLE: Dict[str, Tuple[Callable, Callable]] = {
+    ET_CLUSTERING: (_et_style_records, _summarize_et),
+    DISCRETE_EXAMPLE: (_et_style_records, _summarize_discrete),
+    ANTICONCENTRATION: (_anticonc_records, _summarize_anticonc),
+    DET_GROWTH: (_det_growth_records, _summarize_det_growth),
+    ZERO_RADIUS: (_zero_radius_records, _summarize_zero_radius),
+    POLE_CLUSTERING: (_pole_records, _summarize_pole),
 }
+
+
+def run(config: ExperimentConfig) -> Tuple[RecordBlock, Dict]:
+    """One protocol run: its stage function over the run's sample keys, then
+    its summary with the entries every protocol shares."""
+    records, summarize = _TABLE[config.name]
+    keys = config.trials * (len(config.n) if config.name == ANTICONCENTRATION else 1)
+    block = _by_range(config, keys, functools.partial(records, config))
+    summary = summarize(config, block)
+    summary.update(degenerate=sum(block.degenerate), excluded=sum(block.excluded),
+                   note=_METHOD_NOTE)
+    return block, summary
 
 
 def execute(config: ExperimentConfig, out_dir: Optional[Union[str, Path]] = None) -> Dict:
@@ -864,7 +852,7 @@ def execute(config: ExperimentConfig, out_dir: Optional[Union[str, Path]] = None
     manifest.json under out_dir.  Returns the summary dict."""
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
-    columns, block, summary = RUNNERS[config.name](config)
+    block, summary = run(config)
     wall = time.perf_counter() - t0
     summary.update(protocol=config.name, trials=config.trials, records=len(block),
                    wall_time_s=round(wall, 3), workers=config.workers, seed=config.seed)
@@ -872,7 +860,7 @@ def execute(config: ExperimentConfig, out_dir: Optional[Union[str, Path]] = None
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / "trials.csv"
-        write_trials_csv(csv_path, columns, block)
+        write_trials_csv(csv_path, block)
         summary_path = out / "summary.json"
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         manifest = {

@@ -21,6 +21,8 @@ straight into its slot of the output block.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -60,11 +62,17 @@ class DistributionSpec:
 
     @staticmethod
     def from_dict(d: Dict) -> "DistributionSpec":
-        return distribution(d["kind"], M=d.get("M"))
+        return distribution(d.get("kind"), M=d.get("M"))
 
 
 def distribution(kind: str, M: Optional[int] = None) -> DistributionSpec:
-    """Build the spec for one of the five supported kinds."""
+    """Build the spec for one of the five supported kinds.  M, where given,
+    must be a whole number in the float range; only the discrete kind reads it."""
+    if M is not None:
+        if (isinstance(M, bool) or not isinstance(M, numbers.Real)
+                or not abs(M) <= sys.float_info.max or not float(M).is_integer()):
+            raise DegenerateInput(f"the atom parameter M takes a whole number, got {M!r}")
+        M = int(M)
     if kind == GAUSSIAN:
         return DistributionSpec(kind, None, True, 2.0 / math.sqrt(2.0 * math.pi),
                                 math.sqrt(2.0 / math.pi))

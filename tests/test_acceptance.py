@@ -181,7 +181,7 @@ def test_criterion_05_toeplitz_anticoncentration(capsys):
     cfg = ex.default_config(ex.ANTICONCENTRATION, n=(2, 5, 10, 20),
                             trials=10_000, epsilon_grid=(0.01, 0.05, 0.1))
     t0 = time.perf_counter()
-    _, _, summ = ex.run_toeplitz_anticoncentration(cfg)
+    _, summ = ex.run(cfg)
     elapsed = time.perf_counter() - t0
     worst_margin = -math.inf
     failures = []
@@ -207,7 +207,7 @@ def test_criterion_06_et_ratio_decay(capsys):
     counts = {"degenerate": 0, "excluded": 0}
     for n in (1, 2):
         cfg = ex.default_config(ex.ET_CLUSTERING, m=(50, 100, 200, 400), n=n, trials=200)
-        _, _, summ = ex.run_et_clustering(cfg)
+        _, summ = ex.run(cfg)
         medians[n] = [summ["per_m"][str(m)]["median_et_log_over_m"]
                       for m in (50, 100, 200, 400)]
         counts["degenerate"] += summ["degenerate"]
@@ -231,7 +231,7 @@ def test_criterion_07_discrete_example(capsys):
     cfg = ex.default_config(ex.DISCRETE_EXAMPLE, spec=distribution(DISCRETE, M=100),
                             m=(200, 400, 800), n=10, trials=100)
     t0 = time.perf_counter()
-    _, _, summ = ex.run_discrete_example(cfg)
+    _, summ = ex.run(cfg)
     elapsed = time.perf_counter() - t0
     meds = [summ["per_m"][str(m)]["median_et_log_over_m"] for m in (200, 400, 800)]
     decreasing = all(a > b for a, b in zip(meds[:-1], meds[1:]))
@@ -247,7 +247,7 @@ def test_criterion_07_discrete_example(capsys):
 def test_criterion_08_zero_radius_laws(capsys):
     t0 = time.perf_counter()
     cfg = ex.default_config(ex.ZERO_RADIUS, trials=50, precision="extended")
-    _, block, summ = ex.run_zero_radius(cfg)
+    block, summ = ex.run(cfg)
     good = [i for i, excluded in enumerate(block.excluded) if not excluded]
     frac_a = summ["per_r"]["0.99"]["fraction_in_bracket"]
     in_window = [
@@ -257,7 +257,7 @@ def test_criterion_08_zero_radius_laws(capsys):
     frac_b = sum(in_window) / len(in_window)
     cfg_c = ex.default_config(ex.ZERO_RADIUS, N=512, trials=50,
                               r_schedule=(0.9,), s_list=(4, 8), precision="extended")
-    _, _, summ_c = ex.run_zero_radius(cfg_c)
+    _, summ_c = ex.run(cfg_c)
     frac_c = summ_c["fraction_seeds_with_root_in_disc"]
     elapsed = time.perf_counter() - t0
     ok_a = frac_a >= 0.80
@@ -286,7 +286,7 @@ def test_criterion_08_zero_radius_laws(capsys):
 def test_criterion_09_pole_clustering(capsys):
     cfg = ex.default_config(ex.POLE_CLUSTERING, m=1, n=(8, 16, 32), N=1024, trials=30)
     t0 = time.perf_counter()
-    _, _, summ = ex.run_pole_clustering(cfg)
+    _, summ = ex.run(cfg)
     elapsed = time.perf_counter() - t0
     meds = [summ["per_n"][str(n)]["median_abs_dev"] for n in (8, 16, 32)]
     non_increasing = all(a >= b - 1e-12 for a, b in zip(meds[:-1], meds[1:]))

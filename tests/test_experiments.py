@@ -85,8 +85,8 @@ def test_whole_float_s_list_entries_are_stored_as_ints():
     # s = 8.0 would name the column rs_norm_s8.0 and index the moduli with a float
     cfg = ex.default_config(ex.ZERO_RADIUS, s_list=(8.0, 4), N=32, r_schedule=(0.9,), trials=2)
     assert cfg.s_list == (8, 4) and all(type(s) is int for s in cfg.s_list)
-    columns, _, _ = ex.run_zero_radius(cfg)
-    assert columns[-2:] == ("rs_norm_s8", "rs_norm_s4")
+    block, _ = ex.run(cfg)
+    assert tuple(block.values)[-2:] == ("rs_norm_s8", "rs_norm_s4")
 
 
 @pytest.mark.parametrize("name, overrides, field", [
@@ -128,8 +128,8 @@ def test_protocol_rejects_bad_schedule_before_sampling(name, overrides, field):
 
 def test_et_clustering_structure_and_decay():
     cfg = ex.default_config(ex.ET_CLUSTERING, m=(10, 40), n=1, trials=30)
-    cols, recs, summ = ex.run_et_clustering(cfg)
-    assert cols == ex.ET_COLUMNS
+    recs, summ = ex.run(cfg)
+    assert tuple(recs.values) == ex.ET_COLUMNS
     assert len(recs) == 30 * 2
     assert set(recs.values["m"]) == {10, 40}
     med10 = summ["per_m"]["10"]["median_et_log_over_m"]
@@ -152,7 +152,7 @@ def test_et_clustering_rejects_short_series():
 def test_discrete_example_runs_and_fits():
     cfg = ex.default_config(ex.DISCRETE_EXAMPLE, spec=distribution(DISCRETE, M=3),
                             m=(12, 24, 48), n=3, trials=25)
-    cols, recs, summ = ex.run_discrete_example(cfg)
+    recs, summ = ex.run(cfg)
     assert len(recs) == 25 * 3
     assert "affine_model" in summ
     assert summ["affine_model"]["x"] == "n*log(n*M)/m"
@@ -168,7 +168,7 @@ def test_anticoncentration_matches_scalar_law():
     # n = 1 makes the window a single draw: P(|a_0| < eps) = erf(eps / sqrt(2))
     cfg = ex.default_config(ex.ANTICONCENTRATION, n=(1,), trials=4000,
                             epsilon_grid=(0.1, 0.5))
-    cols, recs, summ = ex.run_toeplitz_anticoncentration(cfg)
+    recs, summ = ex.run(cfg)
     assert len(recs) == 4000
     for eps in (0.1, 0.5):
         p_hat = summ["per_n"]["1"]["cdf"][repr(eps)]
@@ -179,7 +179,7 @@ def test_anticoncentration_matches_scalar_law():
 
 def test_anticoncentration_bound_holds_small_n():
     cfg = ex.default_config(ex.ANTICONCENTRATION, n=(2, 4), trials=2000)
-    _, recs, summ = ex.run_toeplitz_anticoncentration(cfg)
+    recs, summ = ex.run(cfg)
     assert len(recs) == 2 * 2000
     for n in ("2", "4"):
         for flag in summ["per_n"][n]["within_3se"].values():
@@ -188,8 +188,8 @@ def test_anticoncentration_bound_holds_small_n():
 
 def test_det_growth_deviation_shrinks():
     cfg = ex.default_config(ex.DET_GROWTH, m=(8, 32, 128), n=2, trials=12)
-    cols, recs, summ = ex.run_det_growth(cfg)
-    assert cols == ex.DET_GROWTH_COLUMNS
+    recs, summ = ex.run(cfg)
+    assert tuple(recs.values) == ex.DET_GROWTH_COLUMNS
     meds = [summ["per_m"][k]["median_deviation"] for k in ("8", "32", "128")]
     assert meds[0] > meds[1] > meds[2]
     assert summ["max_deviation_at_largest_m"] < 0.5
@@ -198,8 +198,8 @@ def test_det_growth_deviation_shrinks():
 def test_zero_radius_columns_and_stats():
     cfg = ex.default_config(ex.ZERO_RADIUS, N=96, trials=5,
                             r_schedule=(0.9,), s_list=(4, 8))
-    cols, recs, summ = ex.run_zero_radius(cfg)
-    assert "ratio_r0.9" in cols and "rs_norm_s8" in cols
+    recs, summ = ex.run(cfg)
+    assert "ratio_r0.9" in recs.values and "rs_norm_s8" in recs.values
     good = [i for i, excluded in enumerate(recs.excluded) if not excluded]
     assert good
     for i in good:
@@ -226,7 +226,7 @@ def test_zero_radius_input_validation():
 ])
 def test_end_coefficient_exclusion_keeps_partial_columns(name, overrides, partial):
     cfg = ex.default_config(name, trials=12, seed=6, **overrides)
-    block = ex.RUNNERS[name](cfg)[1]
+    block, _ = ex.run(cfg)
     excluded = [i for i, reason in enumerate(block.reason) if reason == "end_coefficient_zero"]
     assert excluded
     for i in excluded:
@@ -241,8 +241,8 @@ def test_log_variance_profile_matches_direct_sum():
 
 def test_pole_clustering_sharpens_with_n():
     cfg = ex.default_config(ex.POLE_CLUSTERING, N=96, trials=6, n=(4, 16))
-    cols, recs, summ = ex.run_pole_clustering(cfg)
-    assert cols == ex.POLE_COLUMNS
+    recs, summ = ex.run(cfg)
+    assert tuple(recs.values) == ex.POLE_COLUMNS
     assert len(recs) == 6 * 2
     # paired design: R_m is a property of the trial, not of n
     by_trial = {}
@@ -256,7 +256,7 @@ def test_pole_clustering_sharpens_with_n():
 
 def test_pole_clustering_control_arm_m0():
     cfg = ex.default_config(ex.POLE_CLUSTERING, N=64, trials=3, m=0, n=(4, 8))
-    _, recs, summ = ex.run_pole_clustering(cfg)
+    recs, summ = ex.run(cfg)
     assert "control_arm" in summ
     assert "deviation_medians_non_increasing" not in summ
 
@@ -312,7 +312,7 @@ def test_by_range_caps_the_workers_at_the_cpu_count(monkeypatch, cpus, ranges):
         seen.append(trials)
         return ex.RecordBlock(("x",), trials, {"x": list(trials)})
 
-    block = ex._by_range(config, fn)
+    block = ex._by_range(config, config.trials, fn)
     assert sorted(seen, key=lambda r: r.start) == ranges
     assert block.trial == block.values["x"] == list(range(5))
 
@@ -382,13 +382,27 @@ def test_root_protocol_output_is_independent_of_kernel_budgets(run):
 @pytest.mark.parametrize("name, overrides", [
     (ex.ZERO_RADIUS, dict(N=24, r_schedule=(0.9,), s_list=(4, 8))),
     (ex.POLE_CLUSTERING, dict(N=40, n=(4, 8, 16))),
+    (ex.ET_CLUSTERING, dict(m=(8, 16), n=1)),
+    # M=2 mixes degenerate_system and end_coefficient_zero rows into the blocks
+    (ex.DISCRETE_EXAMPLE, dict(spec=distribution(DISCRETE, M=2), m=(8, 16), n=2)),
+    # 74 sample keys split 24/25/25: the middle range crosses from n=2 to n=5
+    (ex.ANTICONCENTRATION, dict(n=(2, 5))),
+    (ex.DET_GROWTH, dict(spec=distribution(DISCRETE, M=1), m=(1, 2, 6), n=3)),
 ])
 def test_root_protocols_do_not_depend_on_workers_or_blocks(name, overrides, tmp_path,
                                                            monkeypatch):
-    """37 trials split 12/12/13 across three workers; a budget of 100
-    coefficients gives blocks of 4 (N=24) or 2 (N=40) series, so the last
-    block of a range is partial."""
+    """Every protocol: 37 trials split 12/12/13 across three workers (74
+    anticoncentration keys split 24/25/25); a budget of 100 coefficients
+    gives blocks of 2 to 33 series, so the last block of a range is
+    partial."""
     monkeypatch.setattr(ex.os, "cpu_count", lambda: 3)
+    blocks, ranges = ex._blocks, set()
+
+    def logged(config, keys, *args):
+        ranges.add(keys)
+        return blocks(config, keys, *args)
+
+    monkeypatch.setattr(ex, "_blocks", logged)
     blobs = {}
     for elems in (ex._BLOCK_ELEMS, 100):
         monkeypatch.setattr(ex, "_BLOCK_ELEMS", elems)
@@ -398,6 +412,8 @@ def test_root_protocols_do_not_depend_on_workers_or_blocks(name, overrides, tmp_
                        out)
             blobs[elems, workers] = (out / "trials.csv").read_bytes()
     assert len(set(blobs.values())) == 1
+    if name == ex.ANTICONCENTRATION:
+        assert {range(24, 37), range(37, 49)} <= ranges
 
 
 def _inject_series_failures(monkeypatch, config, failing):
@@ -442,11 +458,11 @@ def _inject_series_failures(monkeypatch, config, failing):
 ])
 def test_series_retry_tiers(name, overrides, retry_fails, precision, monkeypatch):
     config = ex.default_config(name, trials=7, seed=3, precision=precision, **overrides)
-    clean = ex.RUNNERS[name](config)[1]
+    clean, _ = ex.run(config)
     chosen = [1, 4, 5]
     failing = {0: chosen, 1: chosen if retry_fails else ()}
     calls = _inject_series_failures(monkeypatch, config, failing)
-    block = ex.RUNNERS[name](config)[1]
+    block, _ = ex.run(config)
 
     expected = [({}, list(range(config.trials))), ({"start_offset": 0.37}, chosen)]
     if retry_fails and precision == "extended":
@@ -504,7 +520,7 @@ def test_pole_denominators_retry_from_rotated_starts(monkeypatch):
     # a denominator that does not settle from the first start points is
     # solved again from rotated ones, as the series are
     config = ex.default_config(ex.POLE_CLUSTERING, N=24, n=(2, 4), trials=5, seed=2)
-    clean = ex.RUNNERS[ex.POLE_CLUSTERING](config)[1]
+    clean, _ = ex.run(config)
     real, calls = ex.find_roots_batch, []
 
     def denominators_fail_first(polys, **kwargs):
@@ -517,7 +533,7 @@ def test_pole_denominators_retry_from_rotated_starts(monkeypatch):
         return [NonConvergence("injected", partial=r) if s else r for s, r in zip(short, out)]
 
     monkeypatch.setattr(ex, "find_roots_batch", denominators_fail_first)
-    block = ex.RUNNERS[ex.POLE_CLUSTERING](config)[1]
+    block, _ = ex.run(config)
     pending = sum(not (d or e) for d, e in zip(clean.degenerate, clean.excluded))
     assert calls == [({}, pending), ({"start_offset": 0.37}, pending)]
     assert block.reason == clean.reason and "nonconvergence" not in block.reason
@@ -532,7 +548,7 @@ def test_et_style_numerators_retry_from_rotated_starts(monkeypatch):
     # a numerator that does not settle from the first start points is solved
     # again from rotated ones, as the series protocols' roots are
     config = ex.default_config(ex.ET_CLUSTERING, m=(8, 16), n=1, trials=4)
-    clean = ex.RUNNERS[ex.ET_CLUSTERING](config)[1]
+    clean, _ = ex.run(config)
     real, calls = ex.find_roots_batch, []
 
     def first_tier_fails(polys, **kwargs):
@@ -541,7 +557,7 @@ def test_et_style_numerators_retry_from_rotated_starts(monkeypatch):
         return out if kwargs else [NonConvergence("injected", partial=r) for r in out]
 
     monkeypatch.setattr(ex, "find_roots_batch", first_tier_fails)
-    block = ex.RUNNERS[ex.ET_CLUSTERING](config)[1]
+    block, _ = ex.run(config)
     assert calls == [{}, {"start_offset": 0.37}]
     assert block.reason == clean.reason and "nonconvergence" not in block.reason
     for key, col in clean.values.items():
@@ -575,7 +591,7 @@ def test_invariant_violation_aborts_run(monkeypatch):
     monkeypatch.setattr(ex, "clustering_report", lambda *a, **k: bad)
     cfg = ex.default_config(ex.ET_CLUSTERING, m=(6,), n=1, trials=2)
     with pytest.raises(InvariantViolation):
-        ex.run_et_clustering(cfg)
+        ex.run(cfg)
 
 
 def test_invariant_violation_on_radial_breach(monkeypatch):
@@ -588,7 +604,7 @@ def test_invariant_violation_on_radial_breach(monkeypatch):
     )
     cfg = ex.default_config(ex.ET_CLUSTERING, m=(6,), n=1, trials=2)
     with pytest.raises(InvariantViolation, match="radial"):
-        ex.run_et_clustering(cfg)
+        ex.run(cfg)
 
 
 def test_invariant_violation_on_mass_breach(monkeypatch):
@@ -597,7 +613,7 @@ def test_invariant_violation_on_mass_breach(monkeypatch):
     monkeypatch.setattr(ex, "pade", lambda *a, **k: dataclasses.replace(pade(*a, **k), q_l1=0.0))
     cfg = ex.default_config(ex.ET_CLUSTERING, m=(6,), n=1, trials=2)
     with pytest.raises(InvariantViolation, match="coefficient-mass inequality broken"):
-        ex.run_et_clustering(cfg)
+        ex.run(cfg)
 
 
 def test_pole_clustering_does_not_swallow_denominator_faults(monkeypatch):
@@ -612,7 +628,7 @@ def test_pole_clustering_does_not_swallow_denominator_faults(monkeypatch):
     monkeypatch.setattr(ex, "et_ratio", failing_on_denominators)
     cfg = ex.default_config(ex.POLE_CLUSTERING, N=40, n=(4,), trials=2)
     with pytest.raises(DegenerateInput, match="injected"):
-        ex.run_pole_clustering(cfg)
+        ex.run(cfg)
 
 
 def test_unknown_protocol_in_execute():
@@ -642,10 +658,11 @@ def _cell_text(value):
     (ex.POLE_CLUSTERING, dict(spec=distribution(DISCRETE, M=1), N=40, n=(4, 8), trials=10)),
 ])
 def test_trials_csv_reads_back_through_csv_reader(name, overrides, tmp_path, monkeypatch):
-    columns, block, _ = ex.RUNNERS[name](ex.default_config(name, seed=5, **overrides))
+    block, _ = ex.run(ex.default_config(name, seed=5, **overrides))
+    columns = tuple(block.values)
     path = tmp_path / "trials.csv"
     monkeypatch.setattr(ex, "_WRITE_ROWS", 7)  # slices that do not divide the rows
-    ex.write_trials_csv(path, columns, block)
+    ex.write_trials_csv(path, block)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(ex.BASE_COLUMNS) + list(columns)
@@ -679,7 +696,7 @@ def test_write_trials_csv_rejects_cells_that_need_quoting(columns, reason, value
     block.add(1, {columns[0]: value}, excluded=bool(reason), reason=reason)
     path = tmp_path / "trials.csv"
     with pytest.raises(ValueError, match="comma, a double quote or a line break"):
-        ex.write_trials_csv(path, columns, block)
+        ex.write_trials_csv(path, block)
     assert not path.exists()
 
 

@@ -51,6 +51,22 @@ def test_distribution_rejects_bad_input():
         distribution("cauchy")
     with pytest.raises(DegenerateInput):
         distribution(DISCRETE)
+    with pytest.raises(DegenerateInput, match="kind"):
+        DistributionSpec.from_dict({"M": 3})  # used to be a KeyError
+
+
+@pytest.mark.parametrize("M", [2.5, True, "3", 10**400, -10**400, math.nan, math.inf, [3]])
+def test_atom_parameter_must_be_a_whole_float_range_number(M):
+    # 2.5 used to become M=2 with gamma computed from 2.5, 10**400 an
+    # OverflowError and "3" a TypeError
+    with pytest.raises(DegenerateInput, match="whole number"):
+        distribution(DISCRETE, M=M)
+
+
+def test_whole_float_atom_parameter_is_the_int():
+    spec = distribution(DISCRETE, M=2.0)
+    assert spec == distribution(DISCRETE, M=2) and type(spec.M) is int
+    assert spec.mean_abs_bound_gamma == pytest.approx(1.2)
 
 
 def test_spec_serialization_round_trip():

@@ -266,11 +266,13 @@ def test_anticoncentration_records_match_per_trial(monkeypatch, elems, kind):
     if elems is not None:
         monkeypatch.setattr(ex, "_BLOCK_ELEMS", elems)
     spec = distribution(kind, M=1) if kind == DISCRETE else distribution(kind)
-    config = ex.default_config(ex.ANTICONCENTRATION, spec=spec, trials=23, seed=4)
-    for idx, n in enumerate((1, 2, 5, 10)):
-        offset = idx * config.trials
-        got = ex._anticonc_records(config, n, offset, range(config.trials))
-        want = [_anticonc_reference(config, n, offset, t) for t in range(config.trials)]
+    config = ex.default_config(ex.ANTICONCENTRATION, spec=spec, n=(1, 2, 5, 10), trials=23,
+                               seed=4)
+    # key idx*23 + t is trial t at the idx-th n; 30..70 spans three of them
+    for keys in (range(4 * config.trials), range(30, 71)):
+        got = ex._anticonc_records(config, keys)
+        want = [_anticonc_reference(config, config.n[key // 23], key - key % 23, key % 23)
+                for key in keys]
         _assert_same_records(_as_tuples(got), want)
 
 

@@ -48,7 +48,7 @@ def test_zero_radius_means_match_the_exact_mean():
     column lies within 3 standard errors (from the sample spread) of its
     exact mean."""
     config = ex.default_config(ex.ZERO_RADIUS, N=N, trials=TRIALS, seed=0)
-    _, block, _ = ex.run_zero_radius(config)
+    block, _ = ex.run(config)
     good = ~block.flags()[1]
     assert good.sum() >= 0.95 * TRIALS
     for r in config.r_schedule:
