@@ -1,8 +1,9 @@
 """Command-line front end: approximant queries, experiment dispatch and SVG
 plot emission.
 
-Exit codes: 0 success, 1 usage or config problem, 2 domain error (singular
-window, missing data, degenerate input), 3 broken deterministic invariant.
+Exit codes follow the error hierarchy: 0 success; 1 a usage or config
+problem (ValueError) or an unusable path (any OSError); 2 any other
+PadeclustError; 3 an InvariantViolation, a broken deterministic invariant.
 All numeric output goes through repr/json formatting, so it is
 locale-independent and round-trips exactly.
 """
@@ -13,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -21,16 +21,7 @@ import numpy as np
 
 from . import __version__, svgplot
 from .cluster import DEFAULT_FAMILY, DEFAULT_GRID, EmpiricalMeasure, clustering_report
-from .errors import (
-    DegenerateInput,
-    DegenerateSystem,
-    EndCoefficientZero,
-    IndexOutOfRange,
-    InsufficientCoefficients,
-    InvariantViolation,
-    MissingData,
-    NonConvergence,
-)
+from .errors import DegenerateInput, InvariantViolation, MissingData, PadeclustError
 from .experiments import PROTOCOLS, ExperimentConfig, execute
 from .pade import et_ratio, pade
 from .poly import Polynomial, find_roots
@@ -39,16 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_INVARIANT = 3
-
-_DOMAIN_ERRORS = (
-    DegenerateSystem,
-    MissingData,
-    DegenerateInput,
-    EndCoefficientZero,
-    InsufficientCoefficients,
-    NonConvergence,
-    IndexOutOfRange,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,15 +58,8 @@ def _coeffs_from_args(args) -> np.ndarray:
     values = [_parse_value(t.strip()) for t in tokens]
     if not values:
         raise DegenerateInput("no coefficients given")
-    if any(isinstance(v, complex) for v in values):
-        return np.asarray(values, dtype=complex)
-    return np.asarray(values, dtype=float)
-
-
-def _num(v) -> object:
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return float(v)
+    # complex128 when any token is complex, float64 otherwise
+    return np.asarray(values)
 
 
 def _num_list(arr: np.ndarray) -> List:
@@ -110,7 +84,7 @@ def cmd_pade(args) -> int:
         "n": pair.n,
         "p": _num_list(pair.p.coeffs[: pair.p.degree + 1]),
         "q": _num_list(pair.q.coeffs[: pair.q.degree + 1]),
-        "diagnostics": {k: _num(v) for k, v in pair.diagnostics.items()},
+        "diagnostics": {k: float(v) for k, v in pair.diagnostics.items()},
     })
     return EXIT_OK
 
@@ -171,24 +145,15 @@ def cmd_cluster_report(args) -> int:
 
 
 def cmd_experiment_run(args) -> int:
-    cfg_dict: Dict = {}
-    if args.config:
-        cfg_path = Path(args.config)
-        if not cfg_path.is_file():
-            raise FileNotFoundError(f"config file {cfg_path} does not exist")
-        cfg_dict = json.loads(cfg_path.read_text())
-        if not isinstance(cfg_dict, dict):
-            raise ValueError("config file must hold a JSON object")
+    cfg_dict = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(cfg_dict, dict):
+        raise ValueError("config file must hold a JSON object")
     if cfg_dict.setdefault("name", args.name) != args.name:
         raise ValueError(f"config name {cfg_dict['name']!r} is not the run's {args.name!r}")
+    # the command-line values override the file's, and the config is built once
+    cfg_dict.update({key: getattr(args, key) for key in ("trials", "seed", "workers", "precision")
+                     if getattr(args, key) is not None})
     config = ExperimentConfig.from_dict(cfg_dict)
-    overrides = {}
-    for key in ("trials", "seed", "workers", "precision"):
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
-    if overrides:
-        config = replace(config, **overrides)
     out_dir = Path(args.out) if args.out else Path("runs") / args.name
     summary = execute(config, out_dir)
     _emit({"run_dir": str(out_dir), "summary": summary})
@@ -366,17 +331,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return code
-    except (ValueError, FileNotFoundError) as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except (ValueError, OSError) as exc:
         print(f"padeclust: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DOMAIN_ERRORS as exc:
-        print(f"padeclust: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except InvariantViolation as exc:
         print(f"padeclust: invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except PadeclustError as exc:
+        print(f"padeclust: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -46,9 +46,12 @@ class EmpiricalMeasure:
             arr = np.atleast_1d(np.asarray(roots, dtype=complex))
         if arr.size == 0:
             raise DegenerateInput("empty root multiset has no empirical measure")
+        moduli = np.sort(np.abs(arr))
+        if not math.isfinite(moduli[-1]):  # NaN and inf sort last
+            raise DegenerateInput("a non-finite root has no empirical measure")
         object.__setattr__(self, "roots", arr)
         object.__setattr__(self, "N", int(arr.size))
-        object.__setattr__(self, "_moduli", np.sort(np.abs(arr)))
+        object.__setattr__(self, "_moduli", moduli)
         object.__setattr__(self, "_args", np.sort(np.mod(np.angle(arr), 2.0 * np.pi)))
 
 

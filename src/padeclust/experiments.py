@@ -33,7 +33,6 @@ import json
 import math
 import numbers
 import os
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -91,8 +90,10 @@ _METHOD_NOTE = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One protocol's config, checked in full when it is built; m, n and
-    s_list are stored as int tuples, the other lists as float tuples.  A
+    """One protocol's config, checked in full when it is built; numbers are
+    stored as plain Python values (numpy scalars are accepted): trials,
+    seed, N, grid_size, family_size and workers as int, delta as float, m, n
+    and s_list as int tuples, the other lists as float tuples.  A
     field the protocol does not read (see _READS) keeps its default, and
     to_dict echoes only the fields the protocol reads."""
     name: str
@@ -124,7 +125,9 @@ class ExperimentConfig:
             if not (value is None and name == "N") and (
                     isinstance(value, bool) or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} takes an integer, got {value!r}")
-        _reals((self.delta,), "delta")
+            if value is not None:
+                object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "delta", _reals((self.delta,), "delta")[0])
         # a fractional m, n or s_list entry would be truncated; a repeated
         # entry would repeat a trials.csv column or a summary key
         for name in ("m", "n", "s_list", "epsilon_grid", "r_schedule", "rhos"):
@@ -314,8 +317,11 @@ def _reals(values, key: str) -> Tuple[float, ...]:
     if not isinstance(values, (tuple, list)):
         raise ValueError(f"{key} takes a list, got {values!r}")
     for x in values:
-        if (not isinstance(x, numbers.Real) or isinstance(x, bool)
-                or not abs(x) <= sys.float_info.max):
+        try:
+            ok = isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+        except OverflowError:  # an int past the float range
+            ok = False
+        if not ok:
             raise ValueError(f"{key} takes finite numbers, got {x!r}")
     return tuple(float(x) for x in values)
 

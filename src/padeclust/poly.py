@@ -1020,6 +1020,8 @@ def jensen_rhs(roots, p0_abs: float, r: float) -> float:
         raise ValueError("radius must be positive")
     arr = roots.roots if isinstance(roots, RootSet) else np.asarray(roots, dtype=complex)
     mod = np.abs(arr)
+    if not np.isfinite(mod).all():
+        raise DegenerateInput("jensen_rhs needs finite roots")
     if np.any(mod == 0.0):
         raise DegenerateInput("root at the origin contradicts p0_abs > 0")
     inside = mod < r

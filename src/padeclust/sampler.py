@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -67,10 +66,15 @@ class DistributionSpec:
 
 def distribution(kind: str, M: Optional[int] = None) -> DistributionSpec:
     """Build the spec for one of the five supported kinds.  M, where given,
-    must be a whole number in the float range; only the discrete kind reads it."""
+    must be a whole number in the float range; only the discrete kind reads
+    it, and it needs M from 1 to 2**63 - 1 (the atoms -M..M are drawn as int64)."""
     if M is not None:
-        if (isinstance(M, bool) or not isinstance(M, numbers.Real)
-                or not abs(M) <= sys.float_info.max or not float(M).is_integer()):
+        try:
+            whole = (isinstance(M, numbers.Real) and not isinstance(M, bool)
+                     and float(M).is_integer())
+        except OverflowError:  # an int past the float range
+            whole = False
+        if not whole:
             raise DegenerateInput(f"the atom parameter M takes a whole number, got {M!r}")
         M = int(M)
     if kind == GAUSSIAN:
@@ -83,10 +87,10 @@ def distribution(kind: str, M: Optional[int] = None) -> DistributionSpec:
         # P(|a - t| < eps) is at most 2 * (1/sqrt(2)) * eps
         return DistributionSpec(kind, None, True, math.sqrt(2.0), 1.0 / math.sqrt(2.0))
     if kind == DISCRETE:
-        if M is None or M < 1:
-            raise DegenerateInput("discrete_pm_M needs an atom parameter M >= 1")
+        if M is None or not 1 <= M < 2**63:
+            raise DegenerateInput("discrete_pm_M needs an atom parameter M from 1 to 2**63 - 1")
         gamma = M * (M + 1) / (2 * M + 1)
-        return DistributionSpec(kind, int(M), False, math.inf, gamma)
+        return DistributionSpec(kind, M, False, math.inf, gamma)
     if kind == LOGCONCAVE:
         # coordinate marginal peaks below 1/sqrt(2) for every dimension, and
         # E|a| <= sqrt(3)/2 with the worst case at dimension 1

@@ -5,7 +5,7 @@ import pytest
 
 from padeclust import cli, svgplot
 from padeclust.cluster import EmpiricalMeasure, radial_two_sided_check
-from padeclust.errors import DegenerateInput
+from padeclust.errors import DegenerateInput, InvariantViolation, PadeclustError
 from padeclust.pade import et_ratio
 from padeclust.poly import Polynomial, find_roots
 
@@ -312,3 +312,54 @@ def test_experiment_config_name_must_match_the_run(capsys, tmp_path):
                              "--out", str(tmp_path / "det"))
     assert code == 0, err
     assert json.loads((tmp_path / "det" / "manifest.json").read_text())["config"]["m"] == [8]
+
+
+def _error_classes(cls):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_error_classes(PadeclustError)),
+                                         key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_exit_code_follows_the_error_hierarchy(error, capsys, monkeypatch):
+    # every PadeclustError, a future subclass included, is a domain error
+    # (exit 2) except an InvariantViolation (exit 3)
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_roots", fail)
+    code, out, err = run_cli(capsys, "roots", "--coeffs", "1,1")
+    if issubclass(error, InvariantViolation):
+        assert (code, err) == (3, "padeclust: invariant breach: boom\n")
+    else:
+        assert (code, err) == (2, "padeclust: boom\n")
+
+
+@pytest.mark.parametrize("error", [ValueError, OSError, FileNotFoundError, IsADirectoryError,
+                                   NotADirectoryError, PermissionError],
+                         ids=lambda c: c.__name__)
+def test_value_and_os_errors_exit_1(error, capsys, monkeypatch):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_roots", fail)
+    code, out, err = run_cli(capsys, "roots", "--coeffs", "1,1")
+    assert (code, err) == (1, "padeclust: config error: boom\n")
+
+
+def test_unusable_paths_are_config_errors(capsys, tmp_path):
+    # a directory where a file is read, and a file where a directory is made
+    a_file = tmp_path / "f.txt"
+    a_file.write_text("1 1\n")
+    for argv, os_error in [
+        (("roots", "--coeffs-file", str(tmp_path)), "Is a directory"),
+        (("experiment", "run", "det-growth", "--config", str(tmp_path)), "Is a directory"),
+        (("experiment", "run", "det-growth", "--trials", "2", "--out", str(a_file / "x")),
+         "Not a directory"),
+        (("roots", "--coeffs", "1,1", "--out", str(a_file / "x")), "Not a directory"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("padeclust: config error: ") and os_error in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -35,6 +35,14 @@ def test_measure_rejects_empty_input():
         EmpiricalMeasure([])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan),
+                                 complex(-math.inf, 0.0)])
+def test_measure_rejects_non_finite_roots(bad):
+    # a NaN root used to give a clustering report with every flag True
+    with pytest.raises(DegenerateInput, match="non-finite root"):
+        EmpiricalMeasure([bad, 1.0, -1.0, 1j])
+
+
 def test_annulus_mass_examples():
     mu = EmpiricalMeasure(unit_roots(12))
     assert annulus_mass(mu, 1.0, 0.1) == 1.0

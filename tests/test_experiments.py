@@ -288,6 +288,35 @@ def test_execute_writes_artifacts(tmp_path):
     assert summ["trials"] == 5
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, field, value, kind", [
+    pytest.param(name, field, value, kind, id=f"{name}-{field}-{type(value).__name__}")
+    for name, field, value, kind in [
+        (ex.DET_GROWTH, "trials", np.int64(3), int),
+        (ex.ET_CLUSTERING, "trials", np.int32(2), int),
+        (ex.ET_CLUSTERING, "seed", np.int64(7), int),
+        (ex.ET_CLUSTERING, "N", np.int64(12), int),
+        (ex.ET_CLUSTERING, "grid_size", np.int16(64), int),
+        (ex.ET_CLUSTERING, "family_size", np.uint8(8), int),
+        (ex.ET_CLUSTERING, "workers", np.int64(2), int),
+        (ex.ET_CLUSTERING, "delta", np.float32(0.25), float),
+        (ex.ET_CLUSTERING, "delta", np.float64(0.25), float),
+        (ex.ET_CLUSTERING, "delta", np.int64(1), float),
+    ]
+])
+def test_numpy_scalar_config_numbers_are_stored_as_python_values(name, field, value, kind,
+                                                                  tmp_path):
+    # a numpy scalar used to be stored as given, so summary.json failed to
+    # serialize it after trials.csv was written, and no manifest followed
+    small = {"m": [8], "n": 1} if name == ex.ET_CLUSTERING else {"m": [8], "n": 2}
+    cfg = ex.default_config(name, **{**small, "trials": 2, field: value})
+    assert type(getattr(cfg, field)) is kind and getattr(cfg, field) == value
+    ex.execute(cfg, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "summary.json",
+                                                          "trials.csv"]
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"][field] == value
+
+
 def test_trials_csv_is_byte_identical_across_workers_and_reruns(tmp_path):
     cfg1 = ex.default_config(ex.ET_CLUSTERING, m=(8, 16), n=1, trials=8, workers=1)
     cfg3 = ex.default_config(ex.ET_CLUSTERING, m=(8, 16), n=1, trials=8, workers=3)

@@ -415,6 +415,13 @@ def test_jensen_rhs_degenerate():
         jensen_rhs(np.array([0.0, 0.5]), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, math.nan)])
+def test_jensen_rhs_rejects_non_finite_roots(bad):
+    # [nan, 0.5] used to give log 2, the NaN root dropped from the sum
+    with pytest.raises(DegenerateInput, match="finite"):
+        jensen_rhs(np.array([bad, 0.5]), 1.0, 1.0)
+
+
 def test_jensen_identity_between_the_two_routes():
     """circle_log_average and jensen_rhs are dual routes to the same number;
     they must agree to 1e-6 once r stays 1e-3 away from every root modulus."""

@@ -53,6 +53,15 @@ def test_distribution_rejects_bad_input():
         distribution(DISCRETE)
     with pytest.raises(DegenerateInput, match="kind"):
         DistributionSpec.from_dict({"M": 3})  # used to be a KeyError
+    # the atoms -M..M are drawn as int64: M >= 2**63 used to fail mid-run
+    for M in (2**63, 2**70):
+        with pytest.raises(DegenerateInput, match="2\\*\\*63 - 1"):
+            distribution(DISCRETE, M=M)
+
+
+def test_largest_atom_parameter_samples():
+    coeffs = sample(distribution(DISCRETE, M=2**63 - 1), 8, 0, 0).coeffs
+    assert coeffs.shape == (9,) and np.isfinite(coeffs).all()
 
 
 @pytest.mark.parametrize("M", [2.5, True, "3", 10**400, -10**400, math.nan, math.inf, [3]])
@@ -67,6 +76,14 @@ def test_whole_float_atom_parameter_is_the_int():
     spec = distribution(DISCRETE, M=2.0)
     assert spec == distribution(DISCRETE, M=2) and type(spec.M) is int
     assert spec.mean_abs_bound_gamma == pytest.approx(1.2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_atom_parameter_is_the_int():
+    # a float32 M used to warn "overflow encountered in cast" in the range test
+    for M in (np.float32(3.0), np.float64(3.0), np.int64(3), np.uint8(3)):
+        spec = distribution(DISCRETE, M=M)
+        assert spec == distribution(DISCRETE, M=3) and type(spec.M) is int
 
 
 def test_spec_serialization_round_trip():
