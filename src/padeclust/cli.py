@@ -332,8 +332,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"padeclust: config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"padeclust: path error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolation as exc:
         print(f"padeclust: invariant breach: {exc}", file=sys.stderr)

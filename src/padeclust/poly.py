@@ -30,11 +30,12 @@ mpmath at EXTENDED_DPS digits until they settle there.
 
 The repulsion sums S_i = sum_{j != i} 1/(z_i - z_j) of a sweep are taken
 per polynomial.  _repulsion forms every pair.  From degree _FAR_FROM, a
-polynomial with at least _FAR_ACTIVE active iterates in the sweep takes
-them from _far_repulsion instead: the roots of a random series cluster at
-|z| = 1, so the iterates near the circle fall into angular sectors whose
-far pairs enter through local expansions (one-level multipole), and only
-near sectors and off-circle iterates are summed pair by pair.
+polynomial whose active iterates times degree reach _FAR_PAIRS in the
+sweep takes them from _far_repulsion instead: the roots of a random series
+cluster at |z| = 1, so the iterates near the circle fall into angular
+sectors whose far pairs enter through local expansions (one-level
+multipole), and only near sectors and off-circle iterates are summed pair
+by pair.
 """
 
 from __future__ import annotations
@@ -480,64 +481,90 @@ def _repulsion(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
 # equal angular sectors centred at c_t = exp(i pi (2t + 1) / K) on the unit
 # circle; every such iterate is within rho = |(1 + h) e^{i pi/K} - 1| of its
 # centre.  Sectors t and t + D are far when 2 rho <= _FAR_KAPPA |c_t - c_{t+D}|,
-# which with K = 32, h = 0.02 and kappa = 0.4 leaves D = 0, +-1, +-2 near.
-# A far pair's series then shrinks by |z_j - c|/(|c_t - c_s| - rho) <= 0.21
-# per term, so _FAR_TERMS = 20 terms put the truncation below the rounding
-# (relative error in S about 2e-14 on start points and converged roots at
-# degrees 1024 and 2048; 16 terms gave 1e-11).
+# which with K = 32, h = 0.02 and kappa = 0.52 leaves D = 0, +-1 near.
+# A far pair's series then shrinks by |z_j - c|/(|c_t - c_s| - rho) <= 0.35
+# per term, so _FAR_TERMS = 32 terms put the truncation (0.35^32, about
+# 2.5e-15) below the rounding (relative error in S about 3e-14 on start
+# points and converged roots at degrees 1024 and 2048, as at 30 terms; 28
+# terms gave 3.5e-14, 24 terms 1.6e-12).  The translation between sectors
+# is diagonal in the DFT over the sector axis (FFT-accelerated M2L: Ying,
+# Biros and Zorin, J. Comput. Phys. 196, 2004), so its cost is two length-K
+# FFTs and K small (p, p) products.
 #
 # The far path pays only where the pairs it saves outweigh its fixed cost
-# (moments, translation and one _repulsion call per sector with targets,
-# about 1.5 ms), so it serves a polynomial from degree _FAR_FROM with at
-# least _FAR_ACTIVE active iterates in the sweep.  Far over direct time per
-# call, best of 9, on converged roots and start points of Gaussian series:
-# at d = 768 and 400 targets 0.82x; at d = 1024 and 300, 400, 500, 1000
-# targets 0.87-0.94x, 0.95-1.04x, 1.25-1.37x, 1.9-2.05x; at d = 1536 and
-# 300 targets 1.2-1.27x; at d = 2048 and 200, 400, 1000 targets 0.98x,
-# 1.57x, 2.6x.  Both are properties of one polynomial in one sweep, so a
-# row's choice never depends on the batch.
+# (moments, translation and one _repulsion call per sector with targets),
+# so it serves a polynomial from degree _FAR_FROM whose active iterates
+# times degree, the pairs of the all-pairs sum, reach _FAR_PAIRS in the
+# sweep.  Far time over direct time per call, best of 9, on converged roots
+# and start points of a real Gaussian series, two runs on a 2-core x86_64
+# box: at d = 1024 and 100, 200, 300, 400 targets 1.7-2.3, 1.0-1.6,
+# 0.79-0.82, 0.54-0.69; at d = 1536 and 100, 150, 200, 300, 400 targets
+# 1.5, 1.0-1.1, 0.76-0.88, 0.50-0.77, 0.40-0.49; at d = 2048 and 100, 150,
+# 200, 400 targets 1.1-1.2, 0.79-0.84, 0.59-0.66, 0.31-0.40.  Break-even
+# sits at 2.2-2.6e5 pairs at all three degrees.  Both are properties of one
+# polynomial in one sweep, so a row's choice never depends on the batch.
 _FAR_FROM = 1024
-_FAR_ACTIVE = 400
+_FAR_PAIRS = 300_000
 _FAR_SECTORS = 32
-_FAR_TERMS = 20
+_FAR_TERMS = 32
 _FAR_BAND = 0.02
-_FAR_KAPPA = 0.4
+_FAR_KAPPA = 0.52
 
 
 def _far_tables(K: int, p: int, h: float, kappa: float):
-    """Sector centres, near and far sector offsets, and the (F, p, p)
-    translation table A of the far offsets D.
+    """Sector centres, near sector offsets, and the real (K, p, p)
+    translation kernel W of the far offsets in frequency space.
 
     In a sector's rotated frame u = z conj(c) - 1, the moments of sector s
     are m_k = sum_j u_j^k, and the local expansion of the far sectors'
-    sum_j 1/(z - z_j) about c_t is conj(c_t) sum_l (sum_D sum_k
-    A[D, l, k] m_k(t + D)) u^l, with w = e^{2 pi i/K} and
+    sum_j 1/(z - z_j) about c_t is conj(c_t) sum_l L[l, t] u^l with
+    L[l, t] = sum_D sum_k A[D, l, k] m_k(t + D), w = e^{2 pi i/K} and
     A[D, l, k] = (-1)^l binom(k + l, l) w^{Dk} (1 - w^D)^{-(k+l+1)}:
     the multipole series of 1/(z - z_j) about c_s, re-expanded about c_t
-    (c_t - c_s = c_t (1 - w^D)).  Each entry is formed from its modulus and
-    its angle, an integer multiple of pi/(2K) reduced mod 2 pi in integer
-    arithmetic, not by repeated complex products."""
+    (c_t - c_s = c_t (1 - w^D)).  A depends on the offset D alone, so the
+    translation is a circular correlation over the sector axis, and a
+    length-K DFT diagonalises it: L is the inverse DFT of W[f] applied to
+    the DFT of the moments at each frequency f, with W[f] = sum_D A[D] w^{fD}
+    over the far D.  That is W[f, l, k] = (-1)^l binom(k + l, l)
+    g(f + k, k + l + 1), g(m, e) = sum_D w^{Dm} (1 - w^D)^{-e}, and g is
+    real because the far offsets come in pairs +-D whose terms are complex
+    conjugates.  Each term of g is its modulus times the cosine of its
+    angle, an integer multiple of pi/(2K) reduced mod 2 pi in integer
+    arithmetic, not a product of complex powers."""
     centres = np.exp(1j * math.pi * (2 * np.arange(K) + 1) / K)
     rho = abs((1 + h) * complex(math.cos(math.pi / K), math.sin(math.pi / K)) - 1)
     offsets = np.arange(K)
     far = 2 * rho <= kappa * 2 * np.sin(math.pi * np.minimum(offsets, K - offsets) / K)
     near = np.sort(np.where(offsets > K // 2, offsets - K, offsets)[~far])
     k = np.arange(p)
-    e = k[None, :] + k[:, None] + 1  # [l, k]: k + l + 1
+    e = np.arange(2 * p)
+    g = np.zeros((K, 2 * p))
+    for D in offsets[far].tolist():
+        # 1 - w^D = 2 sin(pi D/K) e^{i (pi D/K - pi/2)}, so the angle of the
+        # term is pi/(2K) times 4 D m - 2 e D + e K
+        mag = (2 * math.sin(math.pi * D / K)) ** -e.astype(float)
+        quarter = (4 * D * offsets[:, None] - 2 * e * D + e * K) % (4 * K)
+        g += mag * np.cos((math.pi / (2 * K)) * quarter)
     binom = np.array([[math.comb(i + j, j) for i in range(p)] for j in range(p)], dtype=float)
     sign = np.where(k % 2, -1.0, 1.0)[:, None]
-    A = np.empty((np.count_nonzero(far), p, p), dtype=complex)
-    for a, D in enumerate(offsets[far].tolist()):
-        # 1 - w^D = 2 sin(pi D/K) e^{i (pi D/K - pi/2)}, so the angle of the
-        # entry is pi/(2K) times 4 (Dk mod K) - 2 e D + e K
-        mag = (2 * math.sin(math.pi * D / K)) ** -e.astype(float)
-        quarter = (4 * ((D * k) % K)[None, :] - 2 * e * D + e * K) % (4 * K)
-        A[a] = sign * binom * mag * np.exp(1j * (math.pi / (2 * K)) * quarter)
-    return centres, near, offsets[far], A
+    W = g[(offsets[:, None, None] + k) % K, k[:, None] + k + 1]  # [f, l, k]
+    W *= sign * binom
+    return centres, near, W
 
 
-_FAR_CENTRES, _FAR_NEAR, _FAR_DELTA, _FAR_M2L = _far_tables(
+_FAR_CENTRES, _FAR_NEAR, _FAR_KERNEL = _far_tables(
     _FAR_SECTORS, _FAR_TERMS, _FAR_BAND, _FAR_KAPPA)
+
+
+def _far_local(M: np.ndarray) -> np.ndarray:
+    """The (p, K) local expansion coefficients L[l, t] of the far sectors of
+    every sector t, from the (p, K) sector moments M[k, s]: one FFT over the
+    sector axis, the real kernel applied to the real and imaginary parts by
+    one np.einsum without optimize, and one inverse FFT.  pocketfft and
+    np.einsum use neither BLAS nor threads, so no bit depends on them."""
+    Mf = np.ascontiguousarray(np.fft.fft(M).T)  # strided operands slow the einsum 10x
+    Lf = np.einsum("flk,fck->fcl", _FAR_KERNEL, np.stack([Mf.real, Mf.imag], axis=1))
+    return np.fft.ifft((Lf[:, 0] + 1j * Lf[:, 1]).T)
 
 
 def _far_repulsion(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -550,11 +577,11 @@ def _far_repulsion(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
     iterates (an exact collision there gives a non-finite S, as it does in
     _repulsion), plus its sector's local expansion by Horner's rule in u.
     The moments come from every band iterate of z, and the local expansion
-    of every sector is formed at fixed shapes, (K, F, p) gathered moments
-    (276 KB) against the (F, p, p) table by one np.einsum without optimize,
-    so no bit depends on BLAS threading or on which iterates are active: S_i
-    depends on z and i alone.  Each multiply writes to a buffer distinct
-    from its inputs, as in _horner_steps.
+    of every sector is formed at fixed shapes by _far_local (two length-K
+    FFTs and one np.einsum of the (K, p, p) kernel), so no bit depends on
+    threading or on which iterates are active: S_i depends on z and i
+    alone.  Each multiply writes to a buffer distinct from its inputs, as
+    in _horner_steps.
     """
     K, p = _FAR_SECTORS, _FAR_TERMS
     n = len(z)
@@ -565,15 +592,15 @@ def _far_repulsion(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
     starts = np.searchsorted(sec[order], np.arange(K + 1))
     zs, nb = z[order], starts[K]
     u = np.multiply(zs[:nb], _FAR_CENTRES[sec[order[:nb]]].conj()) - 1.0
-    M = np.zeros((K, p), dtype=complex)
+    M = np.zeros((p, K), dtype=complex)
     counts = np.diff(starts)
-    M[:, 0] = counts
+    M[0] = counts
     full = np.flatnonzero(counts)
     pw = u
     for k in range(1, p):
-        M[full, k] = np.add.reduceat(pw, starts[full])
+        M[k, full] = np.add.reduceat(pw, starts[full])
         pw = np.multiply(pw, u)
-    L = np.einsum("tfk,flk->lt", M[(np.arange(K)[:, None] + _FAR_DELTA) % K], _FAR_M2L)
+    L = _far_local(M)
 
     S = np.empty(len(idx), dtype=complex)
     on = band[idx]
@@ -591,12 +618,16 @@ def _far_repulsion(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
     rank[order] = np.arange(n)
     near = np.empty(len(targets), dtype=complex)
     off_band = zs[nb:]
-    for t in np.unique(tsec).tolist():
+    # band targets by sector, so each sector's targets are one slice
+    by_sector = np.argsort(tsec, kind="stable")
+    tstarts = np.searchsorted(tsec[by_sector], np.arange(K + 1))
+    at = np.searchsorted(_FAR_NEAR, 0)
+    for t in np.flatnonzero(tstarts[1:] > tstarts[:-1]).tolist():
         parts = [zs[starts[s]:starts[s + 1]] for s in ((t + _FAR_NEAR) % K).tolist()]
-        mine = np.flatnonzero(tsec == t)
-        at = sum(len(part) for part in parts[:np.searchsorted(_FAR_NEAR, 0)])
+        mine = by_sector[tstarts[t]:tstarts[t + 1]]
+        before = sum(len(part) for part in parts[:at])
         near[mine] = _repulsion(np.concatenate(parts + [off_band]),
-                                at + rank[targets[mine]] - starts[t])
+                                before + rank[targets[mine]] - starts[t])
     S[on] = near + far
     return S
 
@@ -710,7 +741,7 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
     call: batching shares the Python-level evaluation steps, not the
     arithmetic.  The evaluation table is built once for the whole stack.
     A row's repulsion sums come from _far_repulsion when d >= _FAR_FROM and
-    the row has at least _FAR_ACTIVE active iterates in the sweep, else
+    the row's active iterates times d reach _FAR_PAIRS in the sweep, else
     from _repulsion; either depends on the row's own iterates alone.
     Returns the (B, d) iterates and a per-row flag telling whether every
     root of that row settled within max_iter sweeps.
@@ -741,7 +772,7 @@ def _aberth(C: np.ndarray, max_iter: int, offset: float):
         bounds = np.searchsorted(rows, np.arange(B + 1))
         for b in np.flatnonzero(bounds[1:] > bounds[:-1]):
             lo, hi = bounds[b], bounds[b + 1]
-            far = d >= _FAR_FROM and hi - lo >= _FAR_ACTIVE
+            far = d >= _FAR_FROM and (hi - lo) * d >= _FAR_PAIRS
             S[lo:hi] = (_far_repulsion if far else _repulsion)(Z[b], cols[lo:hi])
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = s / (1.0 - s * S)

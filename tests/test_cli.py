@@ -345,7 +345,8 @@ def test_value_and_os_errors_exit_1(error, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_roots", fail)
     code, out, err = run_cli(capsys, "roots", "--coeffs", "1,1")
-    assert (code, err) == (1, "padeclust: config error: boom\n")
+    label = "config" if error is ValueError else "path"
+    assert (code, err) == (1, f"padeclust: {label} error: boom\n")
 
 
 def test_unusable_paths_are_config_errors(capsys, tmp_path):
@@ -361,5 +362,5 @@ def test_unusable_paths_are_config_errors(capsys, tmp_path):
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, argv
-        assert err.startswith("padeclust: config error: ") and os_error in err, err
+        assert err.startswith("padeclust: path error: ") and os_error in err, err
         assert err.count("\n") == 1 and "Traceback" not in err

@@ -16,6 +16,7 @@ relative tolerance, and for bits that depend on the iterates alone.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -558,13 +559,49 @@ def test_far_repulsion_is_within_1e_12_of_the_direct_kernel(far_sets):
         off_band = np.abs(np.abs(z) - 1.0) > P._FAR_BAND
         if name.endswith("off-band"):
             assert off_band.sum() >= len(z) // 16
-        for idx in (np.arange(len(z)), np.sort(rng.choice(len(z), P._FAR_ACTIVE, replace=False))):
+        fewest = -(-P._FAR_PAIRS // len(z))  # the fewest targets that go far
+        for idx in (np.arange(len(z)), np.sort(rng.choice(len(z), fewest, replace=False))):
             want = P._repulsion(z, idx)
             got = P._far_repulsion(z, idx)
             rel = np.abs(got - want) / np.abs(want)
             assert rel.max() <= 1e-12, (name, rel.max())
             # off-band targets take the direct kernel over every iterate
             assert_bitwise(got[off_band[idx]], want[off_band[idx]])
+
+
+def test_far_translation_matches_the_per_offset_sum(far_sets):
+    """The FFT translation gives every sector's local expansion as the sum
+    over far offsets D of A[D] applied to the moments of sector t + D, with
+    A[D, l, k] = (-1)^l binom(k + l, l) w^{Dk} (1 - w^D)^{-(k+l+1)} and
+    w = e^{2 pi i/K}, on the moments of real iterate sets in each sector's
+    frame u = z conj(c) - 1.  The powers are taken in mpmath at 30 digits:
+    in doubles the power of 1 - w^D alone carries an error near 1e-13."""
+    K, p = P._FAR_SECTORS, P._FAR_TERMS
+    k = np.arange(p)
+    far = [D for D in range(K) if (D + K // 2) % K - K // 2 not in P._FAR_NEAR]
+    A = {}
+    with mpmath.workdps(30):
+        for D in far:
+            wD = mpmath.expjpi(mpmath.mpf(2 * D) / K)
+            rot = np.array([complex(wD ** j) for j in range(p)])
+            inv = np.array([complex((1 - wD) ** -n) for n in range(2 * p)])
+            A[D] = np.array([[(-1) ** l * math.comb(j + l, l) * rot[j] * inv[j + l + 1]
+                              for j in range(p)] for l in range(p)])
+    centres = np.exp(1j * math.pi * (2 * np.arange(K) + 1) / K)
+    for name, z in far_sets:
+        band = z[np.abs(np.abs(z) - 1.0) <= P._FAR_BAND]
+        sector = np.floor(np.angle(band) * K / (2 * math.pi)).astype(int) % K
+        M = np.zeros((p, K), dtype=complex)
+        for s in range(K):
+            u = band[sector == s] * centres[s].conj() - 1.0
+            M[:, s] = (u[None, :] ** k[:, None]).sum(axis=1)
+        want = np.zeros((p, K), dtype=complex)
+        for t in range(K):
+            for D in far:
+                want[:, t] += A[D] @ M[:, (t + D) % K]
+        got = P._far_local(M)
+        rel = np.abs(got - want) / np.abs(want).max(axis=1, keepdims=True)
+        assert rel.max() <= 1e-13, (name, rel.max())
 
 
 def test_far_repulsion_of_a_target_does_not_depend_on_the_other_targets(far_sets):
@@ -596,15 +633,16 @@ def test_far_repulsion_is_not_finite_on_an_exact_collision(where, far_sets):
 
 
 def test_batch_takes_the_far_path_from_both_thresholds_and_keeps_its_bits(monkeypatch):
-    """find_roots_batch over three polynomials of the far path's degree is
-    bitwise find_roots on each.  Every repulsion call of the iteration with
-    at least _FAR_ACTIVE active iterates goes to _far_repulsion, and every
-    other call to _repulsion, so a row below the threshold gets
-    _repulsion's bits."""
+    """find_roots_batch over three polynomials of the far path's degree and
+    one of twice that degree is bitwise find_roots on each.  Every
+    repulsion call of the iteration whose active iterates times degree
+    reach _FAR_PAIRS goes to _far_repulsion, and every other call to
+    _repulsion, so a row below the threshold gets _repulsion's bits."""
     rng = np.random.default_rng(1024)
     d = P._FAR_FROM
     polys = [rng.standard_normal(d + 1), rng.standard_normal(d + 1),
-             rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)]
+             rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1),
+             rng.standard_normal(2 * d + 1)]
     calls, depth = [], [0]
     far, direct = P._far_repulsion, P._repulsion
 
@@ -627,8 +665,9 @@ def test_batch_takes_the_far_path_from_both_thresholds_and_keeps_its_bits(monkey
     kinds = {kind for kind, _, _ in calls}
     assert kinds == {"far", "direct"}
     for kind, n, active in calls:
-        assert n == d
-        assert kind == ("far" if active >= P._FAR_ACTIVE else "direct")
+        assert n in (d, 2 * d)
+        assert kind == ("far" if active * n >= P._FAR_PAIRS else "direct")
+    assert any(kind == "far" and active < 400 for kind, _, active in calls)
     for c, rs in zip(polys, batch):
         alone = P.find_roots(c)
         assert_bitwise(rs.roots, alone.roots)
