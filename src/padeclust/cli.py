@@ -234,8 +234,8 @@ def _plot_trials(rows: List[Dict[str, str]], columns: Sequence[str], out: Path) 
 
 def cmd_plot(args) -> int:
     run_dir = Path(args.run_dir)
-    if not run_dir.is_dir():
-        raise MissingData(f"{run_dir} is not a directory")
+    if not run_dir.is_dir():  # an unusable path, like every other (exit 1)
+        raise NotADirectoryError(f"{run_dir} is not a directory")
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []

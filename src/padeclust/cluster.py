@@ -13,6 +13,7 @@ with the lower boundary ray excluded; annuli are open.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Sequence
 
@@ -63,8 +64,8 @@ class RadialCheck(NamedTuple):
 
 def annulus_mass(mu: EmpiricalMeasure, r: float, rho: float) -> float:
     """Fraction of roots in the open annulus (1-rho)r < |z| < (1+rho)r."""
-    if r <= 0 or rho <= 0:
-        raise ValueError("r and rho must be positive")
+    if not (0 < r < math.inf and 0 < rho < math.inf):
+        raise ValueError("r and rho must be positive and finite")
     lo, hi = (1.0 - rho) * r, (1.0 + rho) * r
     count = np.searchsorted(mu._moduli, hi, side="left") - np.searchsorted(
         mu._moduli, lo, side="right"
@@ -152,16 +153,16 @@ def radius_R_s(roots: RootSet, s: int) -> float:
     """Largest radius enclosing at most s roots: the modulus of the (s+1)-th
     smallest root."""
     moduli = roots.moduli
-    if s < 0 or s >= len(moduli):
-        raise IndexOutOfRange(f"s must lie in [0, {len(moduli) - 1}], got {s}")
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or not 0 <= s < len(moduli):
+        raise IndexOutOfRange(f"s must be an integer in [0, {len(moduli) - 1}], got {s!r}")
     return float(moduli[s])
 
 
 def zero_counting_integral(roots: RootSet, r: float) -> float:
     """Integral of (roots inside radius t) / t from 0 to r, evaluated in
     closed form as the sum of log(r / |z_j|) over roots strictly inside."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
     moduli = np.asarray(roots.moduli, dtype=float)
     if np.any(moduli == 0.0):
         raise DegenerateInput("split off roots at the origin before integrating")

@@ -90,12 +90,13 @@ _METHOD_NOTE = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One protocol's config, checked in full when it is built; numbers are
-    stored as plain Python values (numpy scalars are accepted): trials,
-    seed, N, grid_size, family_size and workers as int, delta as float, m, n
-    and s_list as int tuples, the other lists as float tuples.  A
-    field the protocol does not read (see _READS) keeps its default, and
-    to_dict echoes only the fields the protocol reads."""
+    """One protocol's config, checked in full when it is built.  Every number
+    passes one coercer, _numbers, and is stored as a plain Python value:
+    trials, seed, N, grid_size, family_size and workers as int and m, n and
+    s_list as int tuples, each from any whole number (2, 2.0 or a numpy
+    scalar, not True); delta as float and the other lists as float tuples,
+    from any finite number.  A field the protocol does not read (see _READS)
+    keeps its default, and to_dict echoes only the fields it reads."""
     name: str
     spec: DistributionSpec
     trials: int = 100
@@ -120,27 +121,19 @@ class ExperimentConfig:
         # before any comparison or any sampling can trip over it
         if not isinstance(self.spec, DistributionSpec):
             raise ValueError(f"spec takes a distribution, got {self.spec!r}")
-        for name in ("trials", "seed", "N", "grid_size", "family_size", "workers"):
+        for name in ("trials", "seed", "N", "grid_size", "family_size", "workers", "delta"):
             value = getattr(self, name)
-            if not (value is None and name == "N") and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} takes an integer, got {value!r}")
-            if value is not None:
-                object.__setattr__(self, name, int(value))
-        object.__setattr__(self, "delta", _reals((self.delta,), "delta")[0])
-        # a fractional m, n or s_list entry would be truncated; a repeated
-        # entry would repeat a trials.csv column or a summary key
+            if value is not None or name != "N":
+                object.__setattr__(self, name, _numbers((value,), name, name != "delta")[0])
+        # a repeated entry would repeat a trials.csv column or a summary key
         for name in ("m", "n", "s_list", "epsilon_grid", "r_schedule", "rhos"):
-            values = (_as_tuple if name in ("m", "n", "s_list") else _reals)(
-                getattr(self, name), name)
+            values, whole = getattr(self, name), name in ("m", "n", "s_list")
+            if whole and not isinstance(values, (tuple, list)):
+                values = () if values is None else (values,)
+            values = _numbers(values, name, whole)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has duplicate entries: {list(values)}")
             object.__setattr__(self, name, values)
-        for name, low in (("trials", 1), ("workers", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.precision not in ("double", "extended"):
-            raise ValueError(f"precision must be 'double' or 'extended', got {self.precision!r}")
         _check_protocol(self)
 
     def to_dict(self) -> Dict:
@@ -175,9 +168,9 @@ class ExperimentConfig:
 def _check_protocol(c: ExperimentConfig) -> None:
     """The checks of c's own protocol: each field it does not read (not in
     _READS) holds its default, its stage function gets the schedule shape it reads,
-    and each field lies in the domain of the statement it enters (radii in
-    (0, 1), eps > 0).  Every default lies in its domain, so each domain is
-    checked alike for every protocol."""
+    and each field lies in its domain (trials >= 1, radii in (0, 1), eps > 0),
+    in one table.  Every default lies in its domain, so each domain is
+    checked alike for every protocol, after the unread-field check."""
     name, m, n, N, reads = c.name, c.m, c.n, c.N, _READS[c.name]
     for f in fields(c):
         if f.name not in reads and getattr(c, f.name) != f.default:
@@ -200,6 +193,9 @@ def _check_protocol(c: ExperimentConfig) -> None:
         if N is None or N < low:
             raise ValueError(f"N must be a series degree N >= {low} for {name}, got {N}")
     for key, ok, domain in (
+            ("trials", c.trials >= 1, ">= 1"), ("seed", c.seed >= 0, ">= 0"),
+            ("workers", c.workers >= 1, ">= 1"),
+            ("precision", c.precision in ("double", "extended"), "'double' or 'extended'"),
             ("epsilon_grid", all(eps > 0.0 for eps in c.epsilon_grid), "each > 0"),
             ("r_schedule", all(0.0 < r < 1.0 for r in c.r_schedule), "each in (0, 1)"),
             # the normalization of R_s divides by log s
@@ -292,38 +288,24 @@ class RecordBlock:
 # shared plumbing
 
 
-def _is_whole(x) -> bool:
-    """Whether x is a whole real number (2 or 2.0), not a bool, a fraction,
-    a string or None."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and (isinstance(x, numbers.Integral) or float(x).is_integer()))
-
-
-def _as_tuple(v, key: str) -> Tuple[int, ...]:
-    """The entries of an int field (one number, a list or None) as a tuple;
-    ValueError naming the key for an entry that is not a whole number (a
-    fraction, a string or None)."""
-    values = () if v is None else tuple(v) if isinstance(v, (tuple, list)) else (v,)
-    for x in values:
-        if not _is_whole(x):
-            raise ValueError(f"{key} takes whole numbers, got {x!r}")
-    return tuple(int(x) for x in values)
-
-
-def _reals(values, key: str) -> Tuple[float, ...]:
-    """The entries of a float field (a list) as floats; ValueError naming the
-    key for a non-list or an entry that is not a finite real number (a
-    string, None, NaN or an int too large for a float)."""
+def _numbers(values, key: str, whole: bool) -> Tuple:
+    """The entries of a numeric field (a list) as ints if whole, else as
+    floats; ValueError naming the key for a non-list or for an entry that is
+    not a real number (a bool, a string, None or a list), is not finite (NaN,
+    or an int past the float range where floats are asked for) or, if whole,
+    is not a whole number (2 and 2.0 are, 2.5 is not)."""
     if not isinstance(values, (tuple, list)):
         raise ValueError(f"{key} takes a list, got {values!r}")
     for x in values:
         try:
-            ok = isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-        except OverflowError:  # an int past the float range
+            ok = isinstance(x, numbers.Real) and not isinstance(x, bool) and (
+                (isinstance(x, numbers.Integral) or float(x).is_integer()) if whole
+                else math.isfinite(x))
+        except OverflowError:  # a number past the float range
             ok = False
         if not ok:
-            raise ValueError(f"{key} takes finite numbers, got {x!r}")
-    return tuple(float(x) for x in values)
+            raise ValueError(f"{key} takes {'whole' if whole else 'finite'} numbers, got {x!r}")
+    return tuple(map(int if whole else float, values))
 
 
 def _by_range(config: ExperimentConfig, keys: int, fn: Callable) -> RecordBlock:

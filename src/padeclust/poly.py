@@ -1021,8 +1021,8 @@ def circle_log_average(p, r: float, quad_points: Optional[int] = None) -> float:
     deg = p.degree
     if deg < 0:
         raise DegenerateInput("circle average of the zero polynomial")
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("radius must be positive and finite")
     min_q = 2 * deg + 16
     if quad_points is None:
         quad_points = min_q
@@ -1047,8 +1047,8 @@ def jensen_rhs(roots, p0_abs: float, r: float) -> float:
     """
     if p0_abs <= 0.0:
         raise DegenerateInput("jensen_rhs needs p0_abs > 0")
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("radius must be positive and finite")
     arr = roots.roots if isinstance(roots, RootSet) else np.asarray(roots, dtype=complex)
     mod = np.abs(arr)
     if not np.isfinite(mod).all():

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateInput
 
+_SIZE, _WIDTH, _HEIGHT = 520, 640, 420  # px: the scatter's square, a line chart's canvas
 _PALETTE = ("#1f6fb2", "#c2452d", "#3d8c40", "#7b4fa6", "#b0822a", "#3a949c")
 
 
@@ -29,14 +30,14 @@ def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
 
 
 def render_scatter(points: Sequence[complex], rings: Sequence[float] = (1.0,),
-                   title: str = "", size: int = 520) -> str:
+                   title: str = "") -> str:
     """Complex-plane scatter with dashed reference circles at the given radii."""
     pts = np.asarray(points, dtype=complex)
     if pts.size == 0:
         raise DegenerateInput("nothing to plot: no points")
     reach = max(float(np.max(np.abs(pts))), max(rings, default=0.0)) * 1.1
     reach = max(reach, 1e-9)
-    half = size / 2.0
+    half = _SIZE / 2.0
     scale = (half - 20.0) / reach
 
     def sx(re: float) -> str:
@@ -46,11 +47,11 @@ def render_scatter(points: Sequence[complex], rings: Sequence[float] = (1.0,),
         return _f(half - im * scale)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<line x1="0" y1="{_f(half)}" x2="{size}" y2="{_f(half)}" stroke="#ccc"/>',
-        f'<line x1="{_f(half)}" y1="0" x2="{_f(half)}" y2="{size}" stroke="#ccc"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
+        f'<line x1="0" y1="{_f(half)}" x2="{_SIZE}" y2="{_f(half)}" stroke="#ccc"/>',
+        f'<line x1="{_f(half)}" y1="0" x2="{_f(half)}" y2="{_SIZE}" stroke="#ccc"/>',
     ]
     for r in rings:
         parts.append(
@@ -72,8 +73,7 @@ Series = Tuple[str, Sequence[float], Sequence[float]]
 
 
 def render_lines(series: Sequence[Series], title: str = "", xlabel: str = "",
-                 ylabel: str = "", width: int = 640, height: int = 420,
-                 logx: bool = False) -> str:
+                 ylabel: str = "", logx: bool = False) -> str:
     """Line chart for a handful of (label, xs, ys) triples with shared axes."""
     cleaned = []
     for label, xs, ys in series:
@@ -102,23 +102,23 @@ def render_lines(series: Sequence[Series], title: str = "", xlabel: str = "",
     left, right, top, bottom = 64, 16, 30, 46
 
     def px(x: float) -> float:
-        return left + (x - x_lo) / (x_hi - x_lo) * (width - left - right)
+        return left + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - left - right)
 
     def py(y: float) -> float:
-        return height - bottom - (y - y_lo) / (y_hi - y_lo) * (height - top - bottom)
+        return _HEIGHT - bottom - (y - y_lo) / (y_hi - y_lo) * (_HEIGHT - top - bottom)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
-        f'y2="{height - bottom}" stroke="#444"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" stroke="#444"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<line x1="{left}" y1="{_HEIGHT - bottom}" x2="{_WIDTH - right}" '
+        f'y2="{_HEIGHT - bottom}" stroke="#444"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{_HEIGHT - bottom}" stroke="#444"/>',
     ]
     for t in _ticks(x_lo, x_hi):
         label = 10.0 ** t if logx else t
         parts.append(
-            f'<text x="{_f(px(t))}" y="{height - bottom + 16}" font-size="10" '
+            f'<text x="{_f(px(t))}" y="{_HEIGHT - bottom + 16}" font-size="10" '
             f'font-family="sans-serif" text-anchor="middle">{label:.4g}</text>'
         )
     for t in _ticks(y_lo, y_hi):
@@ -139,7 +139,7 @@ def render_lines(series: Sequence[Series], title: str = "", xlabel: str = "",
             )
         if label:
             parts.append(
-                f'<text x="{width - right - 4}" y="{top + 14 + 14 * i}" font-size="11" '
+                f'<text x="{_WIDTH - right - 4}" y="{top + 14 + 14 * i}" font-size="11" '
                 f'font-family="sans-serif" text-anchor="end" fill="{color}">{label}</text>'
             )
     if title:
@@ -148,14 +148,14 @@ def render_lines(series: Sequence[Series], title: str = "", xlabel: str = "",
         )
     if xlabel:
         parts.append(
-            f'<text x="{_f((left + width - right) / 2)}" y="{height - 10}" font-size="11" '
+            f'<text x="{_f((left + _WIDTH - right) / 2)}" y="{_HEIGHT - 10}" font-size="11" '
             f'font-family="sans-serif" text-anchor="middle">{xlabel}</text>'
         )
     if ylabel:
         parts.append(
-            f'<text x="14" y="{_f((top + height - bottom) / 2)}" font-size="11" '
+            f'<text x="14" y="{_f((top + _HEIGHT - bottom) / 2)}" font-size="11" '
             f'font-family="sans-serif" text-anchor="middle" '
-            f'transform="rotate(-90 14 {_f((top + height - bottom) / 2)})">{ylabel}</text>'
+            f'transform="rotate(-90 14 {_f((top + _HEIGHT - bottom) / 2)})">{ylabel}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

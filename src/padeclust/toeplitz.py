@@ -25,6 +25,7 @@ A (q_1..q_n)^T = -(a_{m+1}, ..., a_{m+n})^T, which is exactly T q = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -84,8 +85,9 @@ def assoc_matrix(coeffs, m: int, k: int) -> np.ndarray:
 
 
 def _triple(arr: np.ndarray, m: int, n: int) -> ToeplitzTriple:
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
+    if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 0
+               for k in (m, n)):
+        raise ValueError(f"m and n must be integers >= 0, got {m!r} and {n!r}")
     W = _assoc(arr, m, n + 1)
     return ToeplitzTriple(m=m, n=n, T=W[1:], A=W[1:, 1:].copy(), W=W)
 

@@ -251,8 +251,13 @@ def test_plot_emits_the_protocol_chart(capsys, tmp_path, name, config, chart, se
 def test_plot_empty_directory_exit_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "plot", str(tmp_path))
     assert code == 2
-    code, out, err = run_cli(capsys, "plot", str(tmp_path / "missing"))
-    assert code == 2
+    # a run directory that is missing or a file is an unusable path, as
+    # everywhere else
+    (tmp_path / "afile").write_text("x")
+    for path in (tmp_path / "missing", tmp_path / "afile"):
+        code, out, err = run_cli(capsys, "plot", str(path))
+        assert code == 1
+        assert err.startswith("padeclust: path error: ") and "is not a directory" in err
 
 
 def test_svg_scatter_empty_rejected():

@@ -18,6 +18,7 @@ from padeclust.cluster import (
     zero_counting_integral,
 )
 from padeclust.pade import EtRatio, et_ratio
+from padeclust.poly import circle_log_average, jensen_rhs
 
 
 def ratio_like(log_value: float) -> EtRatio:
@@ -247,6 +248,11 @@ def test_radius_examples():
         radius_R_s(rs, 3)
     with pytest.raises(IndexOutOfRange):
         radius_R_s(rs, -1)
+    # 2.0 used to raise numpy's IndexError and True a TypeError
+    for s in (2.0, True, np.float64(1.0), "1"):
+        with pytest.raises(IndexOutOfRange, match="integer"):
+            radius_R_s(rs, s)
+    assert radius_R_s(rs, np.int64(2)) == pytest.approx(0.9)
 
 
 def test_radius_is_monotone_in_s():
@@ -274,6 +280,26 @@ def test_zero_counting_rejects_origin_roots():
     rs = find_roots(Polynomial([0.0, 0.0, 1.0]))
     with pytest.raises(DegenerateInput):
         zero_counting_integral(rs, 1.0)
+
+
+_ONE_ROOT = find_roots(Polynomial([-0.5, 1.0]))
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda r: circle_log_average(Polynomial([-0.5, 1.0]), r),
+                 id="circle_log_average"),
+    pytest.param(lambda r: zero_counting_integral(_ONE_ROOT, r), id="zero_counting_integral"),
+    pytest.param(lambda r: jensen_rhs(_ONE_ROOT, 1.0, r), id="jensen_rhs"),
+    pytest.param(lambda r: annulus_mass(EmpiricalMeasure(_ONE_ROOT), r, 0.1), id="annulus_mass-r"),
+    pytest.param(lambda rho: annulus_mass(EmpiricalMeasure(_ONE_ROOT), 1.0, rho),
+                 id="annulus_mass-rho"),
+])
+def test_radii_must_be_positive_and_finite(call, r):
+    # a NaN radius used to pass the r <= 0 guards and come back as nan or
+    # 0.0, and an infinite one as inf, nan or 1.0
+    with pytest.raises(ValueError, match="positive and finite"):
+        call(r)
 
 
 def test_zero_counting_matches_quadrature_oracle():

@@ -50,6 +50,15 @@ def test_config_from_dict_rejects_bad_input():
     (dict(precision="foo"), "precision"),
     (dict(seed=-1), "seed"),
     (dict(seed=1.5), "seed"),
+    (dict(trials=2.5), "trials"),
+    (dict(seed=True), "seed"),
+    (dict(trials=np.bool_(True)), "trials"),
+    (dict(workers=math.nan), "workers"),
+    (dict(trials=[2]), "trials"),
+    (dict(trials="2"), "trials"),
+    (dict(N=2.5), r"\bN\b"),
+    (dict(delta=float("nan")), "delta"),
+    (dict(r_schedule="1"), "r_schedule"),
     (dict(m=(10, 10)), r"\bm has duplicate"),
     (dict(n=(3, 3)), r"\bn has duplicate"),
     (dict(r_schedule=(0.9, 0.95, 0.9)), "r_schedule has duplicate"),
@@ -302,6 +311,13 @@ def test_execute_writes_artifacts(tmp_path):
         (ex.ET_CLUSTERING, "delta", np.float32(0.25), float),
         (ex.ET_CLUSTERING, "delta", np.float64(0.25), float),
         (ex.ET_CLUSTERING, "delta", np.int64(1), float),
+        # a whole float is an integer, as it is for an m, n or s_list entry
+        (ex.DET_GROWTH, "trials", 2.0, int),
+        (ex.ET_CLUSTERING, "seed", np.float64(7.0), int),
+        (ex.ET_CLUSTERING, "N", 12.0, int),
+        (ex.ET_CLUSTERING, "grid_size", 64.0, int),
+        (ex.ET_CLUSTERING, "family_size", np.float32(8.0), int),
+        (ex.ET_CLUSTERING, "workers", 2.0, int),
     ]
 ])
 def test_numpy_scalar_config_numbers_are_stored_as_python_values(name, field, value, kind,

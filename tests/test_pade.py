@@ -100,6 +100,22 @@ def test_pade_insufficient_coefficients():
         pade([1.0, 2.0], m=1, n=1)
 
 
+@pytest.mark.parametrize("m, n", [(2.0, 1), (True, 1), (2, 1.0), (2, np.bool_(True)), (-1, 1),
+                                  (2, -1)])
+def test_pade_orders_must_be_integers(m, n):
+    # 2.0 used to raise a raw TypeError from slicing, and True to return a
+    # pair with m == True
+    a = np.random.default_rng(3).standard_normal(8)
+    with pytest.raises(ValueError, match="integers >= 0"):
+        pade(a, m, n)
+
+
+def test_pade_accepts_numpy_integer_orders():
+    a = np.random.default_rng(3).standard_normal(8)
+    pair = pade(a, np.int64(2), np.int32(1))
+    assert pair.p.coeffs.tolist() == pade(a, 2, 1).p.coeffs.tolist()
+
+
 def test_pade_degenerate_system_propagates():
     with pytest.raises(DegenerateSystem):
         pade([1.0, 0.0, 1.0, 1.0], m=1, n=1)
