@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateInput, IndexOutOfRange
 from .pade import EtRatio
-from .poly import RootSet
+from .poly import RootSet, _check_count
 
 DEFAULT_GRID = 256
 DEFAULT_FAMILY = 16
@@ -94,8 +94,7 @@ def radial_two_sided_check(mu: EmpiricalMeasure, et: EtRatio, rho: float) -> Rad
 def sector_discrepancy(mu: EmpiricalMeasure, grid_size: int = DEFAULT_GRID) -> float:
     """Largest deviation |sector length / 2*pi - sector mass| over all sectors
     with endpoints on the uniform angular grid."""
-    if grid_size < 4:
-        raise ValueError("grid_size must be >= 4")
+    _check_count(grid_size, "grid_size", 4)
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
     counts = np.searchsorted(mu._args, thetas, side="right")
     deltas = np.arange(grid_size) / grid_size - counts / mu.N
@@ -105,8 +104,7 @@ def sector_discrepancy(mu: EmpiricalMeasure, grid_size: int = DEFAULT_GRID) -> f
 def bl_upper(et: EtRatio, N: int) -> float:
     """Theoretical ceiling 32 (log L / N)^(1/4) for the bounded-Lipschitz
     distance to the uniform circle measure."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_count(N, "N", 1)
     return 32.0 * (et.log_value / N) ** 0.25
 
 
@@ -128,25 +126,21 @@ def bl_lower_estimate(mu: EmpiricalMeasure, family_size: int = DEFAULT_FAMILY) -
     modulus grid (circle averages in closed form).  Any member certifies a
     lower bound for the bounded-Lipschitz distance.
     """
-    if family_size < 8:
-        raise ValueError("family_size must be >= 8")
+    _check_count(family_size, "family_size", 8)
     moduli = np.abs(mu.roots)
-    args = np.angle(mu.roots)
     clamp = _radial_clamp(moduli)
-    best = 0.0
-    for k in range(1, family_size // 2 + 1):
-        # Lipschitz constant <= k + 1, sup <= 1
-        scale = 1.0 / (k + 2.0)
-        for trig in (np.cos, np.sin):
-            emp = float(np.mean(clamp * trig(k * args))) * scale
-            best = max(best, abs(emp))
-    for center in _TENT_CENTERS:
-        # Lipschitz constant 2, sup 1
-        scale = 1.0 / 3.0
-        emp = float(np.mean(_tent(moduli, center))) * scale
-        target = float(_tent(np.asarray(1.0), center)) * scale
-        best = max(best, abs(emp - target))
-    return best
+    # harmonics k = 1 .. family_size/2, a row each: Lipschitz constant
+    # <= k + 1, sup <= 1
+    k = np.arange(1, family_size // 2 + 1)
+    phases = k[:, None] * np.angle(mu.roots)
+    scale = 1.0 / (k + 2.0)
+    harmonics = [np.mean(clamp * trig(phases), axis=1) * scale for trig in (np.cos, np.sin)]
+    # tents, a row each: Lipschitz constant 2, sup 1
+    centers = np.asarray(_TENT_CENTERS)
+    scale = 1.0 / 3.0
+    tents = (np.mean(_tent(moduli, centers[:, None]), axis=1) * scale
+             - _tent(np.asarray(1.0), centers) * scale)
+    return float(np.max(np.abs(np.concatenate(harmonics + [tents]))))
 
 
 def radius_R_s(roots: RootSet, s: int) -> float:

@@ -235,22 +235,29 @@ def default_config(name: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(name=name, **{"spec": None, **defaults, **overrides})
 
 
+BASE_COLUMNS = ("trial", "degenerate", "excluded", "reason")
+
+
 class RecordBlock:
     """Trial units in columns, in trials.csv order: the base columns trial,
-    degenerate, excluded and reason, and in values one list per protocol
-    column.  None in a protocol column means "not computed" (an empty cell).
+    degenerate, excluded and reason, and in values one column per protocol
+    column.  A column is a list of Python scalars, or a numpy array of
+    numbers or booleans in a block built from columns.  None in a protocol
+    column means "not computed" (an empty cell).
 
-    Built empty, or from len(trial) clean units with the cells in values."""
+    Built empty, or from len(trial) clean units with the cells in values;
+    an array column is kept as it is given."""
 
     def __init__(self, columns: Sequence[str], trial: Sequence[int] = (),
-                 values: Optional[Dict[str, List]] = None) -> None:
+                 values: Optional[Dict[str, Sequence]] = None) -> None:
         k = len(trial)
         values = values or {}
-        self.trial: List[int] = list(trial)
+        self.trial = _column(trial)
         self.degenerate: List[bool] = [False] * k
         self.excluded: List[bool] = [False] * k
         self.reason: List[str] = [""] * k
-        self.values: Dict[str, List] = {c: list(values.get(c, [None] * k)) for c in columns}
+        self.values: Dict[str, Sequence] = {c: _column(values.get(c, [None] * k))
+                                            for c in columns}
 
     def __len__(self) -> int:
         return len(self.trial)
@@ -268,12 +275,9 @@ class RecordBlock:
         return len(self.trial) - 1
 
     def extend(self, other: "RecordBlock") -> None:
-        self.trial += other.trial
-        self.degenerate += other.degenerate
-        self.excluded += other.excluded
-        self.reason += other.reason
-        for c, col in self.values.items():
-            col += other.values[c]
+        for name in BASE_COLUMNS:
+            setattr(self, name, _joined(getattr(self, name), getattr(other, name)))
+        self.values = {c: _joined(col, other.values[c]) for c, col in self.values.items()}
 
     def flags(self) -> Tuple[np.ndarray, np.ndarray]:
         """The degenerate and excluded columns as boolean masks."""
@@ -282,6 +286,16 @@ class RecordBlock:
     def floats(self, column: str) -> np.ndarray:
         """A protocol column as float64, NaN where not computed."""
         return np.array(self.values[column], dtype=float)
+
+
+def _column(cells: Sequence) -> Sequence:
+    """A column as a block keeps it: an array as it is, else a list."""
+    return cells if isinstance(cells, np.ndarray) else list(cells)
+
+
+def _joined(a: Sequence, b: Sequence) -> Sequence:
+    """Column a followed by column b, of the same kind."""
+    return np.concatenate((a, b)) if isinstance(a, np.ndarray) else a + b
 
 
 # ---------------------------------------------------------------------------
@@ -401,22 +415,23 @@ def _check_mass_inequality(pair, context: str) -> None:
         )
 
 
-# The cell text of each type a column may hold.  Columns hold Python
-# scalars: under numpy 2 the repr of a numpy float is not its digits alone.
+# The cell text of each type a column may hold.  Cells are formatted as
+# Python scalars (an array slice through tolist): under numpy 2 the repr of
+# a numpy float is not its digits alone.
 _CELL_FORMAT: Dict[type, Callable] = {
     float: repr, int: str, str: str, type(None): lambda v: "",
     bool: {True: "true", False: "false"}.__getitem__,
 }
 
-BASE_COLUMNS = ("trial", "degenerate", "excluded", "reason")
-
-# Rows formatted at a time: the cell strings of one slice are freed before
-# the next is formatted, so the writer's peak memory does not grow with the
-# block.
+# Rows formatted and written at a time: the cell strings of one slice are
+# written and freed before the next is formatted, so the writer's peak
+# memory does not grow with the block.
 _WRITE_ROWS = 4096
 
 
-def _cells(column: List) -> List[str]:
+def _cells(column: Sequence) -> List[str]:
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
     kinds = set(map(type, column))
     if len(kinds) == 1:
         return list(map(_CELL_FORMAT[kinds.pop()], column))
@@ -424,29 +439,35 @@ def _cells(column: List) -> List[str]:
 
 
 def write_trials_csv(path: Path, block: RecordBlock) -> None:
-    """Write the block's columns as comma-separated rows with a header, one
-    column of a slice of rows at a time.  No cell is quoted: a header, reason
-    or value that would need quoting (a comma, a double quote or a line
-    break) raises ValueError before anything is written."""
+    """Write the block's columns as comma-separated rows with a header, a
+    slice of rows at a time.  No cell is quoted: a header, reason or value
+    that would need quoting (a comma, a double quote or a line break)
+    raises ValueError before the file is opened."""
     header = list(BASE_COLUMNS) + list(block.values)
-    texts = [",".join(header) + "\n"]
-    for lo in range(0, len(block), _WRITE_ROWS):
-        rows = slice(lo, lo + _WRITE_ROWS)
-        cells = [_cells(block.trial[rows]), _cells(block.degenerate[rows]),
-                 _cells(block.excluded[rows]), block.reason[rows]]
-        cells += [_cells(column[rows]) for column in block.values.values()]
-        texts.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    if (sum(t.count(",") for t in texts) != (len(header) - 1) * (len(block) + 1)
-            or sum(t.count("\n") for t in texts) != len(block) + 1
-            or any('"' in t or "\r" in t for t in texts)):
+    texts = set(header)
+    for column in [block.reason, *block.values.values()]:
+        if isinstance(column, list):  # an array column holds numbers
+            texts.update(v for v in column if isinstance(v, str))
+    if any(ch in text for text in texts for ch in ',"\r\n'):
         raise ValueError("a trials.csv header or cell contains a comma, a double quote "
                          "or a line break")
     with open(path, "w", newline="") as fh:
-        fh.writelines(texts)
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(block), _WRITE_ROWS):
+            rows = slice(lo, lo + _WRITE_ROWS)
+            cells = [_cells(block.trial[rows]), _cells(block.degenerate[rows]),
+                     _cells(block.excluded[rows]), block.reason[rows]]
+            cells += [_cells(column[rows]) for column in block.values.values()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The file's sha256, read in 64 KiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(functools.partial(fh.read, 1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +588,16 @@ def _anticonc_records(config: ExperimentConfig, keys: range) -> RecordBlock:
         lo = i * config.trials
         part = range(max(keys.start, lo), min(keys.stop, lo + config.trials))
         for _, stack in _blocks(config, part, 2 * n - 1, n):
-            log_abs, singular_b = (x.tolist() for x in log_abs_dets(stack.windows(n - 1)))
-            roots += [0.0 if s else math.exp(v / n) for v, s in zip(log_abs, singular_b)]
-            singular += singular_b
-        trial += range(part.start - lo, part.stop - lo)
-        ns += [n] * len(part)
-    return RecordBlock(ANTICONC_COLUMNS, trial,
-                       {"n": ns, "det_abs_root": roots, "singular": singular})
+            log_abs, singular_b = log_abs_dets(stack.windows(n - 1))
+            # math.exp per value: np.exp can differ from it in the last bit
+            roots.append(np.array([0.0 if s else math.exp(v / n) for v, s in
+                                   zip(log_abs.tolist(), singular_b.tolist())], dtype=float))
+            singular.append(singular_b)
+        trial.append(np.arange(part.start - lo, part.stop - lo))
+        ns.append(np.full(len(part), n))
+    return RecordBlock(ANTICONC_COLUMNS, np.concatenate(trial),
+                       {"n": np.concatenate(ns), "det_abs_root": np.concatenate(roots),
+                        "singular": np.concatenate(singular)})
 
 
 def _summarize_anticonc(config: ExperimentConfig, block: RecordBlock) -> Dict:

@@ -41,7 +41,8 @@ by pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -182,12 +183,11 @@ class _Table:
     coefficients, block b holding c_{bs} .. c_{bs+s-1} (zero-padded to
     nb*s): s = 1, Horner's rule, below degree _BLOCKED_FROM and
     s = ceil(sqrt(d+1)) from there on.  Then ``blocks[i, b, 0, c]`` is
-    c_{bs+i} of column c, ``blocks[i, b, 1, c]`` (in a Newton table) the
-    same entry of its derivative's table, whose entry k-1 is k c_k, and
-    ``has_imag[c]`` tells whether column c has an imaginary part; with
-    s = 1 both are None.  A Newton table also holds what the stop needs:
-    ``mags[i, b, c]`` = |c_{bs+i}| (|coef| itself when s = 1) and
-    ``mass[c]`` = sum_j |c_j|; a p-only table has neither.
+    c_{bs+i} of column c, ``blocks[i, b, 1, c]`` the same entry of its
+    derivative's table, whose entry k-1 is k c_k, and ``has_imag[c]``
+    tells whether column c has an imaginary part; with s = 1 both are
+    None.  The table also holds what the stop needs: ``mags[i, b, c]`` =
+    |c_{bs+i}| (|coef| itself when s = 1) and ``mass[c]`` = sum_j |c_j|.
     """
 
     coef: np.ndarray
@@ -195,8 +195,8 @@ class _Table:
     nb: int
     blocks: Optional[np.ndarray]
     has_imag: Optional[np.ndarray]
-    mags: Optional[np.ndarray]
-    mass: Optional[np.ndarray]
+    mags: np.ndarray
+    mass: np.ndarray
 
     @property
     def d(self) -> int:
@@ -241,30 +241,22 @@ def _blocked(table: np.ndarray, s: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(padded.reshape((nb, s) + table.shape[1:]), 1, 0))
 
 
-def _horner_table(C: np.ndarray, newton: bool = True) -> _Table:
-    """The _Table of a (B, d+1) coefficient stack C: with ``newton`` for
-    p, p' and the stop, else for p alone (log|p| and the real grid's
-    signs)."""
+def _horner_table(C: np.ndarray) -> _Table:
+    """The _Table of a (B, d+1) coefficient stack C."""
     coef = np.concatenate([C.T, C.T[::-1]], axis=1)
     d = len(coef) - 1
-    table = _Table(coef, 1, d + 1, None, None, None, None)
-    if newton:
-        # rows of a contiguous copy, so a column's sum takes the same steps
-        # in a stack of any size
-        mags = np.abs(np.concatenate([C, C[:, ::-1]]))
-        table = replace(table, mags=np.ascontiguousarray(mags.T), mass=mags.sum(axis=1))
+    # rows of a contiguous copy, so a column's sum takes the same steps in a
+    # stack of any size
+    mags = np.abs(np.concatenate([C, C[:, ::-1]]))
+    mass, mags = mags.sum(axis=1), np.ascontiguousarray(mags.T)
     if d < _BLOCKED_FROM:
-        return table
+        return _Table(coef, 1, d + 1, None, None, mags, mass)
     s = math.isqrt(d) + 1  # ceil(sqrt(d + 1))
-    parts = [coef]
-    if newton:
-        deriv = np.zeros_like(coef)
-        deriv.real[:d], deriv.imag[:d] = (part[1:] * np.arange(1, d + 1)[:, None]
-                                          for part in (coef.real, coef.imag))
-        parts.append(deriv)
-        table = replace(table, mags=_blocked(table.mags, s))
-    return replace(table, s=s, nb=-(-(d + 1) // s), blocks=_blocked(np.stack(parts, axis=1), s),
-                   has_imag=coef.imag.any(axis=0))
+    deriv = np.zeros_like(coef)
+    deriv.real[:d], deriv.imag[:d] = (part[1:] * np.arange(1, d + 1)[:, None]
+                                      for part in (coef.real, coef.imag))
+    return _Table(coef, s, -(-(d + 1) // s), _blocked(np.stack([coef, deriv], axis=1), s),
+                  coef.imag.any(axis=0), _blocked(mags, s), mass)
 
 
 def _fold(table: _Table, z: np.ndarray, rows: Optional[np.ndarray]):
@@ -321,9 +313,8 @@ def _horner_steps(table: _Table, x: np.ndarray, cols: np.ndarray, what: str):
     Horner's rule in y, point x[i] (|x[i]| <= 1) on table column cols[i]:
     p alone (``what`` "p"), p and p' ("pair") or the bound
     sum_j |c_j| |x|^j by the same steps on |c| at |x| in real arithmetic
-    ("bound"), as a list of 1 or 2 arrays; "pair" and "bound" need a Newton
-    table.  The points are visited sorted by column and the results
-    scattered back to the input order.
+    ("bound"), as a list of 1 or 2 arrays.  The points are visited sorted
+    by column and the results scattered back to the input order.
 
     With s = 1 (q_b = c_b) each step is p' <- p' x + p, p <- p x + c_b on
     the table rows expanded to the points, a block of rows at a time.  With
@@ -637,7 +628,7 @@ def _scaled_residual_log(C: np.ndarray, R: np.ndarray) -> np.ndarray:
     a (B, d+1) coefficient stack C and the (B, d) stack R of its roots."""
     d = C.shape[1] - 1
     rows = np.repeat(np.arange(len(C)), d)
-    table = _horner_table(C, newton=False)
+    table = _horner_table(C)
     vals = _log_abs_eval(table, R.ravel(), rows) - d * np.log1p(np.abs(R.ravel()))
     return vals.reshape(R.shape).max(axis=1)
 
@@ -1010,6 +1001,12 @@ def find_roots(
 # circle averages
 
 
+def _check_count(value, name: str, low: int) -> None:
+    """ValueError unless value is an integer (numpy's too, not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def circle_log_average(p, r: float, quad_points: Optional[int] = None) -> float:
     """Trapezoid average of log|p(r e^{i theta})| over theta in [0, 2 pi).
 
@@ -1026,9 +1023,8 @@ def circle_log_average(p, r: float, quad_points: Optional[int] = None) -> float:
     min_q = 2 * deg + 16
     if quad_points is None:
         quad_points = min_q
-    if quad_points < min_q:
-        raise ValueError(f"quad_points must be >= 2*degree+16 = {min_q}")
-    table = _horner_table(np.asarray(p.coeffs[: deg + 1], dtype=complex)[None, :], newton=False)
+    _check_count(quad_points, "quad_points", min_q)  # 2*degree+16
+    table = _horner_table(np.asarray(p.coeffs[: deg + 1], dtype=complex)[None, :])
     theta = np.linspace(0.0, 2.0 * math.pi, quad_points, endpoint=False)
     vals = _log_abs_eval(table, r * np.exp(1j * theta))
     bad = ~np.isfinite(vals)

@@ -232,6 +232,35 @@ def test_bl_bracket_on_polynomial_measures():
         assert bl_lower_estimate(mu) <= bl_upper(et, mu.N) + 1e-12
 
 
+def _bl_lower_reference(mu, family_size):
+    """bl_lower_estimate one test function at a time, as it was first written."""
+    moduli, args = np.abs(mu.roots), np.angle(mu.roots)
+    clamp = np.maximum(0.0, np.minimum(moduli, 2.0 - moduli))
+    best = 0.0
+    for k in range(1, family_size // 2 + 1):
+        scale = 1.0 / (k + 2.0)
+        for trig in (np.cos, np.sin):
+            best = max(best, abs(float(np.mean(clamp * trig(k * args))) * scale))
+    for center in (0.0, 0.5, 1.0, 1.5, 2.0):
+        scale = 1.0 / 3.0
+        emp = float(np.mean(np.maximum(0.0, 1.0 - np.abs(moduli - center) / 0.5))) * scale
+        target = max(0.0, 1.0 - abs(1.0 - center) / 0.5) * scale
+        best = max(best, abs(emp - target))
+    return best
+
+
+@pytest.mark.parametrize("family_size", [8, 9, 16, 40])
+def test_bl_lower_matches_one_function_at_a_time(family_size):
+    rng = np.random.default_rng(family_size)
+    for degree in (3, 19, 64, 401, 2048):
+        for spread in (0.05, 0.5):
+            roots = (np.exp(spread * rng.standard_normal(degree))
+                     * np.exp(2j * np.pi * rng.random(degree)))
+            mu = EmpiricalMeasure(roots)
+            got, want = bl_lower_estimate(mu, family_size), _bl_lower_reference(mu, family_size)
+            assert type(got) is float and got.hex() == want.hex()
+
+
 def test_bl_lower_validates_family_size():
     with pytest.raises(ValueError):
         bl_lower_estimate(EmpiricalMeasure([1.0]), family_size=4)
@@ -300,6 +329,30 @@ def test_radii_must_be_positive_and_finite(call, r):
     # 0.0, and an infinite one as inf, nan or 1.0
     with pytest.raises(ValueError, match="positive and finite"):
         call(r)
+
+
+_GAUSS19 = Polynomial(np.random.default_rng(19).standard_normal(20))
+_GAUSS19_MU = EmpiricalMeasure(find_roots(_GAUSS19))
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(lambda good: good + 0.5, id="fraction"),
+    pytest.param(lambda good: math.nan, id="nan"),
+    pytest.param(lambda good: True, id="bool"),
+    pytest.param(float, id="whole-float"),
+])
+@pytest.mark.parametrize("name, call, good", [
+    ("grid_size", lambda v: sector_discrepancy(_GAUSS19_MU, grid_size=v), 64),
+    ("family_size", lambda v: bl_lower_estimate(_GAUSS19_MU, family_size=v), 8),
+    ("quad_points", lambda v: circle_log_average(_GAUSS19, 1.0, quad_points=v), 60),
+    ("N", lambda v: bl_upper(et_ratio(_GAUSS19), v), 19),
+])
+def test_integer_arguments_must_be_integers(name, call, good, bad):
+    # grid_size = 64.5 used to read a fractional grid and bl_upper(et, nan)
+    # return nan; the others raised numpy's or Python's own errors
+    with pytest.raises(ValueError, match=f"{name} must be an integer >="):
+        call(bad(good))
+    assert call(np.int64(good)) == call(good)
 
 
 def test_zero_counting_matches_quadrature_oracle():

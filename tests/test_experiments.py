@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -291,7 +293,7 @@ def test_execute_writes_artifacts(tmp_path):
     assert manifest["version"]
     digest = manifest["digests"]["trials.csv"]
     assert len(digest) == 64
-    assert ex._sha256(out / "trials.csv") == digest
+    assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == digest
     # summary on disk parses and echoes the counts
     summ = json.loads((out / "summary.json").read_text())
     assert summ["trials"] == 5
@@ -685,7 +687,10 @@ def test_unknown_protocol_in_execute():
 
 def _cell_text(value):
     """The trials.csv text of one cell, written out independently of the
-    column writer."""
+    column writer; a numpy scalar (a cell of an array column) is written as
+    the Python scalar it holds."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -743,6 +748,30 @@ def test_write_trials_csv_rejects_cells_that_need_quoting(columns, reason, value
     with pytest.raises(ValueError, match="comma, a double quote or a line break"):
         ex.write_trials_csv(path, block)
     assert not path.exists()
+
+
+def test_writer_and_digest_memory_stays_below_the_file_size(tmp_path, monkeypatch):
+    """The writer formats and writes one slice of rows at a time from array
+    columns, and the digest reads the file in chunks, so neither holds the
+    whole file (about 895 KB here) as the parent's read_bytes and text list
+    did."""
+    monkeypatch.setattr(ex, "_WRITE_ROWS", 256)
+    block, _ = ex.run(ex.default_config(ex.ANTICONCENTRATION, n=(2, 5), trials=10_000))
+    assert isinstance(block.values["det_abs_root"], np.ndarray)
+    path = tmp_path / "trials.csv"
+    peaks = {}
+    for name, call in (("writer", lambda: ex.write_trials_csv(path, block)),
+                       ("digest", lambda: ex._sha256(path))):
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 800_000
+    assert peaks["writer"] < size / 2 and peaks["digest"] < size / 2, (peaks, size)
+    assert ex._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # The fields each protocol reads, as the README states them; every other

@@ -237,13 +237,20 @@ def _det_growth_reference(config, m_values, n, trial):
     return out
 
 
+def _scalars(column):
+    """A block column as the Python scalars trials.csv formats: an array
+    column through tolist."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
 def _as_tuples(block):
     """The block's units as (trial, degenerate, excluded, reason, cells), the
     cells holding the computed protocol columns only."""
+    values = {c: _scalars(col) for c, col in block.values.items()}
     return [(trial, degenerate, excluded, reason,
-             {c: col[i] for c, col in block.values.items() if col[i] is not None})
+             {c: col[i] for c, col in values.items() if col[i] is not None})
             for i, (trial, degenerate, excluded, reason) in enumerate(
-                zip(block.trial, block.degenerate, block.excluded, block.reason))]
+                zip(_scalars(block.trial), block.degenerate, block.excluded, block.reason))]
 
 
 def _assert_same_records(got, want):
