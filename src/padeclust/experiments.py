@@ -246,16 +246,20 @@ class RecordBlock:
     column means "not computed" (an empty cell).
 
     Built empty, or from len(trial) clean units with the cells in values;
-    an array column is kept as it is given."""
+    an array column is kept as it is given.  A block whose trial column is
+    an array takes no add: its degenerate, excluded and reason columns are
+    read-only constant arrays that hold one element whatever the length."""
 
     def __init__(self, columns: Sequence[str], trial: Sequence[int] = (),
                  values: Optional[Dict[str, Sequence]] = None) -> None:
         k = len(trial)
         values = values or {}
         self.trial = _column(trial)
-        self.degenerate: List[bool] = [False] * k
-        self.excluded: List[bool] = [False] * k
-        self.reason: List[str] = [""] * k
+        if isinstance(trial, np.ndarray):
+            self.degenerate = self.excluded = np.broadcast_to(False, k)
+            self.reason = np.broadcast_to("", k)
+        else:
+            self.degenerate, self.excluded, self.reason = [False] * k, [False] * k, [""] * k
         self.values: Dict[str, Sequence] = {c: _column(values.get(c, [None] * k))
                                             for c in columns}
 
@@ -446,7 +450,7 @@ def write_trials_csv(path: Path, block: RecordBlock) -> None:
     header = list(BASE_COLUMNS) + list(block.values)
     texts = set(header)
     for column in [block.reason, *block.values.values()]:
-        if isinstance(column, list):  # an array column holds numbers
+        if isinstance(column, list):  # an array column holds numbers or no reason
             texts.update(v for v in column if isinstance(v, str))
     if any(ch in text for text in texts for ch in ',"\r\n'):
         raise ValueError("a trials.csv header or cell contains a comma, a double quote "
@@ -456,7 +460,7 @@ def write_trials_csv(path: Path, block: RecordBlock) -> None:
         for lo in range(0, len(block), _WRITE_ROWS):
             rows = slice(lo, lo + _WRITE_ROWS)
             cells = [_cells(block.trial[rows]), _cells(block.degenerate[rows]),
-                     _cells(block.excluded[rows]), block.reason[rows]]
+                     _cells(block.excluded[rows]), _cells(block.reason[rows])]
             cells += [_cells(column[rows]) for column in block.values.values()]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
@@ -854,8 +858,8 @@ def run(config: ExperimentConfig) -> Tuple[RecordBlock, Dict]:
     keys = config.trials * (len(config.n) if config.name == ANTICONCENTRATION else 1)
     block = _by_range(config, keys, functools.partial(records, config))
     summary = summarize(config, block)
-    summary.update(degenerate=sum(block.degenerate), excluded=sum(block.excluded),
-                   note=_METHOD_NOTE)
+    summary.update(degenerate=int(np.count_nonzero(block.degenerate)),
+                   excluded=int(np.count_nonzero(block.excluded)), note=_METHOD_NOTE)
     return block, summary
 
 

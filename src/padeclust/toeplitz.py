@@ -12,6 +12,14 @@ _LU_ELEMS elements, transposed into C order, and getrf factors each matrix
 of the copy in place.  Public entry points reject non-finite input with
 DegenerateInput; internal callers pass arrays that are already checked.
 
+The LAPACK routines (d/zgetrf, d/zgetrs, d/zgecon) are the only thing
+padeclust takes from scipy.  ``lapack`` is scipy's f2py extension
+scipy.linalg._flapack, loaded from its file by _load_flapack rather than
+through ``scipy.linalg``: that package's __init__ pulls in numpy.f2py,
+numpy.testing and numpy.ma, 0.2-0.3 s and about 20 MB of every process's
+start-up, and none of it is used here.  The routines are the same
+function objects scipy.linalg.lapack exports, so no bit changes.
+
 Index conventions (a_l = 0 for l < 0 throughout):
 
 * ``W`` is (n+1) x (n+1) with W[i][j] = a_{m+i-j}
@@ -24,17 +32,43 @@ A (q_1..q_n)^T = -(a_{m+1}, ..., a_{m+n})^T, which is exactly T q = 0.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lapack
 
 from .errors import DegenerateSystem, InsufficientCoefficients
 from .poly import EXTENDED_DPS, coeff_vector
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension, loaded from its file in scipy/linalg.
+
+    find_spec locates the scipy package without importing it, so neither
+    scipy's nor scipy.linalg's __init__ runs.  f2py builds single-phase
+    extensions, which register themselves in sys.modules on loading, here
+    as scipy.linalg._flapack; so a later ``import scipy.linalg`` reuses this
+    module, and its lapack.dgetrf and ours are the same object."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("padeclust needs scipy's LAPACK extension, and scipy is not installed")
+    linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [linalg])
+    if spec is None:
+        expected = os.path.join(linalg, "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        raise ImportError(f"scipy's LAPACK extension {expected} was not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 COND_CAP_DOUBLE = 1e12
 COND_CAP_EXTENDED = 1e28

@@ -774,6 +774,26 @@ def test_writer_and_digest_memory_stays_below_the_file_size(tmp_path, monkeypatc
     assert ex._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_block_of_array_columns_holds_constant_base_columns():
+    """A block built from array columns (clean units only) keeps degenerate,
+    excluded and reason as constants, not as lists of one cell per unit
+    (480 KB here), and run still counts them into plain ints."""
+    k = 20_000
+    trial = np.arange(k)
+    values = {"n": np.full(k, 2), "det_abs_root": np.ones(k), "singular": np.zeros(k, bool)}
+    tracemalloc.start()
+    try:
+        block = ex.RecordBlock(ex.ANTICONC_COLUMNS, trial, values)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 10_000, held
+    assert len(block.degenerate) == len(block.excluded) == len(block.reason) == k
+    assert not any(block.degenerate) and not any(block.excluded) and set(block.reason) == {""}
+    _, summary = ex.run(ex.default_config(ex.ANTICONCENTRATION, n=(2, 3), trials=50))
+    assert (type(summary["degenerate"]), type(summary["excluded"])) == (int, int)
+
+
 # The fields each protocol reads, as the README states them; every other
 # field must keep its default and stays out of the config echo.
 _RUN_FIELDS = {"name", "spec", "trials", "seed", "workers"}
